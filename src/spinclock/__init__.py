@@ -14,7 +14,6 @@ cli           command-line interface (spectrum / operating-point / stability)
 __version__ = "0.1.0"
 
 from . import figures
-from ._kernels import HAVE_COMPILED, active_backend
 from .params import (
     Branch,
     CavityParams,

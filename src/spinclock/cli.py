@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import active_backend
 from .figures import FIGURE_NAMES, figure_setup
 from .params import ConfigError
 from .polariton import (
@@ -220,7 +219,7 @@ def _cmd_spectrum(args) -> int:
     )
     _spectrum_from_doc(doc, out)
     _write_sidecar(out, doc)
-    print(f"wrote {out} ({active_backend()} kernel)")
+    print(f"wrote {out}")
     return 0
 
 
@@ -266,11 +265,14 @@ def _operating_point_doc(doc: dict) -> dict:
         "magnetic_floor_fractional": budget.magnetic_floor,
         "params": doc["config"],
     }
-    if preset.env.R_ratio < 0:
-        d_closed = abs(operating_point_closed_form(
-            preset.spins.branch_coupling, preset.env.R_ratio)[0])
+    if preset.env.R_ratio < 0 and doc["branch"] != "middle":
+        # signed (lower, upper) roots; the middle branch has no closed form
+        lower, upper = operating_point_closed_form(
+            preset.spins.branch_coupling, preset.env.R_ratio)
+        d_closed = lower if doc["branch"] == "lower" else upper
         report["closed_form_D_hz"] = to_hz(d_closed)
-        report["closed_form_delta_rel"] = abs(op.detuning_D - d_closed) / d_closed
+        report["closed_form_delta_rel"] = \
+            abs(op.detuning_D - d_closed) / abs(d_closed)
     return report
 
 
@@ -356,8 +358,18 @@ def _cmd_stability(args) -> int:
 # --- replay -------------------------------------------------------------------
 
 
+def _read_sidecar(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read sidecar {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"sidecar {path} is not a JSON object")
+    return doc
+
+
 def _cmd_replay(args) -> int:
-    doc = json.loads(Path(args.sidecar).read_text(encoding="utf-8"))
+    doc = _read_sidecar(Path(args.sidecar))
     command = doc.get("command")
     out = Path(args.out)
     if command == "spectrum":

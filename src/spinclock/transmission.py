@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import transmission_grid
 from .params import (
+    Branch,
     CavityParams,
     ConfigError,
     EnvironmentState,
@@ -125,9 +125,10 @@ def susceptibility_terms(
 
 def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c):
     """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly."""
-    delta = np.asarray(omega_c) - np.asarray(omega_probe)
+    # one expression, so numpy reuses the grid-sized temporaries in place
     return cavity.kappa_out / (
-        cavity.kappa_out + cavity.kappa_loss + 1j * delta + c_value
+        cavity.kappa_out + cavity.kappa_loss
+        + 1j * (np.asarray(omega_c) - np.asarray(omega_probe)) + c_value
     )
 
 
@@ -211,15 +212,6 @@ class SweepResult:
         return float(self.values1[i]), self.values2.copy(), self.t[i].copy()
 
 
-def _axis_fields(axis: SweepAxis, values):
-    """Split one axis into (probe, cavity, delta_T, B) contributions."""
-    zeros = np.zeros_like(values)
-    fields = {name: zeros for name in AXIS_VARIABLES}
-    fields[axis.variable] = values
-    return (fields["probe_offset"], fields["cavity_offset"],
-            fields["delta_T"], fields["B_field"])
-
-
 def spectrum_sweep(
     spins: SpinEnsembleParams,
     cavity: CavityParams,
@@ -228,15 +220,19 @@ def spectrum_sweep(
     axis2: SweepAxis,
     quadrature_phase: float = math.pi / 2,
     omega_probe_fixed: float | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """Evaluate the transmission over a 2-D grid of swept variables.
 
     Sweep variables override the corresponding entry of ``env`` (or the
     cavity/probe offset); everything not swept is held at its ``env`` value.
     When the probe is not a sweep axis it sits at ``omega_probe_fixed``
-    (default: the line center).  The heavy per-point loop runs in the
-    selected grid kernel.
+    (default: the line center).
+
+    Each swept quantity is a broadcast axis, ``(n1, 1)`` for axis1 and
+    ``(1, n2)`` for axis2, and everything held fixed stays a scalar.  The
+    class sum is accumulated one class at a time, so C(omega) only spans the
+    axes it depends on (the probe axis alone in a probe-vs-cavity sweep) and
+    no temporary grows past ``(n1, n2)``.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("sweep axes must differ")
@@ -246,61 +242,46 @@ def spectrum_sweep(
 
     v1 = axis1.grid()
     v2 = axis2.grid()
-    g1 = np.repeat(v1, v2.size)
-    g2 = np.tile(v2, v1.size)
+    swept = {axis1.variable: v1[:, None], axis2.variable: v2[None, :]}
 
-    p1, c1, t1, z1 = _axis_fields(axis1, g1)
-    p2, c2, t2, z2 = _axis_fields(axis2, g2)
-
-    swept = {axis1.variable, axis2.variable}
-    base_thermal = 0.0 if "delta_T" in swept else env.delta_T
-    base_b = 0.0 if "B_field" in swept else env.B_field
-
-    delta_T = t1 + t2 + base_thermal
-    b_field = z1 + z2 + base_b
-    thermal_shift = env.dwa_dT * delta_T
-    zeeman = env.gyromagnetic * b_field
-
+    thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
+    zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
     if "probe_offset" in swept:
-        omega_probe = spins.omega_zfs + p1 + p2
+        probe_base = spins.omega_zfs
+        omega_probe = probe_base + swept["probe_offset"]
     else:
-        fixed = spins.omega_zfs if omega_probe_fixed is None else omega_probe_fixed
-        omega_probe = np.full(g1.shape, fixed)
+        probe_base = float(spins.omega_zfs if omega_probe_fixed is None
+                           else omega_probe_fixed)
+        omega_probe = probe_base
     if "cavity_offset" in swept:
-        omega_c = spins.omega_zfs + c1 + c2 + env.R_ratio * thermal_shift
+        omega_c = (spins.omega_zfs + swept["cavity_offset"]
+                   + env.R_ratio * thermal_shift)
     else:
         omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
 
-    # Class centers: branch sign on the Zeeman term, fixed offset per class.
+    # Class centers: offset at zero field and temperature, then the shared
+    # thermal shift and the branch-signed Zeeman term.
     env0 = EnvironmentState(
         delta_T=0.0, B_field=0.0, dwa_dT=env.dwa_dT,
         R_ratio=env.R_ratio, gyromagnetic=env.gyromagnetic,
     )
     omega_cls0, g_cls = class_frequencies(spins, env0)
-    signs = np.array([
-        1.0 if c.branch.value == "plus" else -1.0 for c in spins.spin_classes
-    ])
-    class_omegas = (omega_cls0[None, :]
-                    + thermal_shift[:, None]
-                    + signs[None, :] * zeeman[:, None])
+    signs = [1.0 if c.branch is Branch.PLUS else -1.0 for c in spins.spin_classes]
+    c_value = 0.0  # numpy's sum() starts at 0.0 too; no classes: bare cavity
+    for omega0, sign, g_sq in zip(omega_cls0, signs, g_cls ** 2):
+        center = omega0 + thermal_shift + sign * zeeman
+        c_value = c_value + g_sq / (hw + 1j * (center - omega_probe))
 
-    flat_t = transmission_grid(
-        omega_probe, omega_c, class_omegas, g_cls ** 2,
-        hw, cavity.kappa_out, cavity.kappa_loss, threads=threads,
-    )
-    if "probe_offset" in swept:
-        probe_base = spins.omega_zfs
-    else:
-        probe_base = float(omega_probe[0])
+    t = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
     return SweepResult(
         axis1=axis1,
         axis2=axis2,
         values1=v1,
         values2=v2,
-        t=flat_t.reshape(v1.size, v2.size),
+        t=t,
         quadrature_phase=quadrature_phase,
         probe_base=probe_base,
-        omega_c=np.asarray(omega_c).reshape(v1.size, v2.size),
+        omega_c=np.broadcast_to(omega_c, t.shape),
     )
 
 

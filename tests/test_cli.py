@@ -163,3 +163,27 @@ def test_overrides_recorded_in_provenance(tmp_path):
     assert doc["config"]["dt_stab_k"] == pytest.approx(5e-3)
     assert doc["db_stab_t"] == pytest.approx(20e-9)
     assert doc["seed"] == 42
+
+
+def test_operating_point_lower_branch_closed_form(tmp_path):
+    out = tmp_path / "op.json"
+    assert _run("operating-point", "--preset", "current", "--branch", "lower",
+                "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["branch"] == "lower"
+    assert doc["D_hz"] == pytest.approx(-4.025e6, rel=0.01)
+    assert doc["closed_form_D_hz"] == pytest.approx(doc["D_hz"], rel=0.02)
+    assert doc["closed_form_delta_rel"] < 0.02
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "invalid-json"])
+def test_replay_bad_sidecar_is_config_error(tmp_path, capsys, content):
+    sidecar = tmp_path / "sidecar.json"
+    if content is not None:
+        sidecar.write_text(content, encoding="utf-8")
+    rc = _run("replay", str(sidecar), "--out", str(tmp_path / "x.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sidecar) in err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinclock.cli import main
 from spinclock.figures import figure_setup
 from spinclock.params import (
     Branch,
@@ -13,13 +17,16 @@ from spinclock.params import (
     EnvironmentState,
     SpinClass,
     SpinEnsembleParams,
+    instantaneous_frequencies,
 )
 from spinclock.transmission import (
+    AXIS_VARIABLES,
     SweepAxis,
     quadrature_of,
     spectrum_sweep,
     susceptibility,
     susceptibility_terms,
+    transmission_amplitude,
     transmission_spectrum,
     transmit,
 )
@@ -273,3 +280,82 @@ def test_non_probe_sweep_axes():
                          ax1, ax2, omega_probe_fixed=ZFS + from_hz(6e6))
     assert res.t.shape == (5, 7)
     assert np.all(np.abs(res.t) <= 1.0)
+
+
+# --- spectrum_sweep against the scalar per-point path ----------------------
+
+_AXIS_RANGES = {
+    "probe_offset": (-from_hz(30e6), from_hz(30e6)),
+    "cavity_offset": (-from_hz(30e6), from_hz(30e6)),
+    "delta_T": (-50.0, 50.0),
+    "B_field": (-400e-6, 400e-6),
+}
+
+_MULTI_CLASS = SpinEnsembleParams(
+    spin_classes=(
+        SpinClass(-from_hz(0.8e6), 0.25, Branch.PLUS),
+        SpinClass(0.0, 0.5, Branch.PLUS),
+        SpinClass(from_hz(1.3e6), 0.25, Branch.PLUS),
+        SpinClass(-from_hz(0.4e6), 0.6, Branch.MINUS),
+        SpinClass(from_hz(0.5e6), 0.4, Branch.MINUS),
+    ),
+    gamma_pump=from_hz(0.5e6),
+    Gamma_deph=from_hz(2e6),
+    g_collective=from_hz(4e6),
+)
+
+
+def _random_axis(rng, variable):
+    lo, hi = _AXIS_RANGES[variable]
+    start, stop = np.sort(rng.uniform(lo, hi, 2))
+    return SweepAxis(variable, float(start), float(stop), int(rng.integers(2, 7)))
+
+
+def _scalar_t(spins, cavity, env, omega_probe, overrides):
+    """t at one grid point from susceptibility + transmission_amplitude."""
+    for variable, value in overrides:
+        if variable == "probe_offset":
+            omega_probe = spins.omega_zfs + value
+        elif variable == "cavity_offset":
+            cavity = dataclasses.replace(
+                cavity, omega_c_ref=spins.omega_zfs + value)
+        elif variable == "delta_T":
+            env = dataclasses.replace(env, delta_T=value)
+        else:
+            env = dataclasses.replace(env, B_field=value)
+    _, _, omega_c = instantaneous_frequencies(spins, cavity, env)
+    c = susceptibility(spins, env, omega_probe)
+    return complex(transmission_amplitude(cavity, c, omega_probe, omega_c))
+
+
+@pytest.mark.parametrize("spins", [
+    SpinEnsembleParams(g_collective=from_hz(3e6)),
+    _MULTI_CLASS,
+], ids=["two-class", "multi-class"])
+@pytest.mark.parametrize("var1,var2", list(itertools.permutations(AXIS_VARIABLES, 2)))
+def test_sweep_matches_scalar_path(spins, var1, var2):
+    rng = np.random.default_rng(
+        [AXIS_VARIABLES.index(var1), AXIS_VARIABLES.index(var2)])
+    cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
+                          kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
+    env = EnvironmentState(delta_T=3.5, B_field=40e-6, R_ratio=-0.3)
+    probe = ZFS + from_hz(2.5e6)
+    ax1, ax2 = _random_axis(rng, var1), _random_axis(rng, var2)
+    res = spectrum_sweep(spins, cavity, env, ax1, ax2, omega_probe_fixed=probe)
+    assert res.t.shape == (ax1.points, ax2.points)
+    ref = np.array([
+        [_scalar_t(spins, cavity, env, probe, ((var1, v1), (var2, v2)))
+         for v2 in res.values2]
+        for v1 in res.values1
+    ])
+    assert np.allclose(res.t, ref, rtol=1e-13, atol=0)
+
+
+def test_fig2a_csv_bytes_unchanged(tmp_path):
+    # sha256 of `spectrum --figure 2a --points 61 --format csv`, recorded
+    # with the flat-grid evaluator that the broadcast sweep replaced
+    out = tmp_path / "f2a.csv"
+    assert main(["spectrum", "--figure", "2a", "--points", "61",
+                 "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "51ad4becd42e45796d0d8288297fa637c01f1ad739f2939b442c469ba6ecb754")
