@@ -56,10 +56,8 @@ from .stability import (
 from .transmission import (
     SweepAxis,
     SweepResult,
-    TransmissionPoint,
     spectrum_sweep,
     susceptibility,
     transmission_spectrum,
-    transmit,
 )
 from .units import from_hz, to_hz

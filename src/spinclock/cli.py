@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .figures import FIGURE_NAMES, figure_setup
-from .params import ConfigError
+from .params import ConfigError, _is_finite_number
 from .polariton import (
+    BRANCHES,
     NoOperatingPointError,
     operating_point_closed_form,
     operating_point_numeric,
@@ -68,7 +69,8 @@ def _sidecar_path(out: Path) -> Path:
 
 def _write_sidecar(out: Path, doc: dict) -> Path:
     path = _sidecar_path(out)
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    _write_text(path, text + "\n")
     return path
 
 
@@ -85,7 +87,7 @@ def _axis_to_doc(axis: SweepAxis) -> dict:
 
 
 def _axis_from_doc(doc: dict) -> SweepAxis:
-    unit = _AXIS_UNIT.get(doc["variable"], "hz")
+    unit = _AXIS_UNIT[doc["variable"]]
     scale = from_hz if unit == "hz" else float
     return SweepAxis(doc["variable"], scale(doc["start"]),
                      scale(doc["stop"]), doc["points"])
@@ -122,6 +124,17 @@ def _apply_overrides(preset: Preset, args, stability_mode: bool) -> Preset:
     if getattr(args, "B_nt", None) is not None and not stability_mode:
         env = dataclasses.replace(env, B_field=args.B_nt * 1e-9)
     return Preset(preset.name, spins, cavity, env, probe, dT_stab)
+
+
+def _finite_flag(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return value
+
+
+def _db_stab(args) -> float:
+    """Magnetic stability magnitude (T) from --B-nt in stability mode."""
+    return _finite_flag(args.B_nt or 0.0, "--B-nt") * 1e-9
 
 
 def _provenance(command: str, preset: Preset, args, extra: dict) -> dict:
@@ -187,7 +200,7 @@ def _slice_path(out: Path) -> Path:
 
 def _cmd_spectrum(args) -> int:
     out = Path(args.out)
-    phase = math.radians(args.quadrature_deg)
+    phase = math.radians(_finite_flag(args.quadrature_deg, "--quadrature-deg"))
     points = args.points
 
     if args.figure is not None:
@@ -280,7 +293,7 @@ def _cmd_operating_point(args) -> int:
     preset = _apply_overrides(_base_preset(args), args, stability_mode=True)
     doc = _provenance(
         "operating-point", preset, args,
-        {"branch": args.branch, "db_stab_t": (args.B_nt or 0.0) * 1e-9},
+        {"branch": args.branch, "db_stab_t": _db_stab(args)},
     )
     report = _operating_point_doc(doc)
     text = json.dumps(report, sort_keys=True, indent=1) + "\n"
@@ -328,15 +341,13 @@ def _parse_tau_range(spec: str) -> tuple[float, float]:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ConfigError("--tau must look like 0.1..1e4") from None
-    if lo <= 0 or hi <= lo:
-        raise ConfigError("--tau range must be positive and increasing")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError("--tau range must be positive, finite and increasing")
     return lo, hi
 
 
 def _cmd_stability(args) -> int:
     preset = _apply_overrides(_base_preset(args), args, stability_mode=True)
-    if preset.probe.photon_flux <= 0:
-        raise ConfigError("--power-photons-per-s must be > 0")
     lo, hi = _parse_tau_range(args.tau)
     out = Path(args.out)
     doc = _provenance(
@@ -346,7 +357,7 @@ def _cmd_stability(args) -> int:
             "tau_start_s": lo,
             "tau_stop_s": hi,
             "tau_points": args.tau_points,
-            "db_stab_t": (args.B_nt or 0.0) * 1e-9,
+            "db_stab_t": _db_stab(args),
         },
     )
     _stability_from_doc(doc, out)
@@ -358,29 +369,69 @@ def _cmd_stability(args) -> int:
 # --- replay -------------------------------------------------------------------
 
 
+# Each sidecar value kind is a predicate with its description.
+_NUMBER = (_is_finite_number, "a finite number")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
+                   "a finite number or null")
+_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+
+
+def _one_of(*values):
+    return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
+
+
+_FORMAT = _one_of("csv", "json")
+_SIDECAR_KEYS = {
+    "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
+                     axis2=_OBJECT, slice_axis1_value=_NUMBER_OR_NULL),
+    "stability": dict(format=_FORMAT, tau_start_s=_NUMBER, tau_stop_s=_NUMBER,
+                      tau_points=_COUNT, db_stab_t=_NUMBER),
+    "operating-point": dict(branch=_one_of(*BRANCHES), db_stab_t=_NUMBER),
+}
+_AXIS_KEYS = dict(variable=_one_of(*_AXIS_UNIT), start=_NUMBER, stop=_NUMBER,
+                  points=_COUNT)
+
+
+def _require(doc: dict, where: str, kinds: dict) -> None:
+    """ConfigError naming the first key of ``kinds`` missing or of another kind."""
+    for key, (ok, expected) in kinds.items():
+        if key not in doc:
+            raise ConfigError(f"{where} has no {key!r}")
+        if not ok(doc[key]):
+            raise ConfigError(
+                f"{where} {key!r} must be {expected}, got {doc[key]!r}")
+
+
 def _read_sidecar(path: Path) -> dict:
+    """Load a sidecar and check its version and the keys its command reads."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read sidecar {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"sidecar {path} is not a JSON object")
+    where = f"sidecar {path}"
+    _require(doc, where, {"version": _one_of(__version__),
+                          "command": _one_of(*_SIDECAR_KEYS), "config": _OBJECT})
+    _require(doc, where, _SIDECAR_KEYS[doc["command"]])
+    if doc["command"] == "spectrum":
+        for axis in ("axis1", "axis2"):
+            _require(doc[axis], f"{where} {axis}", _AXIS_KEYS)
     return doc
 
 
 def _cmd_replay(args) -> int:
     doc = _read_sidecar(Path(args.sidecar))
-    command = doc.get("command")
+    command = doc["command"]
     out = Path(args.out)
     if command == "spectrum":
         _spectrum_from_doc(doc, out)
     elif command == "stability":
         _stability_from_doc(doc, out)
-    elif command == "operating-point":
+    else:
         report = _operating_point_doc(doc)
         _write_text(out, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    else:
-        raise ConfigError(f"sidecar has unknown command {command!r}")
     _write_sidecar(out, doc)
     print(f"wrote {out}")
     return 0
@@ -407,7 +458,8 @@ def _add_common(p: argparse.ArgumentParser, stability: bool) -> None:
                    help=("magnetic stability (nT)" if stability
                          else "static axial field (nT)"))
     p.add_argument("--seed", type=int, default=None,
-                   help="recorded in provenance (sampling helpers only)")
+                   help="recorded in the provenance sidecar only; "
+                        "no computation uses it")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 

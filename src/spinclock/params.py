@@ -31,6 +31,26 @@ class ConfigError(ValueError):
     """Raised for invalid or unknown configuration entries."""
 
 
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float that is not a bool (JSON true/false)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _finite_number(value, name: str):
+    """``value`` if it is a finite number, else a ConfigError naming ``name``."""
+    if not _is_finite_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpinClass:
     """One spectral class: a weighted line offset from its branch center.
@@ -74,15 +94,19 @@ class SpinEnsembleParams:
     g_collective: float | None = None
 
     def __post_init__(self):
-        if self.omega_zfs <= 0:
+        _require_finite(self, "omega_zfs", "n_spins", "gamma_pump", "Gamma_deph",
+                        "gamma_0", "g0_single")
+        if not self.omega_zfs > 0:
             raise ConfigError("omega_zfs must be > 0")
-        if self.n_spins < 1:
+        if not self.n_spins >= 1:
             raise ConfigError("n_spins must be >= 1")
         for name in ("gamma_pump", "Gamma_deph", "gamma_0", "g0_single"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.g_collective is not None and self.g_collective < 0:
-            raise ConfigError("g_collective must be >= 0")
+        if self.g_collective is not None:
+            _require_finite(self, "g_collective")
+            if not self.g_collective >= 0:
+                raise ConfigError("g_collective must be >= 0")
         if not isinstance(self.spin_classes, tuple):
             object.__setattr__(self, "spin_classes", tuple(self.spin_classes))
         for br in Branch:
@@ -131,9 +155,10 @@ class CavityParams:
     kappa_loss: float = 0.0
 
     def __post_init__(self):
-        if self.kappa_out <= 0:
+        _require_finite(self, "omega_c_ref", "kappa_out", "kappa_loss")
+        if not self.kappa_out > 0:
             raise ConfigError("kappa_out must be > 0")
-        if self.kappa_loss < 0:
+        if not self.kappa_loss >= 0:
             raise ConfigError("kappa_loss must be >= 0")
 
     @property
@@ -158,9 +183,8 @@ class EnvironmentState:
     gyromagnetic: float = from_hz(28e9)
 
     def __post_init__(self):
-        for name in ("delta_T", "B_field", "dwa_dT", "R_ratio", "gyromagnetic"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        _require_finite(self, "delta_T", "B_field", "dwa_dT", "R_ratio",
+                        "gyromagnetic")
 
 
 @dataclass(frozen=True)
@@ -174,9 +198,11 @@ class ProbeParams:
     quadrature_phase: float = math.pi / 2
 
     def __post_init__(self):
-        if self.photon_flux < 0:
+        _require_finite(self, "omega_probe", "photon_flux", "beta_amplitude",
+                        "tau", "quadrature_phase")
+        if not self.photon_flux >= 0:
             raise ConfigError("photon_flux must be >= 0")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigError("tau must be > 0")
         if self.beta_amplitude ** 2 > self.photon_flux * (1.0 + 1e-12):
             raise ConfigError("beta_amplitude^2 exceeds photon_flux")
@@ -318,19 +344,26 @@ def params_from_config(
     def angular(key, default):
         if key not in cfg:
             return default
-        value = cfg[key]
-        return None if value is None else from_hz(value)
+        if key == "g_collective_hz" and cfg[key] is None:
+            return None
+        return from_hz(_finite_number(cfg[key], key))
 
     def plain(key, default):
-        return cfg.get(key, default)
+        return _finite_number(cfg[key], key) if key in cfg else default
+
+    def numbers(key, default):
+        values = cfg.get(key, default)
+        if not isinstance(values, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+        return [_finite_number(v, key) for v in values]
 
     classes = []
     for branch, off_key, w_key in (
         (Branch.PLUS, "class_offsets_plus_hz", "class_weights_plus"),
         (Branch.MINUS, "class_offsets_minus_hz", "class_weights_minus"),
     ):
-        offsets = cfg.get(off_key, [0.0])
-        weights = cfg.get(w_key, [1.0])
+        offsets = numbers(off_key, [0.0])
+        weights = numbers(w_key, [1.0])
         if len(offsets) != len(weights):
             raise ConfigError(f"{off_key} and {w_key} differ in length")
         for off, w in zip(offsets, weights):
@@ -372,22 +405,6 @@ def params_from_config(
     return spins, cavity, env, probe
 
 
-def save_config(path, cfg: dict) -> None:
-    """Write a flat config dict as JSON (sorted keys, trailing newline)."""
-    import json
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
-
-
-def load_config(path) -> dict:
-    import json
-    from pathlib import Path
-
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 __all__ = [
     "Branch",
     "ConfigError",
@@ -400,7 +417,5 @@ __all__ = [
     "class_frequencies",
     "params_to_config",
     "params_from_config",
-    "save_config",
-    "load_config",
     "KNOWN_CONFIG_KEYS",
 ]

@@ -34,15 +34,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import CavityParams, EnvironmentState, SpinEnsembleParams
-from .params import instantaneous_frequencies
 
 BRANCHES = ("lower", "middle", "upper")
 
 _B_STEP = 1e-9   # tesla
 _T_STEP = 1e-3   # kelvin
+
+_XTOL = 1e-3          # rad/s, width at which the root bracket counts as polished
+_POLISH_MAXITER = 100  # hard cap on polish steps
+
+# offsets, in steps, at which _second_difference samples its function
+_STENCIL = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
 
 
 class NoOperatingPointError(RuntimeError):
@@ -73,11 +77,16 @@ class OperatingPoint:
 
 
 def mode_matrix(omega_c, omega_plus, omega_minus, g_plus, g_minus) -> np.ndarray:
-    return np.array([
-        [omega_c, g_plus, g_minus],
-        [g_plus, omega_plus, 0.0],
-        [g_minus, 0.0, omega_minus],
-    ])
+    """Coupled-mode matrix; array arguments broadcast to a (..., 3, 3) stack."""
+    wc, wp, wm, gp, gm = np.broadcast_arrays(
+        omega_c, omega_plus, omega_minus, g_plus, g_minus)
+    h = np.zeros(wc.shape + (3, 3))
+    h[..., 0, 0] = wc
+    h[..., 1, 1] = wp
+    h[..., 2, 2] = wm
+    h[..., 0, 1] = h[..., 1, 0] = gp
+    h[..., 0, 2] = h[..., 2, 0] = gm
+    return h
 
 
 def _branch_couplings(spins: SpinEnsembleParams) -> tuple[float, float]:
@@ -89,22 +98,46 @@ def _branch_couplings(spins: SpinEnsembleParams) -> tuple[float, float]:
     return (g if has_plus else 0.0), (g if has_minus else 0.0)
 
 
-def _solve(omega_c, omega_p, omega_m, g_p, g_m):
-    """eigh of the mode matrix, shifted to the detuning frame for accuracy."""
-    ref = (omega_c + omega_p + omega_m) / 3.0
-    h = mode_matrix(omega_c - ref, omega_p - ref, omega_m - ref, g_p, g_m)
-    lam, vec = np.linalg.eigh(h)
-    return lam + ref, vec
+def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
+           detuning, delta_T, b_field):
+    """Eigen solve of the mode matrix in the line-center frame.
+
+    Every frequency is taken relative to omega_zfs (an exact constant
+    shift), so differences across small temperature or field offsets never
+    round at the GHz carrier scale.  ``detuning`` (omega_c_ref - omega_zfs),
+    ``delta_T`` and ``b_field`` broadcast against each other; returns the
+    ascending eigenvalues (..., 3) relative to omega_zfs and the
+    eigenvectors (..., 3, 3) as columns.
+    """
+    g_p, g_m = _branch_couplings(spins)
+    thermal = env.dwa_dT * delta_T
+    zeeman = env.gyromagnetic * b_field
+    h = mode_matrix(
+        detuning + env.R_ratio * thermal,
+        thermal + zeeman,
+        thermal - zeeman,
+        g_p, g_m,
+    )
+    return np.linalg.eigh(h)
+
+
+def _thermal_slope(env: EnvironmentState, vecs: np.ndarray, idx: int):
+    """Hellmann-Feynman dL/dT of branch ``idx`` from stacked eigenvectors.
+
+    dH/dT = diag(R*a, a, a), so dL/dT = a * (R*vc^2 + vp^2 + vm^2).
+    """
+    v = vecs[..., idx]
+    return env.dwa_dT * (env.R_ratio * v[..., 0] ** 2 + v[..., 1] ** 2
+                         + v[..., 2] ** 2)
 
 
 def eigenfrequencies(
     spins: SpinEnsembleParams, cavity: CavityParams, env: EnvironmentState
 ) -> PolaritonSolution:
     """Polariton branch frequencies under the given environment."""
-    omega_p, omega_m, omega_c = instantaneous_frequencies(spins, cavity, env)
-    g_p, g_m = _branch_couplings(spins)
-    lam, vec = _solve(omega_c, omega_p, omega_m, g_p, g_m)
-    return PolaritonSolution(lambdas=lam, eigvecs=vec)
+    lam, vec = _solve(spins, env, cavity.omega_c_ref - spins.omega_zfs,
+                      env.delta_T, env.B_field)
+    return PolaritonSolution(lambdas=spins.omega_zfs + lam, eigvecs=vec)
 
 
 def polariton_energies_degenerate(omega_c, omega_a, g_plus, g_minus):
@@ -112,40 +145,6 @@ def polariton_energies_degenerate(omega_c, omega_a, g_plus, g_minus):
     mean = 0.5 * (omega_c + omega_a)
     split = math.sqrt(0.25 * (omega_c - omega_a) ** 2 + g_plus ** 2 + g_minus ** 2)
     return mean + split, mean - split
-
-
-def track_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> np.ndarray:
-    """Permutation aligning current eigenvectors to the previous step.
-
-    Greedy maximum-overlap assignment; robust at avoided crossings where
-    plain eigenvalue ordering would swap labels.
-    """
-    overlap = np.abs(prev_vecs.T @ cur_vecs)
-    perm = np.full(3, -1, dtype=int)
-    taken = np.zeros(3, dtype=bool)
-    for _ in range(3):
-        i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
-        perm[i] = j
-        taken[j] = True
-        overlap[i, :] = -1.0
-        overlap[:, j] = -1.0
-    return perm
-
-
-def eigen_path(matrices) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen solve along a parameter path with continuity-ordered branches."""
-    lams = []
-    vecs = []
-    prev = None
-    for h in matrices:
-        lam, vec = np.linalg.eigh(h)
-        if prev is not None:
-            perm = track_branches(prev, vec)
-            lam, vec = lam[perm], vec[:, perm]
-        lams.append(lam)
-        vecs.append(vec)
-        prev = vec
-    return np.array(lams), np.array(vecs)
 
 
 def _branch_index(name: str) -> int:
@@ -160,15 +159,10 @@ def dnu_dT(
     env: EnvironmentState,
     branch: str,
 ) -> float:
-    """Thermal slope of one polariton branch via Hellmann-Feynman.
-
-    dH/dT = diag(R*a, a, a), so dL/dT = a * (R*vc^2 + vp^2 + vm^2).
-    """
+    """Thermal slope of one polariton branch via Hellmann-Feynman."""
     idx = _branch_index(branch)
-    sol = eigenfrequencies(spins, cavity, env)
-    v = sol.eigvecs[:, idx]
-    a = env.dwa_dT
-    return float(a * (env.R_ratio * v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
+    return float(_thermal_slope(env, eigenfrequencies(spins, cavity, env).eigvecs,
+                                idx))
 
 
 def dnu_dT_degenerate(omega_c, omega_a, g, R, dwa_dT, branch: str) -> float:
@@ -202,32 +196,15 @@ def operating_point_closed_form(g: float, R: float) -> tuple[float, float]:
     return d, -d
 
 
-def _dnudT_at_detuning(spins, env, detuning, branch):
-    cavity = CavityParams(
-        omega_c_ref=spins.omega_zfs + detuning,
-        kappa_out=1.0,  # unused by the lossless eigenproblem
-    )
-    return dnu_dT(spins, cavity, env, branch)
-
-
 def branch_frequency_rel(spins, env, detuning, branch, delta_T=0.0, b_field=0.0):
     """One branch frequency relative to the line center.
 
-    Eigenvalue of the coupled-mode matrix built directly in the line-center
-    frame (an exact constant shift), so differences across small temperature
-    or field offsets never round at the GHz carrier scale.
+    Array ``detuning``, ``delta_T`` or ``b_field`` broadcast and give an
+    array of frequencies from one stacked solve; scalars give a float.
     """
-    idx = _branch_index(branch)
-    g_p, g_m = _branch_couplings(spins)
-    thermal = env.dwa_dT * delta_T
-    zeeman = env.gyromagnetic * b_field
-    h = mode_matrix(
-        detuning + env.R_ratio * thermal,
-        thermal + zeeman,
-        thermal - zeeman,
-        g_p, g_m,
-    )
-    return float(np.linalg.eigvalsh(h)[idx])
+    lam, _ = _solve(spins, env, detuning, delta_T, b_field)
+    rel = lam[..., _branch_index(branch)]
+    return rel if rel.ndim else float(rel)
 
 
 def branch_frequency_at(spins, env, detuning, branch, delta_T=0.0, b_field=0.0):
@@ -250,19 +227,61 @@ def dnu_dT_central_difference(
     cancels before rounding; the difference is then accurate at the detuning
     scale, not the carrier scale.
     """
-    up = branch_frequency_rel(spins, env, detuning, branch,
-                              delta_T=env.delta_T + step, b_field=env.B_field)
-    dn = branch_frequency_rel(spins, env, detuning, branch,
-                              delta_T=env.delta_T - step, b_field=env.B_field)
-    return (up - dn) / (2.0 * step)
+    up, dn = branch_frequency_rel(spins, env, detuning, branch,
+                                  delta_T=env.delta_T + np.array([step, -step]),
+                                  b_field=env.B_field)
+    return float((up - dn) / (2.0 * step))
 
 
-def second_difference(f, step: float) -> float:
-    """Richardson-improved central second difference, (4F(h) - F(2h)) / 3."""
-    def central(h):
-        return (f(h) - 2.0 * f(0.0) + f(-h)) / h ** 2
+def _second_difference(f, step: float) -> float:
+    """Richardson-improved central second difference, (4F(h) - F(2h)) / 3.
 
-    return (4.0 * central(step) - central(2.0 * step)) / 3.0
+    ``f`` maps an array of offsets to function values, so the five stencil
+    points 0, +/-h, +/-2h cost one stacked solve.
+    """
+    f0, fp, fm, fp2, fm2 = f(_STENCIL * step)
+
+    def central(up, dn, h):
+        return (up - 2.0 * f0 + dn) / h ** 2
+
+    return float((4.0 * central(fp, fm, step)
+                  - central(fp2, fm2, 2.0 * step)) / 3.0)
+
+
+def _bracketed_root(f, a, b, fa, fb):
+    """Zero of ``f`` in [a, b], where ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
+
+    False-position steps with the Illinois halving of a stale end keep the
+    root bracketed and converge superlinearly; a step that would not land
+    strictly inside the bracket bisects instead.  The loop stops once the
+    bracket is narrower than _XTOL, cannot be split in floating point
+    (ulp(D) > _XTOL), or after _POLISH_MAXITER steps, and returns the secant
+    point of the final bracket.
+    """
+    wa, wb = fa, fb  # end values as scaled by the Illinois rule
+    kept = 0         # which end the previous step kept: -1 a, +1 b
+    for _ in range(_POLISH_MAXITER):
+        if b - a <= _XTOL:
+            break
+        x = a - wa * (b - a) / (wb - wa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx == 0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa, wa = x, fx, fx
+            if kept == +1:
+                wb *= 0.5
+            kept = +1
+        else:
+            b, fb, wb = x, fx, fx
+            if kept == -1:
+                wa *= 0.5
+            kept = -1
+    return a - fa * (b - a) / (fb - fa)
 
 
 def operating_point_numeric(
@@ -276,19 +295,31 @@ def operating_point_numeric(
 ) -> OperatingPoint:
     """Root of dnu/dT over spin-cavity detuning for one branch.
 
-    Scans the range for a sign change, polishes with Brent, then attaches
-    the local temperature and field curvatures (Richardson-improved central
-    second differences of the full eigen solve).
+    Scans the range with one stacked Hellmann-Feynman solve for a sign
+    change, polishes the root inside that bracket by bisection with secant
+    steps, then attaches the local temperature and field curvatures
+    (Richardson-improved central second differences of the full eigen
+    solve).
     """
+    idx = _branch_index(branch)
     g = spins.branch_coupling
+    if not g > 0:
+        raise NoOperatingPointError(
+            f"branch coupling g = {g} rad/s: without spin-cavity coupling "
+            "no branch mixes the two thermal slopes"
+        )
     if detuning_range is None:
         detuning_range = (-20.0 * g, 20.0 * g)
     lo, hi = detuning_range
     if not hi > lo:
         raise ValueError("detuning_range must be increasing")
 
+    def slope(detuning):
+        _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
+        return _thermal_slope(env, vec, idx)
+
     grid = np.linspace(lo, hi, scan_points)
-    slopes = np.array([_dnudT_at_detuning(spins, env, d, branch) for d in grid])
+    slopes = slope(grid)
     crossings = np.nonzero(np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0)[0]
     if crossings.size == 0:
         hint = (
@@ -301,32 +332,30 @@ def operating_point_numeric(
             f"[{lo:.3e}, {hi:.3e}] rad/s{hint}"
         )
     i = int(crossings[0])
-    root = brentq(
-        lambda d: _dnudT_at_detuning(spins, env, d, branch),
-        grid[i], grid[i + 1], xtol=1e-3, rtol=1e-15, maxiter=200,
-    )
-    residual = _dnudT_at_detuning(spins, env, root, branch)
+    root = float(_bracketed_root(slope, grid[i], grid[i + 1],
+                                 slopes[i], slopes[i + 1]))
+    residual = float(slope(root))
     if abs(residual) > 1e-6 * abs(env.dwa_dT):
         raise NoOperatingPointError(
             f"root polish failed: |dnu/dT| = {abs(residual):.3e} rad/s/K"
         )
 
-    curv_t = second_difference(
+    curv_t = _second_difference(
         lambda h: branch_frequency_rel(spins, env, root, branch,
                                        delta_T=env.delta_T + h,
                                        b_field=env.B_field), t_step
     )
-    curv_b = second_difference(
+    curv_b = _second_difference(
         lambda h: branch_frequency_rel(spins, env, root, branch,
                                        delta_T=env.delta_T,
                                        b_field=env.B_field + h), b_step
     )
     return OperatingPoint(
-        detuning_D=float(root),
+        detuning_D=root,
         branch=branch,
-        curvature_T=float(curv_t),
-        curvature_B=float(curv_b),
-        dnudT_residual=float(residual),
+        curvature_T=curv_t,
+        curvature_B=curv_b,
+        dnudT_residual=residual,
     )
 
 
@@ -354,18 +383,18 @@ def magnetic_response(
     curvature is a Richardson-improved second difference.
     """
     idx = _branch_index(branch)
-    sol = eigenfrequencies(spins, cavity, env)
-    v = sol.eigvecs[:, idx]
+    detuning = cavity.omega_c_ref - spins.omega_zfs
+    _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
+    v = vec[:, idx]
     dnu_db = float(env.gyromagnetic * (v[1] ** 2 - v[2] ** 2))
 
-    detuning = cavity.omega_c_ref - spins.omega_zfs
-    d2 = second_difference(
+    d2 = _second_difference(
         lambda h: branch_frequency_rel(spins, env, detuning, branch,
                                        delta_T=env.delta_T,
                                        b_field=env.B_field + h),
         b_step,
     )
-    return dnu_db, float(d2)
+    return dnu_db, d2
 
 
 __all__ = [
@@ -376,8 +405,6 @@ __all__ = [
     "mode_matrix",
     "eigenfrequencies",
     "polariton_energies_degenerate",
-    "track_branches",
-    "eigen_path",
     "branch_frequency_at",
     "branch_frequency_rel",
     "dnu_dT",
@@ -387,5 +414,4 @@ __all__ = [
     "operating_point_numeric",
     "curvature_T_degenerate",
     "magnetic_response",
-    "second_difference",
 ]

@@ -21,6 +21,8 @@ from .params import (
     EnvironmentState,
     ProbeParams,
     SpinEnsembleParams,
+    _finite_number,
+    _require_finite,
     params_from_config,
     params_to_config,
 )
@@ -40,6 +42,9 @@ class Preset:
     probe: ProbeParams
     dT_stab: float  # achievable temperature stability, kelvin
 
+    def __post_init__(self):
+        _require_finite(self, "dT_stab")
+
     def to_config(self) -> dict:
         cfg = params_to_config(self.spins, self.cavity, self.env, self.probe)
         cfg["preset_name"] = self.name
@@ -50,7 +55,9 @@ class Preset:
     def from_config(cls, cfg: dict) -> "Preset":
         cfg = dict(cfg)
         name = cfg.pop("preset_name", "custom")
-        dT_stab = cfg.pop("dt_stab_k", 0.0)
+        if not isinstance(name, str):
+            raise ConfigError(f"preset_name must be a string, got {name!r}")
+        dT_stab = _finite_number(cfg.pop("dt_stab_k", 0.0), "dt_stab_k")
         spins, cavity, env, probe = params_from_config(cfg)
         return cls(name, spins, cavity, env, probe, dT_stab)
 

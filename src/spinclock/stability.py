@@ -19,17 +19,12 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .params import CavityParams, EnvironmentState, ProbeParams, SpinEnsembleParams
-from .polariton import (
-    BRANCHES,
-    OperatingPoint,
-    branch_frequency_rel,
-    eigenfrequencies,
-)
+from .polariton import BRANCHES, OperatingPoint, _solve, operating_point_numeric
 from .presets import Preset
 
 
@@ -151,14 +146,6 @@ def polarization_steady_state(
     return PolarizationState(P=p, rabi_drive=omega_r, dP_dgamma=dp)
 
 
-def _dnu_dg(spins, env, detuning, branch):
-    """Hellmann-Feynman coupling sensitivity: both branch couplings move together."""
-    cavity = CavityParams(omega_c_ref=spins.omega_zfs + detuning, kappa_out=1.0)
-    sol = eigenfrequencies(spins, cavity, env)
-    v = sol.eigvecs[:, BRANCHES.index(branch)]
-    return 2.0 * v[0] * (v[1] + v[2])
-
-
 def coupling_sensitivity_to_pump(
     spins: SpinEnsembleParams,
     alpha_drive: float = 0.0,
@@ -194,24 +181,24 @@ def environmental_floors(
     laser power fluctuations into a coupling shift via the polarization
     steady state (g proportional to sqrt(P)).
     """
-    d = op.detuning_D
-    # differences taken in the line-center frame (no carrier rounding),
-    # then normalized by the absolute branch frequency
-    rel0 = branch_frequency_rel(spins, env, d, op.branch,
-                                delta_T=env.delta_T, b_field=env.B_field)
-    rel_t = branch_frequency_rel(spins, env, d, op.branch,
-                                 delta_T=env.delta_T + dT_stab,
-                                 b_field=env.B_field)
-    rel_b = branch_frequency_rel(spins, env, d, op.branch,
-                                 delta_T=env.delta_T,
-                                 b_field=env.B_field + dB_stab)
+    # One stacked solve at the operating point and at the two displaced
+    # environments.  Differences are taken in the line-center frame (no
+    # carrier rounding), then normalized by the absolute branch frequency.
+    idx = BRANCHES.index(op.branch)
+    lam, vec = _solve(spins, env, op.detuning_D,
+                      env.delta_T + np.array([0.0, dT_stab, 0.0]),
+                      env.B_field + np.array([0.0, 0.0, dB_stab]))
+    rel0, rel_t, rel_b = lam[:, idx]
     nu0 = spins.omega_zfs + rel0
     thermal = abs(rel_t - rel0) / nu0
     magnetic = abs(rel_b - rel0) / nu0
 
+    # Hellmann-Feynman coupling sensitivity at the operating point: both
+    # branch couplings move together, dL/dg = 2 vc (vp + vm).
+    v = vec[0, :, idx]
     dg_over_g, _ = coupling_sensitivity_to_pump(spins, alpha_drive)
     dg = dg_over_g * laser_stability * spins.branch_coupling
-    pump = abs(_dnu_dg(spins, env, d, op.branch)) * dg / nu0
+    pump = abs(2.0 * v[0] * (v[1] + v[2])) * dg / nu0
 
     return NoiseBudget(
         shot_sigma=0.0,
@@ -233,9 +220,6 @@ def stability_curve(
     the exact tau^(-1/2) law, the floor is the quadrature sum of the
     environmental components at the preset's operating point.
     """
-    from .polariton import operating_point_numeric
-    from .params import ProbeParams
-
     if taus is None:
         taus = np.logspace(-1, 4, 81)
     taus = np.asarray(taus, dtype=np.float64)
@@ -250,16 +234,7 @@ def stability_curve(
     )
     carrier = preset.spins.omega_zfs
     sigma_1s = shot_noise_fractional(
-        preset.cavity,
-        ProbeParams(
-            omega_probe=preset.probe.omega_probe,
-            photon_flux=preset.probe.photon_flux,
-            beta_amplitude=preset.probe.beta_amplitude,
-            tau=1.0,
-            quadrature_phase=preset.probe.quadrature_phase,
-        ),
-        carrier,
-    )
+        preset.cavity, replace(preset.probe, tau=1.0), carrier)
     sigma_shot = sigma_1s / np.sqrt(taus)
     floor = budget.floor_total
     sigma_y = np.sqrt(sigma_shot ** 2 + floor ** 2)

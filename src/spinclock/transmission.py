@@ -34,33 +34,6 @@ AXIS_VARIABLES = ("probe_offset", "cavity_offset", "delta_T", "B_field")
 
 
 @dataclass(frozen=True)
-class TransmissionPoint:
-    """Transmission at a single probe frequency."""
-
-    omega_probe: float
-    t_complex: complex
-    quadrature: float
-    delta_cavity: float
-
-
-@dataclass(frozen=True)
-class SusceptibilityTerm:
-    """One class's contribution g^2 / (halfwidth + i*detuning) to C."""
-
-    coupling_sq: float
-    halfwidth: float
-    detuning: float
-
-    def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ConfigError("susceptibility halfwidth must be > 0")
-
-    @property
-    def value(self) -> complex:
-        return self.coupling_sq / (self.halfwidth + 1j * self.detuning)
-
-
-@dataclass(frozen=True)
 class SweepAxis:
     """One sweep axis: which variable, over what range, how many points.
 
@@ -81,6 +54,8 @@ class SweepAxis:
             )
         if self.points < 1:
             raise ConfigError("axis needs at least one point")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"{self.variable} axis range must be finite")
         if not (self.stop >= self.start):
             raise ConfigError("axis range must be monotone (stop >= start)")
 
@@ -109,44 +84,12 @@ def susceptibility(
     return c if omega.ndim else complex(c)
 
 
-def susceptibility_terms(
-    spins: SpinEnsembleParams, env: EnvironmentState, omega_probe: float
-) -> tuple[SusceptibilityTerm, ...]:
-    """Per-class decomposition of C at one probe frequency."""
-    hw = spins.halfwidth
-    if hw <= 0:
-        raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
-    omega_cls, g_cls = class_frequencies(spins, env)
-    return tuple(
-        SusceptibilityTerm(g ** 2, hw, w - omega_probe)
-        for w, g in zip(omega_cls, g_cls)
-    )
-
-
 def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c):
     """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly."""
     # one expression, so numpy reuses the grid-sized temporaries in place
     return cavity.kappa_out / (
         cavity.kappa_out + cavity.kappa_loss
         + 1j * (np.asarray(omega_c) - np.asarray(omega_probe)) + c_value
-    )
-
-
-def transmit(
-    cavity: CavityParams,
-    c_value: complex,
-    omega_probe: float,
-    env: EnvironmentState,
-    quadrature_phase: float = math.pi / 2,
-) -> TransmissionPoint:
-    """Single-point transmission under the given environment."""
-    omega_c = cavity.omega_c_ref + env.R_ratio * env.dwa_dT * env.delta_T
-    t = complex(transmission_amplitude(cavity, c_value, omega_probe, omega_c))
-    return TransmissionPoint(
-        omega_probe=omega_probe,
-        t_complex=t,
-        quadrature=float(quadrature_of(t, quadrature_phase)),
-        delta_cavity=omega_c - omega_probe,
     )
 
 
@@ -172,8 +115,6 @@ class SweepResult:
     values2: np.ndarray
     t: np.ndarray  # complex, shape (axis1.points, axis2.points)
     quadrature_phase: float
-    probe_base: float = float("nan")  # absolute frequency probe offsets add to
-    omega_c: np.ndarray | None = None  # per-point cavity frequency, same shape
 
     @property
     def abs_t(self) -> np.ndarray:
@@ -182,25 +123,6 @@ class SweepResult:
     @property
     def quadrature(self) -> np.ndarray:
         return quadrature_of(self.t, self.quadrature_phase)
-
-    def point(self, i: int, j: int) -> TransmissionPoint:
-        omega = self._probe_omega(i, j)
-        t = complex(self.t[i, j])
-        delta = float("nan") if self.omega_c is None \
-            else float(self.omega_c[i, j]) - omega
-        return TransmissionPoint(
-            omega_probe=omega,
-            t_complex=t,
-            quadrature=float(quadrature_of(t, self.quadrature_phase)),
-            delta_cavity=delta,
-        )
-
-    def _probe_omega(self, i, j):
-        if self.axis1.variable == "probe_offset":
-            return self.probe_base + float(self.values1[i])
-        if self.axis2.variable == "probe_offset":
-            return self.probe_base + float(self.values2[j])
-        return self.probe_base
 
     def row_trace(self, axis1_value: float) -> tuple[float, np.ndarray, np.ndarray]:
         """1-D cut at the axis1 grid point nearest ``axis1_value``.
@@ -247,12 +169,10 @@ def spectrum_sweep(
     thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
     zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
     if "probe_offset" in swept:
-        probe_base = spins.omega_zfs
-        omega_probe = probe_base + swept["probe_offset"]
+        omega_probe = spins.omega_zfs + swept["probe_offset"]
     else:
-        probe_base = float(spins.omega_zfs if omega_probe_fixed is None
-                           else omega_probe_fixed)
-        omega_probe = probe_base
+        omega_probe = float(spins.omega_zfs if omega_probe_fixed is None
+                            else omega_probe_fixed)
     if "cavity_offset" in swept:
         omega_c = (spins.omega_zfs + swept["cavity_offset"]
                    + env.R_ratio * thermal_shift)
@@ -280,22 +200,16 @@ def spectrum_sweep(
         values2=v2,
         t=t,
         quadrature_phase=quadrature_phase,
-        probe_base=probe_base,
-        omega_c=np.broadcast_to(omega_c, t.shape),
     )
 
 
 __all__ = [
     "AXIS_VARIABLES",
-    "TransmissionPoint",
-    "SusceptibilityTerm",
     "SweepAxis",
     "SweepResult",
     "quadrature_of",
     "susceptibility",
-    "susceptibility_terms",
     "transmission_amplitude",
     "transmission_spectrum",
-    "transmit",
     "spectrum_sweep",
 ]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spinclock import __version__
 from spinclock.cli import main
 
 
@@ -187,3 +188,57 @@ def test_replay_bad_sidecar_is_config_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(sidecar) in err
     assert not (tmp_path / "x.csv").exists()
+
+
+_AXIS = {"variable": "probe_offset", "start": -1e6, "stop": 1e6, "points": 5}
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"command": "spectrum"}, "version"),
+    ({"command": "stability", "config": {}}, "version"),
+    ({"version": __version__, "command": "spectrum"}, "config"),
+    ({"version": __version__, "command": "stability", "config": {},
+      "format": "csv"}, "tau_start_s"),
+    ({"version": __version__, "command": "operating-point",
+      "config": {"kappa_out_hz": "200e3"}, "branch": "upper",
+      "db_stab_t": 0.0}, "kappa_out_hz"),
+    ({"version": __version__, "command": "spectrum", "config": {},
+      "format": "csv", "quadrature_phase_rad": 1.5,
+      "axis1": dict(_AXIS, variable="cavity_offset"),
+      "axis2": dict(_AXIS, points="5"), "slice_axis1_value": None}, "points"),
+    ({"version": __version__, "command": "operating-point",
+      "config": {"n_spins": True}, "branch": "upper", "db_stab_t": 0.0},
+     "n_spins"),
+    ({"version": "0.0.0", "command": "operating-point", "config": {},
+      "branch": "upper", "db_stab_t": 0.0}, "version"),
+], ids=["no-version", "stability-no-version", "no-config", "no-tau-start",
+        "string-kappa", "string-axis-points", "bool-n-spins", "other-version"])
+def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
+    sidecar = tmp_path / "sidecar.json"
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert _run("replay", str(sidecar), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code,field", [
+    (["operating-point", "--kappa-hz", "inf"], 2, "kappa_out"),
+    (["operating-point", "--kappa-hz", "nan"], 2, "kappa_out"),
+    (["stability", "--power-photons-per-s", "inf"], 2, "photon_flux"),
+    (["spectrum", "--figure", "2a", "--points", "5",
+      "--quadrature-deg", "nan"], 2, "--quadrature-deg"),
+    (["operating-point", "--dT-mk", "nan"], 2, "dT_stab"),
+    (["spectrum", "--figure", "2c", "--points", "5", "--dT-mk", "nan"], 2,
+     "delta_T"),
+    (["operating-point", "--g-hz", "nan"], 2, "g_collective"),
+    (["operating-point", "--g-hz", "0"], 3, "coupling g = 0"),
+    (["stability", "--B-nt", "inf"], 2, "--B-nt"),
+    (["stability", "--tau", "0.1..inf"], 2, "--tau"),
+], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
+        "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf"])
+def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):
+    assert _run(*argv, "--out", str(tmp_path / "out.csv")) == code
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

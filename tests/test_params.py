@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -111,9 +112,13 @@ def test_bad_weights_rejected():
     ("gamma_0", -5.0),
     ("g0_single", -2.0),
     ("n_spins", 0.0),
+    ("omega_zfs", math.nan),
+    ("n_spins", math.inf),
+    ("gamma_pump", math.inf),
+    ("g_collective", math.nan),
 ])
 def test_invalid_spin_params_rejected(field, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=field):
         SpinEnsembleParams(**{field: value})
 
 
@@ -128,6 +133,15 @@ def test_cavity_and_probe_validation():
         ProbeParams(photon_flux=1e6, beta_amplitude=2e3)
     # beta^2 == flux is allowed
     ProbeParams(photon_flux=1e6, beta_amplitude=1e3)
+    for cls, field in ((CavityParams, "kappa_out"), (CavityParams, "kappa_loss"),
+                       (CavityParams, "omega_c_ref"), (ProbeParams, "photon_flux"),
+                       (ProbeParams, "tau"), (ProbeParams, "quadrature_phase")):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match=field):
+                cls(**{field: value})
+    p = table1_preset("current")
+    with pytest.raises(ConfigError, match="dT_stab"):
+        Preset(p.name, p.spins, p.cavity, p.env, p.probe, math.nan)
 
 
 def test_table1_current_values():
@@ -193,10 +207,23 @@ def test_unknown_preset_name():
         table1_preset("futuristic")
 
 
-def test_config_file_roundtrip(tmp_path):
-    from spinclock.params import load_config, save_config
-
+def test_config_file_roundtrip():
     p = table1_preset("outlook")
-    path = tmp_path / "outlook.json"
-    save_config(path, p.to_config())
-    assert Preset.from_config(load_config(path)) == p
+    text = json.dumps(p.to_config(), sort_keys=True, indent=1)
+    assert Preset.from_config(json.loads(text)) == p
+
+
+@pytest.mark.parametrize("key,value", [
+    ("kappa_out_hz", "200e3"),
+    ("n_spins", True),
+    ("r_ratio", None),
+    ("omega_zfs_hz", math.inf),
+    ("class_weights_plus", [0.5, "0.5"]),
+    ("class_offsets_minus_hz", 0.0),
+    ("dt_stab_k", "0.01"),
+])
+def test_config_values_must_be_finite_numbers(key, value):
+    cfg = table1_preset("current").to_config()
+    cfg[key] = value
+    with pytest.raises(ConfigError, match=key):
+        Preset.from_config(cfg)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import spinclock
 
 from spinclock.params import (
     Branch,
@@ -19,14 +25,12 @@ from spinclock.polariton import (
     dnu_dT,
     dnu_dT_central_difference,
     dnu_dT_degenerate,
-    eigen_path,
     eigenfrequencies,
     magnetic_response,
     mode_matrix,
     operating_point_closed_form,
     operating_point_numeric,
     polariton_energies_degenerate,
-    track_branches,
 )
 from spinclock.units import from_hz, to_hz
 
@@ -106,28 +110,17 @@ def test_scaling_property(scale, off_hz, g_hz):
     assert np.allclose(lam2, scale * lam1, rtol=1e-12)
 
 
-def test_branch_tracking_permutation():
-    # cur column p[j] holds prev column j; tracking must return the inverse
-    _, v1 = np.linalg.eigh(mode_matrix(0.0, 1.0, -1.0, 0.3, 0.3))
-    perm = track_branches(v1, v1[:, [2, 0, 1]])
-    assert list(perm) == [1, 2, 0]
-
-
-def test_eigen_path_follows_modes_through_a_true_crossing():
-    # with g- = 0 the minus spin mode decouples and the cavity branch crosses
-    # it for real; continuity tracking must keep the decoupled mode on one
-    # label while plain sorting would swap indices mid-sweep
+def test_mode_matrix_stack_matches_scalar_builds():
+    rng = np.random.default_rng(3)
+    wc, wp, wm = from_hz(rng.uniform(-30e6, 30e6, (3, 4, 5)))
     g = from_hz(2e6)
-    w_p, w_m = from_hz(10e6), -from_hz(10e6)
-    detunings = np.linspace(-from_hz(30e6), from_hz(30e6), 241)
-    mats = [mode_matrix(d, w_p, w_m, g, 0.0) for d in detunings]
-    lam, _ = eigen_path(mats)
-    tracked_idx = int(np.argmin(np.abs(lam[0] - w_m)))
-    assert np.allclose(lam[:, tracked_idx], w_m, atol=1e-6)
-    sorted_lams = np.sort(lam, axis=1)
-    assert not any(
-        np.allclose(sorted_lams[:, j], w_m, atol=1e-3) for j in range(3)
-    )
+    stack = mode_matrix(wc, wp, wm, g, 0.5 * g)
+    assert stack.shape == (4, 5, 3, 3)
+    lam = np.linalg.eigvalsh(stack)
+    for i, j in np.ndindex(4, 5):
+        single = mode_matrix(wc[i, j], wp[i, j], wm[i, j], g, 0.5 * g)
+        assert np.array_equal(stack[i, j], single)
+        assert np.array_equal(lam[i, j], np.linalg.eigvalsh(single))
 
 
 def test_dnu_dT_equal_ratio_gives_bare_coefficient():
@@ -214,6 +207,39 @@ def test_numeric_operating_point_matches_closed_form():
     assert math.isfinite(op.curvature_T) and op.curvature_T != 0.0
 
 
+def test_numeric_operating_point_within_polish_tolerance_of_closed_form():
+    # the signed closed-form root is exact for equal couplings at B = 0, so
+    # the numeric root may differ by no more than the 1e-3 rad/s polish
+    # tolerance
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        g = from_hz(rng.uniform(0.5e6, 10e6))
+        r = -rng.uniform(0.02, 3.0)
+        lower, upper = operating_point_closed_form(g, r)
+        branch = ("lower", "upper")[k % 2]
+        env = EnvironmentState(R_ratio=r)
+        op = operating_point_numeric(_spins(to_hz(g)), env, branch=branch)
+        expect = lower if branch == "lower" else upper
+        assert abs(op.detuning_D - expect) <= 1e-3
+        assert abs(op.dnudT_residual) <= 1e-6 * env.dwa_dT
+
+
+def test_polish_stops_where_detuning_ulp_exceeds_tolerance():
+    # at |D| ~ 2e13 rad/s one ulp is ~4e-3 rad/s, wider than the 1e-3
+    # tolerance: the polish must stop on the unsplittable bracket
+    g = from_hz(2e12)
+    env = EnvironmentState(R_ratio=-0.3)
+    op = operating_point_numeric(_spins(2e12), env)
+    assert np.spacing(op.detuning_D) > 1e-3
+    assert op.detuning_D == pytest.approx(
+        operating_point_closed_form(g, -0.3)[1], rel=1e-12)
+
+
+def test_zero_coupling_has_no_operating_point():
+    with pytest.raises(NoOperatingPointError, match="coupling g = 0"):
+        operating_point_numeric(_spins(0.0), EnvironmentState(R_ratio=-0.3))
+
+
 def test_numeric_operating_point_rejects_positive_R():
     env = EnvironmentState(R_ratio=0.3)
     with pytest.raises(NoOperatingPointError, match="R >= 0"):
@@ -289,3 +315,11 @@ def test_sub_hundred_mhz_shift_at_10_nt():
     nu_b = branch_frequency_at(spins, env, op.detuning_D, "upper", b_field=10e-9)
     shift_hz = abs(to_hz(nu_b - nu0))
     assert 0.0 < shift_hz < 0.1
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(spinclock.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, spinclock; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
