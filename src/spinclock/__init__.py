@@ -22,7 +22,6 @@ from .params import (
     ProbeParams,
     SpinClass,
     SpinEnsembleParams,
-    class_frequencies,
     instantaneous_frequencies,
     params_from_config,
     params_to_config,

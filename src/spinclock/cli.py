@@ -6,7 +6,9 @@ re-executes from the sidecar and reproduces the output byte for byte.
 Outputs contain no timestamps and use shortest round-trip float formatting,
 so identical configurations give identical bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure.  An output
+that would hold a NaN or an infinity is a configuration error: nothing is
+written, not even the sidecar.
 """
 
 from __future__ import annotations
@@ -51,8 +53,21 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _require_finite_output(values: dict) -> None:
+    """ConfigError naming the first entry of ``values`` with a NaN or infinity.
+
+    Runs before anything is written, so a run that overflows leaves neither
+    an output nor a sidecar behind.
+    """
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"output {name!r} is not finite (an input "
+                              "overflows the model); nothing written")
+
+
 def _write_table(path: Path, header, columns, fmt: str) -> None:
     """Write named columns as CSV or JSON with deterministic formatting."""
+    _require_finite_output(dict(zip(header, columns)))
     if fmt == "json":
         doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
         _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -286,6 +301,8 @@ def _operating_point_doc(doc: dict) -> dict:
         report["closed_form_D_hz"] = to_hz(d_closed)
         report["closed_form_delta_rel"] = \
             abs(op.detuning_D - d_closed) / abs(d_closed)
+    _require_finite_output(
+        {k: v for k, v in report.items() if isinstance(v, float)})
     return report
 
 
@@ -349,6 +366,8 @@ def _parse_tau_range(spec: str) -> tuple[float, float]:
 def _cmd_stability(args) -> int:
     preset = _apply_overrides(_base_preset(args), args, stability_mode=True)
     lo, hi = _parse_tau_range(args.tau)
+    if args.tau_points < 1:
+        raise ConfigError(f"--tau-points must be >= 1, got {args.tau_points}")
     out = Path(args.out)
     doc = _provenance(
         "stability", preset, args,
@@ -373,7 +392,8 @@ def _cmd_stability(args) -> int:
 _NUMBER = (_is_finite_number, "a finite number")
 _NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
                    "a finite number or null")
-_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+          "an integer >= 1")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 
 

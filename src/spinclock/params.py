@@ -15,8 +15,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .units import from_hz, to_hz
 
 _REL_TOL = 1e-12
@@ -115,12 +113,6 @@ class SpinEnsembleParams:
                 raise ConfigError(
                     f"weights of branch {br.value!r} sum to {sum(weights)}, expected 1"
                 )
-        # Class couplings g_j = g*sqrt(w_j) must recompose the branch coupling.
-        g = self.branch_coupling
-        for br in Branch:
-            gj2 = sum(self.class_coupling(c) ** 2 for c in self.classes(br))
-            if gj2 and abs(math.sqrt(gj2) - g) > _REL_TOL * g:
-                raise ConfigError("class couplings do not recompose branch coupling")
 
     @property
     def branch_coupling(self) -> float:
@@ -222,24 +214,6 @@ def instantaneous_frequencies(
     omega_minus = spins.omega_zfs + thermal - zeeman
     omega_c = cavity.omega_c_ref + env.R_ratio * thermal
     return omega_plus, omega_minus, omega_c
-
-
-def class_frequencies(
-    spins: SpinEnsembleParams, env: EnvironmentState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class line centers and couplings under the given environment.
-
-    Returns (omega (M,), g (M,)) over all classes of both branches.
-    """
-    thermal = env.dwa_dT * env.delta_T
-    zeeman = env.gyromagnetic * env.B_field
-    omegas = []
-    gs = []
-    for cls in spins.spin_classes:
-        sign = 1.0 if cls.branch is Branch.PLUS else -1.0
-        omegas.append(spins.omega_zfs + thermal + sign * zeeman + cls.detuning_offset)
-        gs.append(spins.class_coupling(cls))
-    return np.asarray(omegas, dtype=np.float64), np.asarray(gs, dtype=np.float64)
 
 
 # --- flat JSON config mapping -------------------------------------------------
@@ -414,7 +388,6 @@ __all__ = [
     "EnvironmentState",
     "ProbeParams",
     "instantaneous_frequencies",
-    "class_frequencies",
     "params_to_config",
     "params_from_config",
     "KNOWN_CONFIG_KEYS",

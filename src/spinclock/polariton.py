@@ -7,9 +7,13 @@ The lossless coupled-mode matrix in the (cavity, spin+, spin-) basis is
          [g-,  0,  w-]]
 
 whose eigenvalues are the three polariton branch frequencies.  Damping is
-deliberately absent here (it enters only through the transmission model);
-that keeps every derivative real and lets sensitivities come out of
-Hellmann-Feynman expectation values, dL/dx = v^T (dH/dx) v.
+deliberately absent here (it enters only through the transmission model),
+so H is real symmetric and linear in temperature, field and coupling: each
+dH/dx is a constant matrix.  Slopes and curvatures therefore come exactly
+from the eigenpairs (L_n, v_n) of one solve,
+
+    dL_n/dx   = v_n^T (dH/dx) v_n                                (Hellmann-Feynman)
+    d2L_n/dx2 = 2 sum_{k != n} (v_k^T (dH/dx) v_n)^2 / (L_n - L_k).
 
 With degenerate spin branches (B = 0) the bright modes reduce to
 
@@ -39,14 +43,9 @@ from .params import CavityParams, EnvironmentState, SpinEnsembleParams
 
 BRANCHES = ("lower", "middle", "upper")
 
-_B_STEP = 1e-9   # tesla
-_T_STEP = 1e-3   # kelvin
-
+_SCAN_POINTS = 241     # detunings in the operating-point scan over +/-20 g
 _XTOL = 1e-3          # rad/s, width at which the root bracket counts as polished
 _POLISH_MAXITER = 100  # hard cap on polish steps
-
-# offsets, in steps, at which _second_difference samples its function
-_STENCIL = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
 
 
 class NoOperatingPointError(RuntimeError):
@@ -89,13 +88,12 @@ def mode_matrix(omega_c, omega_plus, omega_minus, g_plus, g_minus) -> np.ndarray
     return h
 
 
-def _branch_couplings(spins: SpinEnsembleParams) -> tuple[float, float]:
+def _coupling_pattern(spins: SpinEnsembleParams) -> tuple[float, float]:
+    """(dg+/dg, dg-/dg): 1 for a branch that has spin classes, else 0."""
     # The eigenproblem keeps one aggregate line per branch; multi-class
     # structure is a transmission-module concern.
-    g = spins.branch_coupling
-    has_plus = any(c.branch.value == "plus" for c in spins.spin_classes)
-    has_minus = any(c.branch.value == "minus" for c in spins.spin_classes)
-    return (g if has_plus else 0.0), (g if has_minus else 0.0)
+    present = {c.branch.value for c in spins.spin_classes}
+    return float("plus" in present), float("minus" in present)
 
 
 def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
@@ -109,26 +107,47 @@ def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
     ascending eigenvalues (..., 3) relative to omega_zfs and the
     eigenvectors (..., 3, 3) as columns.
     """
-    g_p, g_m = _branch_couplings(spins)
+    g = spins.branch_coupling
+    p, m = _coupling_pattern(spins)
     thermal = env.dwa_dT * delta_T
     zeeman = env.gyromagnetic * b_field
     h = mode_matrix(
         detuning + env.R_ratio * thermal,
         thermal + zeeman,
         thermal - zeeman,
-        g_p, g_m,
+        g * p, g * m,
     )
     return np.linalg.eigh(h)
 
 
-def _thermal_slope(env: EnvironmentState, vecs: np.ndarray, idx: int):
-    """Hellmann-Feynman dL/dT of branch ``idx`` from stacked eigenvectors.
+# H is linear in T, B and g, so its derivatives are constant matrices.
+def _dH_dT(env: EnvironmentState) -> np.ndarray:
+    return mode_matrix(env.R_ratio * env.dwa_dT, env.dwa_dT, env.dwa_dT, 0.0, 0.0)
 
-    dH/dT = diag(R*a, a, a), so dL/dT = a * (R*vc^2 + vp^2 + vm^2).
-    """
+
+def _dH_dB(env: EnvironmentState) -> np.ndarray:
+    return mode_matrix(0.0, env.gyromagnetic, -env.gyromagnetic, 0.0, 0.0)
+
+
+def _dH_dg(spins: SpinEnsembleParams) -> np.ndarray:
+    return mode_matrix(0.0, 0.0, 0.0, *_coupling_pattern(spins))
+
+
+def _slope(vecs: np.ndarray, idx: int, dh: np.ndarray):
+    """dL/dx = v^T (dH/dx) v of branch ``idx`` from (stacked) eigenvectors."""
     v = vecs[..., idx]
-    return env.dwa_dT * (env.R_ratio * v[..., 0] ** 2 + v[..., 1] ** 2
-                         + v[..., 2] ** 2)
+    return np.einsum("...i,ij,...j->...", v, dh, v)
+
+
+def _curvature(lams: np.ndarray, vecs: np.ndarray, idx: int, dh: np.ndarray):
+    """d2L/dx2 = 2 sum_{k != n} (v_k^T dH v_n)^2 / (L_n - L_k), n = ``idx``.
+
+    Second-order perturbation theory; exact here because H is linear in x.
+    """
+    coupling = np.einsum("...i,ij,...jk->...k", vecs[..., idx], dh, vecs)
+    gaps = lams[..., idx, None] - lams
+    gaps[..., idx] = np.inf  # the k = n term drops out
+    return 2.0 * np.sum(coupling ** 2 / gaps, axis=-1)
 
 
 def eigenfrequencies(
@@ -160,9 +179,8 @@ def dnu_dT(
     branch: str,
 ) -> float:
     """Thermal slope of one polariton branch via Hellmann-Feynman."""
-    idx = _branch_index(branch)
-    return float(_thermal_slope(env, eigenfrequencies(spins, cavity, env).eigvecs,
-                                idx))
+    vecs = eigenfrequencies(spins, cavity, env).eigvecs
+    return float(_slope(vecs, _branch_index(branch), _dH_dT(env)))
 
 
 def dnu_dT_degenerate(omega_c, omega_a, g, R, dwa_dT, branch: str) -> float:
@@ -233,21 +251,6 @@ def dnu_dT_central_difference(
     return float((up - dn) / (2.0 * step))
 
 
-def _second_difference(f, step: float) -> float:
-    """Richardson-improved central second difference, (4F(h) - F(2h)) / 3.
-
-    ``f`` maps an array of offsets to function values, so the five stencil
-    points 0, +/-h, +/-2h cost one stacked solve.
-    """
-    f0, fp, fm, fp2, fm2 = f(_STENCIL * step)
-
-    def central(up, dn, h):
-        return (up - 2.0 * f0 + dn) / h ** 2
-
-    return float((4.0 * central(fp, fm, step)
-                  - central(fp2, fm2, 2.0 * step)) / 3.0)
-
-
 def _bracketed_root(f, a, b, fa, fb):
     """Zero of ``f`` in [a, b], where ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
 
@@ -288,18 +291,14 @@ def operating_point_numeric(
     spins: SpinEnsembleParams,
     env: EnvironmentState,
     branch: str = "upper",
-    detuning_range: tuple[float, float] | None = None,
-    scan_points: int = 241,
-    t_step: float = _T_STEP,
-    b_step: float = _B_STEP,
 ) -> OperatingPoint:
     """Root of dnu/dT over spin-cavity detuning for one branch.
 
-    Scans the range with one stacked Hellmann-Feynman solve for a sign
+    Scans +/-20 g with one stacked Hellmann-Feynman solve for a sign
     change, polishes the root inside that bracket by bisection with secant
-    steps, then attaches the local temperature and field curvatures
-    (Richardson-improved central second differences of the full eigen
-    solve).
+    steps, then takes the residual slope and the exact temperature and
+    field curvatures (second-order perturbation theory) from the eigenpairs
+    of one solve at the root.
     """
     idx = _branch_index(branch)
     g = spins.branch_coupling
@@ -308,17 +307,14 @@ def operating_point_numeric(
             f"branch coupling g = {g} rad/s: without spin-cavity coupling "
             "no branch mixes the two thermal slopes"
         )
-    if detuning_range is None:
-        detuning_range = (-20.0 * g, 20.0 * g)
-    lo, hi = detuning_range
-    if not hi > lo:
-        raise ValueError("detuning_range must be increasing")
+    lo, hi = -20.0 * g, 20.0 * g
+    dh_dt = _dH_dT(env)
 
     def slope(detuning):
         _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
-        return _thermal_slope(env, vec, idx)
+        return _slope(vec, idx, dh_dt)
 
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     slopes = slope(grid)
     crossings = np.nonzero(np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0)[0]
     if crossings.size == 0:
@@ -334,27 +330,17 @@ def operating_point_numeric(
     i = int(crossings[0])
     root = float(_bracketed_root(slope, grid[i], grid[i + 1],
                                  slopes[i], slopes[i + 1]))
-    residual = float(slope(root))
+    lam, vec = _solve(spins, env, root, env.delta_T, env.B_field)
+    residual = float(_slope(vec, idx, dh_dt))
     if abs(residual) > 1e-6 * abs(env.dwa_dT):
         raise NoOperatingPointError(
             f"root polish failed: |dnu/dT| = {abs(residual):.3e} rad/s/K"
         )
-
-    curv_t = _second_difference(
-        lambda h: branch_frequency_rel(spins, env, root, branch,
-                                       delta_T=env.delta_T + h,
-                                       b_field=env.B_field), t_step
-    )
-    curv_b = _second_difference(
-        lambda h: branch_frequency_rel(spins, env, root, branch,
-                                       delta_T=env.delta_T,
-                                       b_field=env.B_field + h), b_step
-    )
     return OperatingPoint(
         detuning_D=root,
         branch=branch,
-        curvature_T=curv_t,
-        curvature_B=curv_b,
+        curvature_T=float(_curvature(lam, vec, idx, dh_dt)),
+        curvature_B=float(_curvature(lam, vec, idx, _dH_dB(env))),
         dnudT_residual=residual,
     )
 
@@ -374,27 +360,20 @@ def magnetic_response(
     cavity: CavityParams,
     env: EnvironmentState,
     branch: str,
-    b_step: float = _B_STEP,
 ) -> tuple[float, float]:
     """(dnu/dB, d2nu/dB2) of one branch at the ``env`` field point.
 
-    The slope is a Hellmann-Feynman expectation, dH/dB = gyro*diag(0, 1, -1),
-    exactly zero at B = 0 for symmetric couplings (spin-1 protection); the
-    curvature is a Richardson-improved second difference.
+    Both come from one eigen solve with dH/dB = gyro*diag(0, 1, -1): the
+    slope is the Hellmann-Feynman expectation, exactly zero at B = 0 for
+    symmetric couplings (spin-1 protection), the curvature the exact
+    second-order sum.
     """
     idx = _branch_index(branch)
-    detuning = cavity.omega_c_ref - spins.omega_zfs
-    _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
-    v = vec[:, idx]
-    dnu_db = float(env.gyromagnetic * (v[1] ** 2 - v[2] ** 2))
-
-    d2 = _second_difference(
-        lambda h: branch_frequency_rel(spins, env, detuning, branch,
-                                       delta_T=env.delta_T,
-                                       b_field=env.B_field + h),
-        b_step,
-    )
-    return dnu_db, d2
+    lam, vec = _solve(spins, env, cavity.omega_c_ref - spins.omega_zfs,
+                      env.delta_T, env.B_field)
+    dh_db = _dH_dB(env)
+    return (float(_slope(vec, idx, dh_db)),
+            float(_curvature(lam, vec, idx, dh_db)))
 
 
 __all__ = [

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import CavityParams, EnvironmentState, ProbeParams, SpinEnsembleParams
-from .polariton import BRANCHES, OperatingPoint, _solve, operating_point_numeric
+from .polariton import (BRANCHES, OperatingPoint, _dH_dg, _slope, _solve,
+                        operating_point_numeric)
 from .presets import Preset
 
 
@@ -193,12 +194,10 @@ def environmental_floors(
     thermal = abs(rel_t - rel0) / nu0
     magnetic = abs(rel_b - rel0) / nu0
 
-    # Hellmann-Feynman coupling sensitivity at the operating point: both
-    # branch couplings move together, dL/dg = 2 vc (vp + vm).
-    v = vec[0, :, idx]
+    # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
     dg_over_g, _ = coupling_sensitivity_to_pump(spins, alpha_drive)
     dg = dg_over_g * laser_stability * spins.branch_coupling
-    pump = abs(2.0 * v[0] * (v[1] + v[2])) * dg / nu0
+    pump = abs(_slope(vec[0], idx, _dH_dg(spins))) * dg / nu0
 
     return NoiseBudget(
         shot_sigma=0.0,

@@ -26,7 +26,6 @@ from .params import (
     ConfigError,
     EnvironmentState,
     SpinEnsembleParams,
-    class_frequencies,
     instantaneous_frequencies,
 )
 
@@ -70,17 +69,35 @@ def quadrature_of(t, phase: float):
     return np.real(np.exp(-1j * phase) * t)
 
 
+def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
+    """C(omega) = sum_j g_j^2 / ((Gamma + gamma)/2 + i*(omega_j - omega)).
+
+    The thermal shift (dwa/dT * dT), the Zeeman shift (gyro * B) and the
+    probe ``omega`` broadcast against each other; class j sits at
+    omega_j = omega_zfs + offset_j + thermal +/- zeeman.  Classes are summed
+    one at a time, so C only spans the axes its inputs span and no
+    temporary grows past their broadcast shape.
+    """
+    hw = spins.halfwidth
+    if hw <= 0:
+        raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
+    c_value = 0.0  # no classes: bare cavity
+    for cls in spins.spin_classes:
+        sign = 1.0 if cls.branch is Branch.PLUS else -1.0
+        center = spins.omega_zfs + cls.detuning_offset + thermal + sign * zeeman
+        g_j = spins.class_coupling(cls)
+        # g_j * g_j overflows to inf where a float's ** 2 raises OverflowError
+        c_value = c_value + g_j * g_j / (hw + 1j * (center - omega))
+    return c_value
+
+
 def susceptibility(
     spins: SpinEnsembleParams, env: EnvironmentState, omega_probe
 ):
     """Ensemble susceptibility C(omega); accepts scalar or array probe."""
-    hw = spins.halfwidth
-    if hw <= 0:
-        raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
-    omega_cls, g_cls = class_frequencies(spins, env)
     omega = np.asarray(omega_probe, dtype=np.float64)
-    detuning = omega_cls - omega[..., None]
-    c = (g_cls ** 2 / (hw + 1j * detuning)).sum(axis=-1)
+    c = _class_sum(spins, env.dwa_dT * env.delta_T,
+                   env.gyromagnetic * env.B_field, omega)
     return c if omega.ndim else complex(c)
 
 
@@ -151,16 +168,12 @@ def spectrum_sweep(
     (default: the line center).
 
     Each swept quantity is a broadcast axis, ``(n1, 1)`` for axis1 and
-    ``(1, n2)`` for axis2, and everything held fixed stays a scalar.  The
-    class sum is accumulated one class at a time, so C(omega) only spans the
-    axes it depends on (the probe axis alone in a probe-vs-cavity sweep) and
-    no temporary grows past ``(n1, n2)``.
+    ``(1, n2)`` for axis2, and everything held fixed stays a scalar, so
+    C(omega) only spans the axes it depends on (the probe axis alone in a
+    probe-vs-cavity sweep) and no temporary grows past ``(n1, n2)``.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("sweep axes must differ")
-    hw = spins.halfwidth
-    if hw <= 0:
-        raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
 
     v1 = axis1.grid()
     v2 = axis2.grid()
@@ -179,19 +192,7 @@ def spectrum_sweep(
     else:
         omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
 
-    # Class centers: offset at zero field and temperature, then the shared
-    # thermal shift and the branch-signed Zeeman term.
-    env0 = EnvironmentState(
-        delta_T=0.0, B_field=0.0, dwa_dT=env.dwa_dT,
-        R_ratio=env.R_ratio, gyromagnetic=env.gyromagnetic,
-    )
-    omega_cls0, g_cls = class_frequencies(spins, env0)
-    signs = [1.0 if c.branch is Branch.PLUS else -1.0 for c in spins.spin_classes]
-    c_value = 0.0  # numpy's sum() starts at 0.0 too; no classes: bare cavity
-    for omega0, sign, g_sq in zip(omega_cls0, signs, g_cls ** 2):
-        center = omega0 + thermal_shift + sign * zeeman
-        c_value = c_value + g_sq / (hw + 1j * (center - omega_probe))
-
+    c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
     t = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
     return SweepResult(
         axis1=axis1,

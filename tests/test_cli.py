@@ -211,8 +211,12 @@ _AXIS = {"variable": "probe_offset", "start": -1e6, "stop": 1e6, "points": 5}
      "n_spins"),
     ({"version": "0.0.0", "command": "operating-point", "config": {},
       "branch": "upper", "db_stab_t": 0.0}, "version"),
+    ({"version": __version__, "command": "stability", "config": {},
+      "format": "csv", "tau_start_s": 0.1, "tau_stop_s": 10.0,
+      "tau_points": 0, "db_stab_t": 0.0}, "tau_points"),
 ], ids=["no-version", "stability-no-version", "no-config", "no-tau-start",
-        "string-kappa", "string-axis-points", "bool-n-spins", "other-version"])
+        "string-kappa", "string-axis-points", "bool-n-spins", "other-version",
+        "zero-tau-points"])
 def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     sidecar = tmp_path / "sidecar.json"
     sidecar.write_text(json.dumps(doc), encoding="utf-8")
@@ -236,9 +240,38 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     (["operating-point", "--g-hz", "0"], 3, "coupling g = 0"),
     (["stability", "--B-nt", "inf"], 2, "--B-nt"),
     (["stability", "--tau", "0.1..inf"], 2, "--tau"),
+    (["stability", "--tau-points", "0"], 2, "--tau-points"),
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
-        "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf"])
+        "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
+        "tau-points-zero"])
 def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):
     assert _run(*argv, "--out", str(tmp_path / "out.csv")) == code
     assert field in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["spectrum", "--axis1", "delta_T:0:1e308:3",
+      "--axis2", "probe_offset:-1e6:1e6:3"], "re_t"),
+    (["spectrum", "--axis1", "delta_T:0:1e308:3",
+      "--axis2", "probe_offset:-1e6:1e6:3", "--format", "json"], "re_t"),
+    (["spectrum", "--axis1", "delta_T:-1e308:1e308:3",
+      "--axis2", "probe_offset:-1e6:1e6:3"], "axis1"),
+    (["spectrum", "--figure", "2a", "--points", "5", "--g-hz", "1e160"],
+     "re_t"),
+    (["stability", "--dT-mk", "1e308"], "sigma_total"),
+    (["operating-point", "--dT-mk", "1e308"], "thermal_floor_fractional"),
+], ids=["delta-T-overflow", "delta-T-overflow-json", "axis-overflow",
+        "g-overflow", "stability-dT-overflow", "operating-point-dT-overflow"])
+def test_non_finite_output_is_not_written(tmp_path, capsys, argv, column):
+    with np.errstate(all="ignore"):
+        rc = _run(*argv, "--out", str(tmp_path / "out.csv"))
+    assert rc == 2
+    assert repr(column) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_coupling_shows_no_traceback(capsys):
+    # g^2 overflows a float here: the run must end in a report, not raise
+    assert _run("operating-point", "--g-hz", "1e160") == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["D_hz"])

@@ -12,7 +12,6 @@ from spinclock.params import (
     ProbeParams,
     SpinClass,
     SpinEnsembleParams,
-    class_frequencies,
     instantaneous_frequencies,
     params_from_config,
     params_to_config,
@@ -77,22 +76,6 @@ def test_branch_symmetry_in_field():
         wp, wm, _ = instantaneous_frequencies(spins, cavity, env)
         center = spins.omega_zfs + env.dwa_dT * env.delta_T
         assert wp - center == pytest.approx(-(wm - center), rel=1e-12)
-
-
-def test_class_frequencies_carry_offsets_and_weights():
-    classes = (
-        SpinClass(from_hz(-1e6), 0.25, Branch.PLUS),
-        SpinClass(from_hz(1e6), 0.75, Branch.PLUS),
-        SpinClass(0.0, 1.0, Branch.MINUS),
-    )
-    spins = SpinEnsembleParams(spin_classes=classes, g_collective=from_hz(2e6))
-    omegas, gs = class_frequencies(spins, EnvironmentState())
-    assert omegas[0] == spins.omega_zfs - from_hz(1e6)
-    assert omegas[1] == spins.omega_zfs + from_hz(1e6)
-    # quadrature recomposition of the branch coupling
-    assert math.sqrt(gs[0] ** 2 + gs[1] ** 2) == pytest.approx(
-        spins.branch_coupling, rel=1e-12
-    )
 
 
 def test_bad_weights_rejected():

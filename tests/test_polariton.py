@@ -32,6 +32,7 @@ from spinclock.polariton import (
     operating_point_numeric,
     polariton_energies_degenerate,
 )
+from spinclock.presets import table1_preset
 from spinclock.units import from_hz, to_hz
 
 ZFS = from_hz(2.87e9)
@@ -253,7 +254,24 @@ def test_numeric_curvature_matches_analytic():
     op = operating_point_numeric(spins, env)
     analytic = curvature_T_degenerate(op.detuning_D, spins.branch_coupling,
                                       env.R_ratio, env.dwa_dT)
-    assert op.curvature_T == pytest.approx(analytic, rel=0.01)
+    assert op.curvature_T == pytest.approx(analytic, rel=1e-9)
+
+
+def test_numeric_curvature_B_matches_second_difference():
+    # current preset, upper branch at its operating point (the criterion 4
+    # geometry); at 100 nT the quartic term and the rounding of absolute GHz
+    # frequencies each stay near 1e-5 of the curvature, under the 1e-4 bound
+    p = table1_preset("current")
+    op = operating_point_numeric(p.spins, p.env)
+    h = 100e-9
+    f = [branch_frequency_at(p.spins, p.env, op.detuning_D, "upper", b_field=b)
+         for b in (-h, 0.0, h)]
+    second_difference = (f[0] - 2.0 * f[1] + f[2]) / h ** 2
+    cavity = CavityParams(omega_c_ref=ZFS + op.detuning_D,
+                          kappa_out=p.cavity.kappa_out)
+    _, curv = magnetic_response(p.spins, cavity, p.env, "upper")
+    assert op.curvature_B == pytest.approx(second_difference, rel=1e-4)
+    assert curv == pytest.approx(second_difference, rel=1e-4)
 
 
 def test_magnetic_response_vanishes_at_zero_field():

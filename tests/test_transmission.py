@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinclock.cli import main
@@ -116,6 +116,9 @@ def test_quadrature_selects_imaginary_part_by_default():
     probe_off_hz=st.floats(-60e6, 60e6),
     cav_off_hz=st.floats(-40e6, 40e6),
 )
+# g^2 is subnormal here
+@example(g_hz=3.660704346617545e-161, width_hz=1e3, kappa_hz=1e3,
+         loss_ratio=0.0, split_hz=0.0, probe_off_hz=0.0, cav_off_hz=0.0)
 def test_passivity_property(g_hz, width_hz, kappa_hz, loss_ratio,
                             split_hz, probe_off_hz, cav_off_hz):
     """|t| <= 1 for any passive ensemble and lossy cavity."""
@@ -274,6 +277,25 @@ _MULTI_CLASS = SpinEnsembleParams(
     Gamma_deph=from_hz(2e6),
     g_collective=from_hz(4e6),
 )
+
+
+def test_susceptibility_sums_weighted_class_lines():
+    # C = sum_j w_j g^2 / (hw + i(omega_j - omega)), with each class at its
+    # offset from the thermally shifted, branch-signed Zeeman center
+    spins = _MULTI_CLASS
+    env = EnvironmentState(delta_T=2.5, B_field=60e-6)
+    g, hw = spins.branch_coupling, spins.halfwidth
+    omegas = ZFS + from_hz(np.linspace(-8e6, 8e6, 9))
+    expected = np.zeros(omegas.size, dtype=complex)
+    for cls in spins.spin_classes:
+        sign = 1.0 if cls.branch is Branch.PLUS else -1.0
+        center = (ZFS + cls.detuning_offset + env.dwa_dT * env.delta_T
+                  + sign * env.gyromagnetic * env.B_field)
+        expected += cls.weight * g ** 2 / (hw + 1j * (center - omegas))
+    assert np.allclose(susceptibility(spins, env, omegas), expected,
+                       rtol=1e-12, atol=0)
+    assert susceptibility(spins, env, omegas[3]) == pytest.approx(
+        expected[3], rel=1e-12)
 
 
 def _random_axis(rng, variable):
