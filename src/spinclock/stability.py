@@ -29,6 +29,14 @@ from .polariton import (BRANCHES, OperatingPoint, _dH_dg, _slope, _solve,
 from .presets import Preset
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or infinity where the square overflows a float."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NoiseBudget:
     """Fractional-frequency noise components; total is the quadrature sum."""
@@ -40,13 +48,13 @@ class NoiseBudget:
 
     @property
     def floor_total(self) -> float:
-        return math.sqrt(
-            self.thermal_floor ** 2 + self.magnetic_floor ** 2 + self.pump_floor ** 2
-        )
+        return math.sqrt(_square(self.thermal_floor)
+                         + _square(self.magnetic_floor)
+                         + _square(self.pump_floor))
 
     @property
     def total(self) -> float:
-        return math.sqrt(self.shot_sigma ** 2 + self.floor_total ** 2)
+        return math.sqrt(_square(self.shot_sigma) + _square(self.floor_total))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from spinclock import __version__
-from spinclock.cli import main
+from spinclock.cli import _BLOCK_ROWS, _write_table, main
 
 
 def _run(*argv):
@@ -261,13 +263,20 @@ def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):
      "re_t"),
     (["stability", "--dT-mk", "1e308"], "sigma_total"),
     (["operating-point", "--dT-mk", "1e308"], "thermal_floor_fractional"),
+    (["stability", "--B-nt", "1e300"], "sigma_total"),
 ], ids=["delta-T-overflow", "delta-T-overflow-json", "axis-overflow",
-        "g-overflow", "stability-dT-overflow", "operating-point-dT-overflow"])
+        "g-overflow", "stability-dT-overflow", "operating-point-dT-overflow",
+        "stability-B-overflow"])
 def test_non_finite_output_is_not_written(tmp_path, capsys, argv, column):
-    with np.errstate(all="ignore"):
+    # a numpy floating-point warning raised on the way would end the run
+    # with an exception instead of the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = _run(*argv, "--out", str(tmp_path / "out.csv"))
     assert rc == 2
-    assert repr(column) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(column) in err
+    assert "Warning" not in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -275,3 +284,65 @@ def test_huge_coupling_shows_no_traceback(capsys):
     # g^2 overflows a float here: the run must end in a report, not raise
     assert _run("operating-point", "--g-hz", "1e160") == 0
     assert np.isfinite(json.loads(capsys.readouterr().out)["D_hz"])
+
+
+def _edge_columns():
+    """Five columns over 2 blocks plus 3 rows, with the values repr treats
+    specially: signed zeros, subnormals, both sides of its exponent
+    switches, and one value repeated across the block boundary."""
+    n = 2 * _BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    specials = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300,
+        1e16, np.nextafter(1e16, 0), -1e16, 1e-5, 1e-4,
+        np.nextafter(1e-4, 0), 0.1, 1.0, -2.5, 1.7976931348623157e308,
+    ])
+    signed_zero = np.where(np.arange(n) % 2, 0.0, -0.0)
+    picks = rng.choice(specials, n)
+    boundary = np.full(n, 0.1)
+    boundary[_BLOCK_ROWS - 2:_BLOCK_ROWS + 2] = 3.0000000000000004
+    bits = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 1.5)
+    subnormal = rng.integers(-2**52 + 1, 2**52, n).astype(np.int64)
+    subnormal = np.abs(subnormal).view(np.float64) * np.sign(subnormal)
+    return ("zero", "special", "boundary", "bits", "subnormal"), (
+        signed_zero, picks, boundary, bits, subnormal)
+
+
+@pytest.mark.parametrize("rows", [None, 1],
+                         ids=["blocks-plus-three", "one-row"])
+def test_write_table_matches_repr_of_each_value(tmp_path, rows):
+    header, columns = _edge_columns()
+    columns = [col[:rows] for col in columns]
+    out = tmp_path / "t.csv"
+    _write_table(out, header, columns, "csv")
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+    assert out.read_bytes() == expected.encode()
+
+    out = tmp_path / "t.json"
+    _write_table(out, header, columns, "json")
+    doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
+    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_write_table_memory_does_not_grow_with_rows(tmp_path):
+    # A sweep-shaped table: two repeating axis columns and three data
+    # columns.  The data are drawn from a pool of 256 values so that the
+    # traced run stays short; all-distinct blocks raise the peak by about
+    # 1 MB, the same at every row count.
+    rng = np.random.default_rng(9)
+    pool = rng.standard_normal(256)
+    peaks = []
+    for n in (20_000, 400_000):
+        columns = [np.repeat(np.linspace(-1.0, 1.0, n // 100), 100),
+                   np.tile(np.linspace(0.0, 3.0, 100), n // 100),
+                   rng.choice(pool, n), rng.choice(pool, n),
+                   rng.choice(pool, n)]
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "t.csv", "abcde", columns, "csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4e6, peaks

@@ -344,11 +344,29 @@ def test_sweep_matches_scalar_path(spins, var1, var2):
     assert np.allclose(res.t, ref, rtol=1e-13, atol=0)
 
 
-def test_fig2a_csv_bytes_unchanged(tmp_path):
-    # sha256 of `spectrum --figure 2a --points 61 --format csv`, recorded
-    # with the flat-grid evaluator that the broadcast sweep replaced
-    out = tmp_path / "f2a.csv"
-    assert main(["spectrum", "--figure", "2a", "--points", "61",
-                 "--format", "csv", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "51ad4becd42e45796d0d8288297fa637c01f1ad739f2939b442c469ba6ecb754")
+@pytest.mark.parametrize("argv,digests", [
+    # recorded with the flat-grid evaluator that the broadcast sweep replaced
+    (["spectrum", "--figure", "2a", "--points", "61", "--format", "csv"],
+     {"out.csv": "51ad4becd42e45796d0d8288297fa637"
+                 "c01f1ad739f2939b442c469ba6ecb754"}),
+    # the rest were recorded with the row-at-a-time table writer
+    (["spectrum", "--figure", "2c", "--points", "41"],
+     {"out.csv": "efc5fc914fa4fb1f0a5b2ec7eda42201"
+                 "630b6c207062c2769a789723ca3bafe6",
+      "out_slice.csv": "5d6b5b3c46af7adaadf38aaf5eb122d6"
+                       "5f7af713975a72aa6308381ee7e7084e"}),
+    (["stability", "--preset", "outlook", "--tau-points", "81"],
+     {"out.csv": "16e2b9cfd1b469245f42acb158a1d139"
+                 "2c4975505b973e56192da4b059e9644e"}),
+    (["stability", "--preset", "outlook", "--tau-points", "81",
+      "--format", "json"],
+     {"out.json": "06180804c68d3216fe9343fa659b7f11"
+                  "f8aea503a69a90f24a81ed192c2aab9f"}),
+], ids=["fig2a-61", "fig2c-41", "stability-outlook-csv",
+        "stability-outlook-json"])
+def test_fig2a_csv_bytes_unchanged(tmp_path, argv, digests):
+    out = tmp_path / next(iter(digests))
+    assert main([*argv, "--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest() == digest, name
