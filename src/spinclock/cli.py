@@ -5,8 +5,8 @@ sidecar next to the output; ``spinclock replay sidecar.json --out X``
 re-executes from the sidecar and reproduces the output byte for byte.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
-identical bytes.  CSV tables are streamed to the file in blocks of rows, so
-the memory a write takes does not grow with the grid.
+identical bytes.  CSV and JSON tables are streamed to the file in blocks of
+rows, so the memory a write takes does not grow with the grid.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.  An output
 that would hold a NaN or an infinity is a configuration error: nothing is
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -63,36 +64,49 @@ def _require_finite_output(values: dict) -> None:
                               "overflows the model); nothing written")
 
 
-# Rows per CSV block: large enough that numpy's per-call cost is small, small
-# enough that one block's strings take about a megabyte.
+# Rows per table block: large enough that numpy's per-call cost is small,
+# small enough that one block's strings take about a megabyte.
 _BLOCK_ROWS = 4096
+
+
+def _block_text(block: np.ndarray) -> list:
+    """``repr`` of each value of a column block, formatting each distinct
+    value once; values are keyed on their bit patterns, so -0.0 and 0.0 keep
+    their own text."""
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_table(path: Path, header, columns, fmt: str) -> None:
     """Write named columns as CSV or JSON, each value as ``repr(float(v))``.
 
-    CSV is written one block of ``_BLOCK_ROWS`` rows at a time.  In each
-    column of a block only the distinct values are formatted; they are keyed
-    on their bit patterns, so -0.0 and 0.0 keep their own text.
+    Both formats are written one block of ``_BLOCK_ROWS`` values per column
+    at a time, so the memory a write takes does not grow with the table.
+    JSON holds the bytes of ``json.dumps(table, sort_keys=True, indent=1)``,
+    which also writes a float as its ``repr``: one sorted key per column.
     """
     _require_finite_output(dict(zip(header, columns)))
     columns = [np.asarray(col, dtype=np.float64) for col in columns]
-    if fmt == "json":
-        doc = {name: col.tolist() for name, col in zip(header, columns)}
-        _write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return
+    blocks = range(0, columns[0].size, _BLOCK_ROWS)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as out:
+        if fmt == "json":
+            table = dict(zip(header, columns))
+            out.write("{")
+            for i, name in enumerate(sorted(table)):
+                out.write(f"{',' if i else ''}\n {json.dumps(name)}: [")
+                for start in blocks:
+                    out.write((",\n  " if start else "\n  ") + ",\n  ".join(
+                        _block_text(table[name][start:start + _BLOCK_ROWS])))
+                out.write("\n ]")
+            out.write("\n}\n")
+            return
         out.write(",".join(header) + "\n")
-        for start in range(0, columns[0].size, _BLOCK_ROWS):
-            cells = []
-            for col in columns:
-                bits, inverse = np.unique(
-                    col[start:start + _BLOCK_ROWS].view(np.int64),
-                    return_inverse=True)
-                text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                                dtype=object)
-                cells.append(text[inverse].tolist())
+        for start in blocks:
+            cells = [_block_text(col[start:start + _BLOCK_ROWS])
+                     for col in columns]
             out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -561,9 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.
+
+    Building it makes one help formatter per argument, which costs more than
+    a small request; parsing leaves the parser as it was, so one serves every
+    call in the process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # an overflow surfaces as a non-finite output, which exits 2 naming
         # the column; numpy's warnings about it would only precede that line

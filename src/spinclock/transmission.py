@@ -151,6 +151,12 @@ class SweepResult:
         return float(self.values1[i]), self.values2.copy(), self.t[i].copy()
 
 
+# Grid points per sweep block: a block's complex temporaries (512 KiB each)
+# stay in a core's L2 cache (2 MiB on the 2-core Xeon it was tuned on),
+# where the sweep time was flat from 2**14 to 2**15.5 points.
+_BLOCK_POINTS = 2 ** 15
+
+
 def spectrum_sweep(
     spins: SpinEnsembleParams,
     cavity: CavityParams,
@@ -167,33 +173,40 @@ def spectrum_sweep(
     When the probe is not a sweep axis it sits at ``omega_probe_fixed``
     (default: the line center).
 
-    Each swept quantity is a broadcast axis, ``(n1, 1)`` for axis1 and
-    ``(1, n2)`` for axis2, and everything held fixed stays a scalar, so
-    C(omega) only spans the axes it depends on (the probe axis alone in a
-    probe-vs-cavity sweep) and no temporary grows past ``(n1, n2)``.
+    Each swept quantity is a broadcast axis, ``(rows, 1)`` for a block of
+    axis1 rows and ``(1, n2)`` for axis2, and everything held fixed stays a
+    scalar, so C(omega) only spans the axes it depends on (the probe axis
+    alone in a probe-vs-cavity sweep).  The grid is filled one block of about
+    ``_BLOCK_POINTS`` points at a time, so no temporary grows past one block
+    and the preallocated ``(n1, n2)`` result is the only grid-sized array.
+    Every step is elementwise, so the block size changes no value.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("sweep axes must differ")
 
     v1 = axis1.grid()
     v2 = axis2.grid()
-    swept = {axis1.variable: v1[:, None], axis2.variable: v2[None, :]}
+    t = np.empty((v1.size, v2.size), dtype=np.complex128)
+    rows = max(1, _BLOCK_POINTS // v2.size)
+    for start in range(0, v1.size, rows):
+        block = slice(start, start + rows)
+        swept = {axis1.variable: v1[block, None], axis2.variable: v2[None, :]}
 
-    thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
-    zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
-    if "probe_offset" in swept:
-        omega_probe = spins.omega_zfs + swept["probe_offset"]
-    else:
-        omega_probe = float(spins.omega_zfs if omega_probe_fixed is None
-                            else omega_probe_fixed)
-    if "cavity_offset" in swept:
-        omega_c = (spins.omega_zfs + swept["cavity_offset"]
-                   + env.R_ratio * thermal_shift)
-    else:
-        omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
+        thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
+        zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
+        if "probe_offset" in swept:
+            omega_probe = spins.omega_zfs + swept["probe_offset"]
+        else:
+            omega_probe = float(spins.omega_zfs if omega_probe_fixed is None
+                                else omega_probe_fixed)
+        if "cavity_offset" in swept:
+            omega_c = (spins.omega_zfs + swept["cavity_offset"]
+                       + env.R_ratio * thermal_shift)
+        else:
+            omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
 
-    c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
-    t = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
+        c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
+        t[block] = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
     return SweepResult(
         axis1=axis1,
         axis2=axis2,

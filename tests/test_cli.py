@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinclock import __version__
-from spinclock.cli import _BLOCK_ROWS, _write_table, main
+from spinclock.cli import _BLOCK_ROWS, _parser, _write_table, main
 
 
 def _run(*argv):
@@ -166,6 +166,22 @@ def test_overrides_recorded_in_provenance(tmp_path):
     assert doc["config"]["dt_stab_k"] == pytest.approx(5e-3)
     assert doc["db_stab_t"] == pytest.approx(20e-9)
     assert doc["seed"] == 42
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    def outputs(directory):
+        return [(directory / name).read_bytes()
+                for name in ("s.csv", "s.csv.provenance.json")]
+
+    plain = ["stability", "--tau-points", "9"]
+    _parser.cache_clear()  # the plain call on a fresh parser
+    assert _run(*plain, "--out", str(tmp_path / "alone" / "s.csv")) == 0
+    _parser.cache_clear()
+    assert _run(*plain, "--preset", "outlook", "--g-hz", "2e6", "--dT-mk",
+                "5", "--out", str(tmp_path / "first" / "s.csv")) == 0
+    assert _run(*plain, "--out", str(tmp_path / "after" / "s.csv")) == 0
+    assert outputs(tmp_path / "after") == outputs(tmp_path / "alone")
+    assert outputs(tmp_path / "first") != outputs(tmp_path / "alone")
 
 
 def test_operating_point_lower_branch_closed_form(tmp_path):
@@ -333,16 +349,17 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
     # 1 MB, the same at every row count.
     rng = np.random.default_rng(9)
     pool = rng.standard_normal(256)
-    peaks = []
+    peaks = {"csv": [], "json": []}
     for n in (20_000, 400_000):
         columns = [np.repeat(np.linspace(-1.0, 1.0, n // 100), 100),
                    np.tile(np.linspace(0.0, 3.0, 100), n // 100),
                    rng.choice(pool, n), rng.choice(pool, n),
                    rng.choice(pool, n)]
-        tracemalloc.start()
-        try:
-            _write_table(tmp_path / "t.csv", "abcde", columns, "csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 4e6, peaks
+        for fmt, fmt_peaks in peaks.items():
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / f"t.{fmt}", "abcde", columns, fmt)
+                fmt_peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(map(max, peaks.values())) < 4e6, peaks

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spinclock.params import (
     instantaneous_frequencies,
 )
 from spinclock.transmission import (
+    _BLOCK_POINTS,
     AXIS_VARIABLES,
     SweepAxis,
     quadrature_of,
@@ -344,6 +346,59 @@ def test_sweep_matches_scalar_path(spins, var1, var2):
     assert np.allclose(res.t, ref, rtol=1e-13, atol=0)
 
 
+def _block_shapes():
+    # several blocks with a partial last one, and rows wider than a block
+    n2 = _BLOCK_POINTS // 5 + 1
+    rows = _BLOCK_POINTS // n2
+    return [(2 * rows + 3, n2), (3, _BLOCK_POINTS + 1)]
+
+
+@pytest.mark.parametrize("spins", [
+    SpinEnsembleParams(g_collective=from_hz(3e6)),
+    _MULTI_CLASS,
+], ids=["two-class", "multi-class"])
+@pytest.mark.parametrize("var1,var2", list(itertools.permutations(AXIS_VARIABLES, 2)))
+def test_sweep_rows_do_not_depend_on_blocks(spins, var1, var2):
+    cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
+                          kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
+    env = EnvironmentState(delta_T=3.5, B_field=40e-6, R_ratio=-0.3)
+    probe = ZFS + from_hz(2.5e6)
+    for n1, n2 in _block_shapes():
+        ax1 = SweepAxis(var1, *_AXIS_RANGES[var1], n1)
+        ax2 = SweepAxis(var2, *_AXIS_RANGES[var2], n2)
+        res = spectrum_sweep(spins, cavity, env, ax1, ax2,
+                             omega_probe_fixed=probe)
+        for v1, row in zip(res.values1, res.t):
+            one = spectrum_sweep(spins, cavity, env, SweepAxis(var1, v1, v1, 1),
+                                 ax2, omega_probe_fixed=probe)
+            assert np.array_equal(one.t[0].view(np.int64), row.view(np.int64))
+
+
+def test_bare_cavity_sweep_spans_both_axes():
+    # no spin classes: t does not depend on the field, yet keeps its rows
+    spins = SpinEnsembleParams(spin_classes=())
+    probe = SweepAxis("probe_offset", -from_hz(1e6), from_hz(1e6), 4)
+    res = spectrum_sweep(spins, CavityParams(omega_c_ref=ZFS),
+                         EnvironmentState(),
+                         SweepAxis("B_field", -1e-4, 1e-4, 3), probe)
+    assert res.t.shape == (3, 4)
+    assert np.array_equal(res.t, np.broadcast_to(res.t[0], (3, 4)))
+
+
+def test_sweep_memory_is_output_plus_one_block():
+    for name in ("2a", "2c", "2d"):
+        setup = figure_setup(name, points=1001)
+        tracemalloc.start()
+        try:
+            res = spectrum_sweep(setup.spins, setup.cavity, setup.env,
+                                 setup.axis1, setup.axis2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-grid evaluation peaks near three times the output
+        assert peak < res.t.nbytes + 4 * 2 ** 20, (name, peak)
+
+
 @pytest.mark.parametrize("argv,digests", [
     # recorded with the flat-grid evaluator that the broadcast sweep replaced
     (["spectrum", "--figure", "2a", "--points", "61", "--format", "csv"],
@@ -355,6 +410,12 @@ def test_sweep_matches_scalar_path(spins, var1, var2):
                  "630b6c207062c2769a789723ca3bafe6",
       "out_slice.csv": "5d6b5b3c46af7adaadf38aaf5eb122d6"
                        "5f7af713975a72aa6308381ee7e7084e"}),
+    # recorded with the whole-grid sweep; 201 rows span two sweep blocks
+    (["spectrum", "--figure", "2d", "--points", "201"],
+     {"out.csv": "bab20f38e348cdbd4eacb32f21f0b865"
+                 "9e20f857de72ca7c47a7a9c2ad237e7f",
+      "out_slice.csv": "60475405ffedb5963accc7d2737f67fa"
+                       "72d883719e0dcb3d5aa81ac5d6992e1e"}),
     (["stability", "--preset", "outlook", "--tau-points", "81"],
      {"out.csv": "16e2b9cfd1b469245f42acb158a1d139"
                  "2c4975505b973e56192da4b059e9644e"}),
@@ -362,7 +423,7 @@ def test_sweep_matches_scalar_path(spins, var1, var2):
       "--format", "json"],
      {"out.json": "06180804c68d3216fe9343fa659b7f11"
                   "f8aea503a69a90f24a81ed192c2aab9f"}),
-], ids=["fig2a-61", "fig2c-41", "stability-outlook-csv",
+], ids=["fig2a-61", "fig2c-41", "fig2d-201", "stability-outlook-csv",
         "stability-outlook-json"])
 def test_fig2a_csv_bytes_unchanged(tmp_path, argv, digests):
     out = tmp_path / next(iter(digests))
