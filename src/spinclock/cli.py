@@ -331,8 +331,9 @@ def _operating_point_doc(doc: dict) -> dict:
             preset.spins.branch_coupling, preset.env.R_ratio)
         d_closed = lower if doc["branch"] == "lower" else upper
         report["closed_form_D_hz"] = to_hz(d_closed)
-        report["closed_form_delta_rel"] = \
-            abs(op.detuning_D - d_closed) / abs(d_closed)
+        if d_closed:  # |R| = 1 puts it at 0, where no relative delta exists
+            report["closed_form_delta_rel"] = \
+                abs(op.detuning_D - d_closed) / abs(d_closed)
     _require_finite_output(
         {k: v for k, v in report.items() if isinstance(v, float)})
     return report

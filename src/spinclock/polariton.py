@@ -35,7 +35,7 @@ to zero gives the insensitive detunings
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,18 +73,21 @@ class OperatingPoint:
     curvature_T: float       # rad/s per K^2
     curvature_B: float       # rad/s per T^2
     dnudT_residual: float    # rad/s per K at the returned detuning
+    # eigenpairs of the solve at the root: ascending eigenvalues relative to
+    # omega_zfs (rad/s) and eigenvectors as columns, for shifts about it
+    lambdas_rel: np.ndarray = field(repr=False, compare=False)
+    eigvecs: np.ndarray = field(repr=False, compare=False)
 
 
 def mode_matrix(omega_c, omega_plus, omega_minus, g_plus, g_minus) -> np.ndarray:
     """Coupled-mode matrix; array arguments broadcast to a (..., 3, 3) stack."""
-    wc, wp, wm, gp, gm = np.broadcast_arrays(
-        omega_c, omega_plus, omega_minus, g_plus, g_minus)
-    h = np.zeros(wc.shape + (3, 3))
-    h[..., 0, 0] = wc
-    h[..., 1, 1] = wp
-    h[..., 2, 2] = wm
-    h[..., 0, 1] = h[..., 1, 0] = gp
-    h[..., 0, 2] = h[..., 2, 0] = gm
+    shape = np.broadcast(omega_c, omega_plus, omega_minus, g_plus, g_minus).shape
+    h = np.zeros(shape + (3, 3))
+    h[..., 0, 0] = omega_c
+    h[..., 1, 1] = omega_plus
+    h[..., 2, 2] = omega_minus
+    h[..., 0, 1] = h[..., 1, 0] = g_plus
+    h[..., 0, 2] = h[..., 2, 0] = g_minus
     return h
 
 
@@ -148,6 +151,63 @@ def _curvature(lams: np.ndarray, vecs: np.ndarray, idx: int, dh: np.ndarray):
     gaps = lams[..., idx, None] - lams
     gaps[..., idx] = np.inf  # the k = n term drops out
     return 2.0 * np.sum(coupling ** 2 / gaps, axis=-1)
+
+
+def _shift(lams: np.ndarray, vecs: np.ndarray, idx: int, dh: np.ndarray,
+           x: float) -> float:
+    """Exact shift of eigenvalue ``idx`` of one solve when H becomes H + x dH.
+
+    In the eigenbasis the displaced matrix is diag(L - L_n) + V with
+    V = x Q^T dH Q.  Eliminating the other two modes (the Schur complement)
+    leaves the secular equation
+
+        s = V_nn + w^T (s I - A)^-1 w,
+
+    w the n-th column of V off the diagonal, A the 2x2 rest of the
+    displaced matrix.  Every term is of the size of the shift or of the
+    gaps, so s carries rounding of its own size, not of L_n, where the
+    difference of two displaced solves rounds at ulp(L_n).  Its first- and
+    second-order terms are ``_slope`` and ``_curvature``.  The n-th
+    ascending root lies between the eigenvalues of A next to it (they
+    interlace) and within |V| of zero (Weyl); Newton steps from V_nn are
+    kept inside that interval by bisection.  They converge in a few steps
+    when s is small next to the gaps, and still converge when it is not.
+    """
+    # einsum, not matmul: a request needs no BLAS buffers (~0.25 MB RSS)
+    v = (x * np.einsum("ji,jk,kl->il", vecs, dh, vecs)).tolist()
+    lam = lams.tolist()
+    j, k = (i for i in range(3) if i != idx)
+    p = lam[j] - lam[idx] + v[j][j]
+    r = lam[k] - lam[idx] + v[k][k]
+    q, w0, w1, vnn = v[j][k], v[j][idx], v[k][idx], v[idx][idx]
+    mid, half = 0.5 * (p + r), math.hypot(0.5 * (p - r), q)
+    poles = (mid - half, mid + half)  # eigenvalues of A
+    bound = max(sum(map(abs, row)) for row in v)  # |V|_2 <= max row sum
+    lo = max(-bound, poles[idx - 1]) if idx > 0 else -bound
+    hi = min(bound, poles[idx]) if idx < 2 else bound
+    s = vnn
+    for _ in range(_POLISH_MAXITER):
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break  # the interval is one float wide: s is the root
+        # y = (sI - A)^-1 w; det(sI - A) = (s - pole0)(s - pole1), divided
+        # one factor at a time: each is nonzero inside the interval, where
+        # their product can underflow
+        y0 = ((s - r) * w0 + q * w1) / (s - poles[0]) / (s - poles[1])
+        y1 = (q * w0 + (s - p) * w1) / (s - poles[0]) / (s - poles[1])
+        f = s - vnn - (w0 * y0 + w1 * y1)     # increasing in s between poles
+        if f == 0:
+            break
+        if f > 0:
+            hi = s
+        else:
+            lo = s
+        step = f / (1.0 + y0 * y0 + y1 * y1)
+        if s - step == s:
+            break
+        s -= step
+    return s
 
 
 def eigenfrequencies(
@@ -255,11 +315,14 @@ def _bracketed_root(f, a, b, fa, fb):
     """Zero of ``f`` in [a, b], where ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
 
     False-position steps with the Illinois halving of a stale end keep the
-    root bracketed and converge superlinearly; a step that would not land
-    strictly inside the bracket bisects instead.  The loop stops once the
-    bracket is narrower than _XTOL, cannot be split in floating point
-    (ulp(D) > _XTOL), or after _POLISH_MAXITER steps, and returns the secant
-    point of the final bracket.
+    root bracketed and converge superlinearly.  A step lands at least
+    _XTOL / 2 inside each end (Dekker's minimum step), so a root next to one
+    end, as at a closed-form seed, closes the bracket in one step instead of
+    a run of halvings of the far end; a step that would not land strictly
+    inside the bracket bisects instead.  The loop stops once the bracket is
+    narrower than _XTOL, cannot be split in floating point (ulp(D) > _XTOL),
+    or after _POLISH_MAXITER steps, and returns the secant point of the
+    final bracket.
     """
     wa, wb = fa, fb  # end values as scaled by the Illinois rule
     kept = 0         # which end the previous step kept: -1 a, +1 b
@@ -267,6 +330,7 @@ def _bracketed_root(f, a, b, fa, fb):
         if b - a <= _XTOL:
             break
         x = a - wa * (b - a) / (wb - wa)
+        x = min(max(x, a + 0.5 * _XTOL), b - 0.5 * _XTOL)
         if not a < x < b:
             x = 0.5 * (a + b)
             if not a < x < b:
@@ -287,6 +351,24 @@ def _bracketed_root(f, a, b, fa, fb):
     return a - fa * (b - a) / (fb - fa)
 
 
+def _first_root(f, xs, ys):
+    """First zero of ``f`` over ascending samples ``xs``, ``ys = f(xs)``.
+
+    A sample where f is exactly zero is that zero; otherwise the first sign
+    change is polished by ``_bracketed_root``.  None if there is neither.
+    """
+    sign = np.sign(ys)
+    hits = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    if sign[i] == 0:
+        return float(xs[i])
+    if sign[i + 1] == 0:
+        return float(xs[i + 1])
+    return float(_bracketed_root(f, xs[i], xs[i + 1], ys[i], ys[i + 1]))
+
+
 def operating_point_numeric(
     spins: SpinEnsembleParams,
     env: EnvironmentState,
@@ -294,11 +376,18 @@ def operating_point_numeric(
 ) -> OperatingPoint:
     """Root of dnu/dT over spin-cavity detuning for one branch.
 
-    Scans +/-20 g with one stacked Hellmann-Feynman solve for a sign
-    change, polishes the root inside that bracket by bisection with secant
-    steps, then takes the residual slope and the exact temperature and
-    field curvatures (second-order perturbation theory) from the eigenpairs
-    of one solve at the root.
+    A bright branch is bracketed about its signed closed-form root D_pm
+    (exact for equal couplings at B = 0, a seed elsewhere) by one stacked
+    Hellmann-Feynman solve at D_pm and D_pm +/- h, h the scan spacing
+    40 g / (_SCAN_POINTS - 1).  The middle branch, and a seed bracket that
+    has no sign change or reaches outside +/-20 g, fall back to a stacked
+    solve of _SCAN_POINTS detunings over +/-20 g, whose first sign change
+    is the bracket.  A sample where the slope is exactly zero is the root.
+    The root is polished inside the bracket by false position with
+    bisection; one solve at the root gives the residual slope, the exact
+    temperature and field curvatures (second-order perturbation theory) and
+    the eigenpairs that the environmental floors shift.  R >= 0 has no
+    root: the slope a (R v_c^2 + 1 - v_c^2) keeps the sign of a.
     """
     idx = _branch_index(branch)
     g = spins.branch_coupling
@@ -307,29 +396,35 @@ def operating_point_numeric(
             f"branch coupling g = {g} rad/s: without spin-cavity coupling "
             "no branch mixes the two thermal slopes"
         )
+    if env.R_ratio >= 0 or env.dwa_dT == 0:
+        raise NoOperatingPointError(
+            f"R = {env.R_ratio}, dwa/dT = {env.dwa_dT} rad/s/K: with R >= 0 "
+            "(spin and cavity thermal shifts of the same sign) or no thermal "
+            "response, dnu/dT keeps its sign or vanishes on every branch"
+        )
     lo, hi = -20.0 * g, 20.0 * g
+    h = (hi - lo) / (_SCAN_POINTS - 1)
     dh_dt = _dH_dT(env)
 
     def slope(detuning):
         _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
         return _slope(vec, idx, dh_dt)
 
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    slopes = slope(grid)
-    crossings = np.nonzero(np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0)[0]
-    if crossings.size == 0:
-        hint = (
-            " (R >= 0: spin and cavity thermal shifts have the same sign, "
-            "so no cancellation exists on the bright branches)"
-            if env.R_ratio >= 0 else ""
-        )
+    root = None
+    if branch != "middle":
+        lower, upper = operating_point_closed_form(g, env.R_ratio)
+        seed = lower if branch == "lower" else upper
+        if lo <= seed - h and seed + h <= hi:
+            xs = seed + np.array([-h, 0.0, h])
+            root = _first_root(slope, xs, slope(xs))
+    if root is None:
+        grid = np.linspace(lo, hi, _SCAN_POINTS)
+        root = _first_root(slope, grid, slope(grid))
+    if root is None:
         raise NoOperatingPointError(
             f"dnu/dT has no sign change on branch {branch!r} in "
-            f"[{lo:.3e}, {hi:.3e}] rad/s{hint}"
+            f"[{lo:.3e}, {hi:.3e}] rad/s"
         )
-    i = int(crossings[0])
-    root = float(_bracketed_root(slope, grid[i], grid[i + 1],
-                                 slopes[i], slopes[i + 1]))
     lam, vec = _solve(spins, env, root, env.delta_T, env.B_field)
     residual = float(_slope(vec, idx, dh_dt))
     if abs(residual) > 1e-6 * abs(env.dwa_dT):
@@ -342,6 +437,8 @@ def operating_point_numeric(
         curvature_T=float(_curvature(lam, vec, idx, dh_dt)),
         curvature_B=float(_curvature(lam, vec, idx, _dH_dB(env))),
         dnudT_residual=residual,
+        lambdas_rel=lam,
+        eigvecs=vec,
     )
 
 

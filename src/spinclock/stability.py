@@ -11,8 +11,10 @@ The probe amplitude must stay low enough that the ensemble remains
 polarized; per spin, beta << sqrt(kappa * gamma * (gamma + Gamma)) / (4 g0 |t|).
 
 Environmental floors are evaluated as the actual polariton shift for a
-static offset of the stabilization magnitude from the operating point (full
-eigen solve, so exact at any offset), and combine with shot noise in
+static offset of the stabilization magnitude from the operating point.  The
+shift is the Schur-complement root in the eigenbasis of the operating
+point's own solve (``polariton._shift``), so it is exact to rounding of its
+own size at any offset, and the floors combine with shot noise in
 quadrature.
 """
 
@@ -24,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import CavityParams, EnvironmentState, ProbeParams, SpinEnsembleParams
-from .polariton import (BRANCHES, OperatingPoint, _dH_dg, _slope, _solve,
-                        operating_point_numeric)
+from .polariton import (BRANCHES, OperatingPoint, _dH_dB, _dH_dg, _dH_dT,
+                        _shift, _slope, operating_point_numeric)
 from .presets import Preset
 
 
@@ -185,27 +187,24 @@ def environmental_floors(
 ) -> NoiseBudget:
     """Fractional floors for static offsets of the stabilization magnitudes.
 
-    Thermal and magnetic floors come from full eigen solves displaced by
-    dT_stab / dB_stab about the operating point; the pump floor converts
-    laser power fluctuations into a coupling shift via the polarization
-    steady state (g proportional to sqrt(P)).
+    Thermal and magnetic floors are the exact branch shifts for offsets of
+    dT_stab / dB_stab, taken by the Schur complement from the eigenpairs
+    that ``op`` carries (so ``op`` must come from the same spins and env);
+    the pump floor converts laser power fluctuations into a coupling shift
+    via the polarization steady state (g proportional to sqrt(P)).
     """
-    # One stacked solve at the operating point and at the two displaced
-    # environments.  Differences are taken in the line-center frame (no
-    # carrier rounding), then normalized by the absolute branch frequency.
+    # Shifts are taken in the line-center frame (no carrier rounding), then
+    # normalized by the absolute branch frequency.
     idx = BRANCHES.index(op.branch)
-    lam, vec = _solve(spins, env, op.detuning_D,
-                      env.delta_T + np.array([0.0, dT_stab, 0.0]),
-                      env.B_field + np.array([0.0, 0.0, dB_stab]))
-    rel0, rel_t, rel_b = lam[:, idx]
-    nu0 = spins.omega_zfs + rel0
-    thermal = abs(rel_t - rel0) / nu0
-    magnetic = abs(rel_b - rel0) / nu0
+    lam, vec = op.lambdas_rel, op.eigvecs
+    nu0 = spins.omega_zfs + lam[idx]
+    thermal = abs(_shift(lam, vec, idx, _dH_dT(env), dT_stab)) / nu0
+    magnetic = abs(_shift(lam, vec, idx, _dH_dB(env), dB_stab)) / nu0
 
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
     dg_over_g, _ = coupling_sensitivity_to_pump(spins, alpha_drive)
     dg = dg_over_g * laser_stability * spins.branch_coupling
-    pump = abs(_slope(vec[0], idx, _dH_dg(spins))) * dg / nu0
+    pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
 
     return NoiseBudget(
         shot_sigma=0.0,

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinclock import __version__
 from spinclock.cli import _BLOCK_ROWS, _parser, _write_table, main
@@ -105,6 +111,24 @@ def test_operating_point_positive_R_is_solver_error(capsys):
     assert rc == 3
     assert "no operating point" not in capsys.readouterr().out
     # message lands on stderr via the solver-error path
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+def test_operating_point_at_unit_ratio_is_resonance(capsys, branch):
+    # |R| = 1 puts the root at D = 0, where the slope is exactly 0.0: a
+    # sample with a zero slope is the root, not a missed sign change
+    assert _run("operating-point", "--R", "-1", "--branch", branch) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["D_hz"] == 0
+    assert doc["closed_form_D_hz"] == 0
+
+
+@pytest.mark.parametrize("r", ["-0.001", "-300"])
+def test_operating_point_outside_the_scan_is_solver_error(capsys, r):
+    # the closed-form root lies beyond +/-20 g: the seed must not be
+    # returned unchecked
+    assert _run("operating-point", "--R", r) == 3
+    assert "no sign change" in capsys.readouterr().err
 
 
 def test_operating_point_replay(tmp_path):
@@ -363,3 +387,36 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
             finally:
                 tracemalloc.stop()
     assert max(map(max, peaks.values())) < 4e6, peaks
+
+
+# Flag values a user can type: ordinary ones, both signs of zero, the
+# non-finite ones and the extremes of a float.
+_FLAG_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-1e9, 1e9),
+)
+_FUZZ_FLAGS = ("--g-hz", "--R", "--kappa-hz", "--dT-mk", "--B-nt",
+               "--power-photons-per-s")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["operating-point", "stability"]),
+       flags=st.dictionaries(st.sampled_from(_FUZZ_FLAGS), _FLAG_VALUES,
+                             max_size=len(_FUZZ_FLAGS)))
+@example(command="operating-point", flags={"--g-hz": 1.0, "--R": -1.0})
+def test_flag_fuzz_ends_in_a_documented_exit(command, flags):
+    # any value of any flag ends in success, a configuration error or a
+    # solver error, never in a traceback or a warning
+    argv = [command, *(f"{flag}={value!r}" for flag, value in flags.items())]
+    if command == "stability":
+        argv += ["--tau-points", "5"]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([*argv, "--out", str(Path(tmp) / "out.csv")])
+    assert rc in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "Warning" not in err.getvalue(), argv

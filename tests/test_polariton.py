@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,7 +20,14 @@ from spinclock.params import (
     SpinEnsembleParams,
 )
 from spinclock.polariton import (
+    _SCAN_POINTS,
+    _XTOL,
+    BRANCHES,
     NoOperatingPointError,
+    _bracketed_root,
+    _dH_dT,
+    _slope,
+    _solve,
     branch_frequency_at,
     curvature_T_degenerate,
     dnu_dT,
@@ -236,6 +244,58 @@ def test_polish_stops_where_detuning_ulp_exceeds_tolerance():
         operating_point_closed_form(g, -0.3)[1], rel=1e-12)
 
 
+def _scan_root(spins, env, branch):
+    """Reference root: the first zero of dnu/dT on a _SCAN_POINTS grid over
+    +/-20 g, polished in its bracket; None if the grid shows none."""
+    idx = BRANCHES.index(branch)
+    dh = _dH_dT(env)
+
+    def slope(d):
+        _, vec = _solve(spins, env, d, env.delta_T, env.B_field)
+        return _slope(vec, idx, dh)
+
+    g = spins.branch_coupling
+    grid = np.linspace(-20.0 * g, 20.0 * g, _SCAN_POINTS)
+    ys = slope(grid)
+    for i in range(_SCAN_POINTS):
+        if ys[i] == 0:
+            return grid[i]
+        if i + 1 < _SCAN_POINTS and ys[i] * ys[i + 1] < 0:
+            return _bracketed_root(slope, grid[i], grid[i + 1],
+                                   ys[i], ys[i + 1])
+    return None
+
+
+def test_seeded_bracket_finds_the_scan_root():
+    # the closed-form seed is exact only for equal couplings at B = 0;
+    # off it (fields up to 3 mT, both presets) and on the middle branch the
+    # numeric root must still be the one the full scan finds, and a request
+    # the scan finds no root for must still fail
+    rng = np.random.default_rng(11)
+    fields = (lambda: 0.0, lambda: rng.uniform(0.0, 100e-9),
+              lambda: rng.uniform(0.0, 1e-4), lambda: rng.uniform(0.0, 3e-3))
+    outcomes = set()
+    for k in range(200):
+        p = table1_preset(("current", "outlook")[k % 2])
+        spins = dataclasses.replace(
+            p.spins, g_collective=from_hz(10 ** rng.uniform(math.log10(3e5),
+                                                            math.log10(3e7))))
+        env = dataclasses.replace(p.env, R_ratio=-rng.uniform(0.02, 3.0),
+                                  B_field=fields[k % 4]())
+        branch = BRANCHES[k % 3]
+        want = _scan_root(spins, env, branch)
+        try:
+            got = operating_point_numeric(spins, env, branch).detuning_D
+        except NoOperatingPointError:
+            got = None
+        assert (got is None) == (want is None), (k, branch, env)
+        if got is not None:
+            assert abs(got - want) <= _XTOL, (k, branch, env)
+        outcomes.add((branch, got is None))
+    # at 3 mT the bright branches also lose their root: both outcomes occur
+    assert outcomes == {(b, none) for b in BRANCHES for none in (False, True)}
+
+
 def test_zero_coupling_has_no_operating_point():
     with pytest.raises(NoOperatingPointError, match="coupling g = 0"):
         operating_point_numeric(_spins(0.0), EnvironmentState(R_ratio=-0.3))
@@ -244,6 +304,10 @@ def test_zero_coupling_has_no_operating_point():
 def test_numeric_operating_point_rejects_positive_R():
     env = EnvironmentState(R_ratio=0.3)
     with pytest.raises(NoOperatingPointError, match="R >= 0"):
+        operating_point_numeric(_spins(5e6), env)
+    # without a thermal response every slope is exactly zero: no root either
+    env = EnvironmentState(R_ratio=-0.3, dwa_dT=0.0)
+    with pytest.raises(NoOperatingPointError, match="no thermal response"):
         operating_point_numeric(_spins(5e6), env)
 
 

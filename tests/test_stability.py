@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from spinclock.params import (
     ProbeParams,
     SpinEnsembleParams,
 )
-from spinclock.polariton import operating_point_numeric
+from spinclock.polariton import (BRANCHES, _coupling_pattern, _dH_dB, _dH_dT,
+                                 _solve, mode_matrix, operating_point_numeric)
 from spinclock.presets import table1_preset
 from spinclock.stability import (
     coupling_sensitivity_to_pump,
@@ -156,6 +160,115 @@ def test_budget_composition_and_ordering():
     assert b.total >= max(b.shot_sigma, b.thermal_floor,
                           b.magnetic_floor, b.pump_floor)
     assert all(x >= 0 for x in (b.thermal_floor, b.magnetic_floor, b.pump_floor))
+
+
+def _exact_eigenvalue(h, guess, width):
+    """Eigenvalue of the rational 3x3 matrix ``h`` in guess +/- width, by
+    bisecting its characteristic polynomial in exact arithmetic to ~1e-30."""
+    def charpoly(lam):
+        m = [[(lam if i == j else 0) - h[i][j] for j in range(3)]
+             for i in range(3)]
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    lo, hi = Fraction(guess) - Fraction(width), Fraction(guess) + Fraction(width)
+    f_lo = charpoly(lo)
+    assert f_lo * charpoly(hi) < 0  # exactly one eigenvalue inside
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        f_mid = charpoly(mid)
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _exact_floor(spins, env, op, dh, offset):
+    """|L(H0 + offset dH) - L(H0)| / nu0, H0 the float matrix of the solve at
+    the operating point taken as exact rationals, the offset added exactly
+    (no rounding at ulp(D), which the float path cannot avoid)."""
+    idx = BRANCHES.index(op.branch)
+    p, m = _coupling_pattern(spins)
+    g = spins.branch_coupling
+    thermal = env.dwa_dT * env.delta_T
+    zeeman = env.gyromagnetic * env.B_field
+    h0 = mode_matrix(op.detuning_D + env.R_ratio * thermal, thermal + zeeman,
+                     thermal - zeeman, g * p, g * m)
+    exact0 = [[Fraction(x) for x in row] for row in h0.tolist()]
+    exact1 = [[exact0[i][j] + Fraction(offset) * Fraction(dh[i][j])
+               for j in range(3)] for i in range(3)]
+    lams = np.linalg.eigvalsh(h0)
+    width = 1e-3 * min(abs(lams[idx] - lams[j]) for j in range(3) if j != idx)
+    l0 = _exact_eigenvalue(exact0, lams[idx], width)
+    l1 = _exact_eigenvalue(exact1, lams[idx], width)
+    return float(abs(l1 - l0) / (Fraction(spins.omega_zfs) + l0))
+
+
+@pytest.mark.parametrize("name", ["current", "outlook"])
+def test_floors_match_exact_rational_shift(name):
+    # the floors are shifts of ~1e-5..1e-1 rad/s on eigenvalues of ~1e8
+    # rad/s: against exact arithmetic they must hold to 1e-9 of themselves
+    # (a difference of two displaced solves is off by up to 9e-4 on outlook)
+    p = table1_preset(name)
+    op = operating_point_numeric(p.spins, p.env)
+    db = 10e-9
+    b = environmental_floors(p.spins, p.cavity, p.env, op,
+                             dT_stab=p.dT_stab, dB_stab=db)
+    thermal = _exact_floor(p.spins, p.env, op, _dH_dT(p.env), p.dT_stab)
+    magnetic = _exact_floor(p.spins, p.env, op, _dH_dB(p.env), db)
+    assert b.thermal_floor == pytest.approx(thermal, rel=1e-9, abs=0)
+    assert b.magnetic_floor == pytest.approx(magnetic, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("name", ["current", "outlook"])
+def test_floors_do_not_move_with_one_ulp_of_detuning(name):
+    p = table1_preset(name)
+    op = operating_point_numeric(p.spins, p.env)
+    kw = dict(dT_stab=p.dT_stab, dB_stab=10e-9)
+    base = environmental_floors(p.spins, p.cavity, p.env, op, **kw)
+    for d in (np.nextafter(op.detuning_D, -np.inf),
+              np.nextafter(op.detuning_D, np.inf)):
+        lam, vec = _solve(p.spins, p.env, d, p.env.delta_T, p.env.B_field)
+        moved = dataclasses.replace(op, detuning_D=float(d),
+                                    lambdas_rel=lam, eigvecs=vec)
+        b = environmental_floors(p.spins, p.cavity, p.env, moved, **kw)
+        assert b.thermal_floor == pytest.approx(base.thermal_floor, rel=1e-9)
+        assert b.magnetic_floor == pytest.approx(base.magnetic_floor, rel=1e-9)
+
+
+def test_operating_point_and_floors_solve_few_matrices(monkeypatch):
+    # a closed-form-seeded bracket and floors from the root's eigenpairs:
+    # a change that puts the 241-point scan back on the common path, or a
+    # displaced solve back into the floors, fails here
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        matrices.append(np.asarray(a).size // 9)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = random.Random(7)
+    cases = [(table1_preset(name), "upper", 10e-9)
+             for name in ("current", "outlook")]
+    for _ in range(40):  # the design_mix ranges of g, R and dB
+        p = table1_preset(rng.choice(("current", "outlook")))
+        p = dataclasses.replace(
+            p,
+            spins=dataclasses.replace(
+                p.spins, g_collective=from_hz(10 ** rng.uniform(6.0, 7.0))),
+            env=dataclasses.replace(p.env, R_ratio=-rng.uniform(0.03, 0.6),
+                                    B_field=rng.uniform(0.0, 100e-9)))
+        cases.append((p, rng.choice(("upper", "lower")),
+                      rng.uniform(0.0, 100e-9)))
+    for p, branch, db in cases:
+        matrices.clear()
+        op = operating_point_numeric(p.spins, p.env, branch)
+        environmental_floors(p.spins, p.cavity, p.env, op,
+                             dT_stab=p.dT_stab, dB_stab=db)
+        assert sum(matrices) <= 12, (branch, matrices)
 
 
 def test_error_floor_decreases_with_coupling_in_mhz_range():
