@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -39,12 +40,24 @@ from .stability import environmental_floors, stability_curve
 from .transmission import SweepAxis, quadrature_of, spectrum_sweep
 from .units import from_hz, to_hz
 
+# Unit of each sweep variable in documents and outputs; the model holds an
+# "hz" variable in rad/s and the others as they are.
 _AXIS_UNIT = {
     "probe_offset": "hz",
     "cavity_offset": "hz",
     "delta_T": "k",
     "B_field": "t",
 }
+
+
+def _axis_out(variable: str, value):
+    """A model value (or array) of sweep ``variable`` in its document unit."""
+    return to_hz(value) if _AXIS_UNIT[variable] == "hz" else value
+
+
+def _axis_in(variable: str, value):
+    """A document value of sweep ``variable`` in the model's unit."""
+    return from_hz(value) if _AXIS_UNIT[variable] == "hz" else value
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -114,30 +127,25 @@ def _sidecar_path(out: Path) -> Path:
     return out.with_name(out.name + ".provenance.json")
 
 
-def _write_sidecar(out: Path, doc: dict) -> Path:
-    path = _sidecar_path(out)
+def _write_sidecar(out: Path, doc: dict) -> None:
     text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
-    _write_text(path, text + "\n")
-    return path
+    _write_text(_sidecar_path(out), text + "\n")
 
 
 def _axis_to_doc(axis: SweepAxis) -> dict:
-    unit = _AXIS_UNIT[axis.variable]
-    scale = to_hz if unit == "hz" else float
     return {
         "variable": axis.variable,
-        "start": scale(axis.start),
-        "stop": scale(axis.stop),
+        "start": _axis_out(axis.variable, axis.start),
+        "stop": _axis_out(axis.variable, axis.stop),
         "points": axis.points,
-        "unit": unit,
+        "unit": _AXIS_UNIT[axis.variable],
     }
 
 
 def _axis_from_doc(doc: dict) -> SweepAxis:
-    unit = _AXIS_UNIT[doc["variable"]]
-    scale = from_hz if unit == "hz" else float
-    return SweepAxis(doc["variable"], scale(doc["start"]),
-                     scale(doc["stop"]), doc["points"])
+    variable = doc["variable"]
+    return SweepAxis(variable, float(_axis_in(variable, doc["start"])),
+                     float(_axis_in(variable, doc["stop"])), doc["points"])
 
 
 # --- configuration resolution ---------------------------------------------
@@ -203,16 +211,11 @@ def _spectrum_from_doc(doc: dict, out: Path) -> None:
     preset = Preset.from_config(doc["config"])
     axis1 = _axis_from_doc(doc["axis1"])
     axis2 = _axis_from_doc(doc["axis2"])
-    phase = doc["quadrature_phase_rad"]
-    result = spectrum_sweep(
-        preset.spins, preset.cavity, preset.env, axis1, axis2,
-        quadrature_phase=phase,
-    )
+    result = spectrum_sweep(preset.spins, preset.cavity, preset.env,
+                            axis1, axis2)
 
-    unit1 = _AXIS_UNIT[axis1.variable]
-    unit2 = _AXIS_UNIT[axis2.variable]
-    v1 = result.values1 / (2.0 * math.pi) if unit1 == "hz" else result.values1
-    v2 = result.values2 / (2.0 * math.pi) if unit2 == "hz" else result.values2
+    v1 = _axis_out(axis1.variable, result.values1)
+    v2 = _axis_out(axis2.variable, result.values2)
     n1, n2 = v1.size, v2.size
     flat = result.t.reshape(-1)
     _write_table(
@@ -230,13 +233,12 @@ def _spectrum_from_doc(doc: dict, out: Path) -> None:
 
     slice_value = doc.get("slice_axis1_value")
     if slice_value is not None:
-        scale = from_hz(slice_value) if unit1 == "hz" else slice_value
-        actual, grid2, row = result.row_trace(scale)
-        g2 = grid2 / (2.0 * math.pi) if unit2 == "hz" else grid2
+        _, grid2, row = result.row_trace(_axis_in(axis1.variable, slice_value))
         _write_table(
             _slice_path(out),
             ("axis2", "re_t", "im_t", "abs_t", "quadrature"),
-            (g2, row.real, row.imag, np.abs(row), quadrature_of(row, phase)),
+            (_axis_out(axis2.variable, grid2), row.real, row.imag,
+             np.abs(row), quadrature_of(row, doc["quadrature_phase_rad"])),
             doc["format"],
         )
 
@@ -246,7 +248,6 @@ def _slice_path(out: Path) -> Path:
 
 
 def _cmd_spectrum(args) -> int:
-    out = Path(args.out)
     phase = math.radians(_finite_flag(args.quadrature_deg, "--quadrature-deg"))
     points = args.points
 
@@ -263,7 +264,6 @@ def _cmd_spectrum(args) -> int:
         axis2 = _parse_axis(args.axis2, points, "--axis2")
         slice_value = None
 
-    unit1 = _AXIS_UNIT[axis1.variable]
     doc = _provenance(
         "spectrum", preset, args,
         {
@@ -273,14 +273,11 @@ def _cmd_spectrum(args) -> int:
             "axis2": _axis_to_doc(axis2),
             "slice_axis1_value": (
                 None if slice_value is None
-                else (to_hz(slice_value) if unit1 == "hz" else slice_value)
+                else _axis_out(axis1.variable, slice_value)
             ),
         },
     )
-    _spectrum_from_doc(doc, out)
-    _write_sidecar(out, doc)
-    print(f"wrote {out}")
-    return 0
+    return _emit(doc, Path(args.out))
 
 
 def _parse_axis(spec: str | None, points: int, flag: str) -> SweepAxis:
@@ -301,14 +298,15 @@ def _parse_axis(spec: str | None, points: int, flag: str) -> SweepAxis:
         n = int(parts[3]) if len(parts) == 4 else points
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
-    scale = from_hz if _AXIS_UNIT[variable] == "hz" else float
-    return SweepAxis(variable, scale(start), scale(stop), n)
+    return _axis_from_doc(
+        {"variable": variable, "start": start, "stop": stop, "points": n})
 
 
 # --- operating point ---------------------------------------------------------
 
 
-def _operating_point_doc(doc: dict) -> dict:
+def _operating_point_report(doc: dict) -> str:
+    """The operating-point report of ``doc`` as JSON text."""
     preset = Preset.from_config(doc["config"])
     op = operating_point_numeric(preset.spins, preset.env, branch=doc["branch"])
     budget = environmental_floors(
@@ -336,7 +334,7 @@ def _operating_point_doc(doc: dict) -> dict:
                 abs(op.detuning_D - d_closed) / abs(d_closed)
     _require_finite_output(
         {k: v for k, v in report.items() if isinstance(v, float)})
-    return report
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
 def _cmd_operating_point(args) -> int:
@@ -345,15 +343,9 @@ def _cmd_operating_point(args) -> int:
         "operating-point", preset, args,
         {"branch": args.branch, "db_stab_t": _db_stab(args)},
     )
-    report = _operating_point_doc(doc)
-    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
     if args.out:
-        out = Path(args.out)
-        _write_text(out, text)
-        _write_sidecar(out, doc)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+        return _emit(doc, Path(args.out))
+    sys.stdout.write(_operating_point_report(doc))
     return 0
 
 
@@ -401,7 +393,6 @@ def _cmd_stability(args) -> int:
     lo, hi = _parse_tau_range(args.tau)
     if args.tau_points < 1:
         raise ConfigError(f"--tau-points must be >= 1, got {args.tau_points}")
-    out = Path(args.out)
     doc = _provenance(
         "stability", preset, args,
         {
@@ -412,10 +403,7 @@ def _cmd_stability(args) -> int:
             "db_stab_t": _db_stab(args),
         },
     )
-    _stability_from_doc(doc, out)
-    _write_sidecar(out, doc)
-    print(f"wrote {out}")
-    return 0
+    return _emit(doc, Path(args.out))
 
 
 # --- replay -------------------------------------------------------------------
@@ -423,6 +411,7 @@ def _cmd_stability(args) -> int:
 
 # Each sidecar value kind is a predicate with its description.
 _NUMBER = (_is_finite_number, "a finite number")
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0")
 _NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
                    "a finite number or null")
 _COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
@@ -438,8 +427,9 @@ _FORMAT = _one_of("csv", "json")
 _SIDECAR_KEYS = {
     "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
                      axis2=_OBJECT, slice_axis1_value=_NUMBER_OR_NULL),
-    "stability": dict(format=_FORMAT, tau_start_s=_NUMBER, tau_stop_s=_NUMBER,
-                      tau_points=_COUNT, db_stab_t=_NUMBER),
+    "stability": dict(format=_FORMAT, tau_start_s=_POSITIVE,
+                      tau_stop_s=_POSITIVE, tau_points=_COUNT,
+                      db_stab_t=_NUMBER),
     "operating-point": dict(branch=_one_of(*BRANCHES), db_stab_t=_NUMBER),
 }
 _AXIS_KEYS = dict(variable=_one_of(*_AXIS_UNIT), start=_NUMBER, stop=_NUMBER,
@@ -456,10 +446,21 @@ def _require(doc: dict, where: str, kinds: dict) -> None:
                 f"{where} {key!r} must be {expected}, got {doc[key]!r}")
 
 
+def _finite_json_number(text: str) -> float:
+    """A JSON number token as a float; NaN, Infinity and overflows are
+    rejected, so the sidecar written back can hold every value read."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
 def _read_sidecar(path: Path) -> dict:
     """Load a sidecar and check its version and the keys its command reads."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_float=_finite_json_number,
+                         parse_constant=_finite_json_number)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read sidecar {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -475,16 +476,25 @@ def _read_sidecar(path: Path) -> dict:
 
 
 def _cmd_replay(args) -> int:
-    doc = _read_sidecar(Path(args.sidecar))
-    command = doc["command"]
-    out = Path(args.out)
-    if command == "spectrum":
-        _spectrum_from_doc(doc, out)
-    elif command == "stability":
-        _stability_from_doc(doc, out)
-    else:
-        report = _operating_point_doc(doc)
-        _write_text(out, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    return _emit(_read_sidecar(Path(args.sidecar)), Path(args.out))
+
+
+# --- output -------------------------------------------------------------------
+
+
+# Each command's runner writes the output of a document to a path.
+_RUNNERS = {
+    "spectrum": _spectrum_from_doc,
+    "stability": _stability_from_doc,
+    "operating-point": lambda doc, out: _write_text(
+        out, _operating_point_report(doc)),
+}
+
+
+def _emit(doc: dict, out: Path) -> int:
+    """Run ``doc`` into ``out``, then write its sidecar: the one path from a
+    document to its output, shared by fresh runs and ``replay``."""
+    _RUNNERS[doc["command"]](doc, out)
     _write_sidecar(out, doc)
     print(f"wrote {out}")
     return 0
@@ -514,6 +524,9 @@ def _add_common(p: argparse.ArgumentParser, stability: bool) -> None:
                    help="recorded in the provenance sidecar only; "
                         "no computation uses it")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,6 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", required=True)
     rp.set_defaults(func=_cmd_replay)
 
+    # argparse takes "-1e-3" and "-inf" for options, since its own pattern
+    # of a negative number has no exponent; no option here starts this way
+    for p in (parser, sp, op, st, rp):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -44,7 +44,6 @@ class FigureSetup:
     axis1: SweepAxis
     axis2: SweepAxis
     slice_axis1_value: float | None  # emit row_trace() here when set
-    note: str
 
 
 def _spins() -> SpinEnsembleParams:
@@ -72,31 +71,21 @@ def figure_setup(name: str, points: int = 1001) -> FigureSetup:
         env = EnvironmentState(B_field=_splitting_field(split_hz), R_ratio=-0.3)
         cavity = CavityParams(omega_c_ref=spins.omega_zfs, kappa_out=_KAPPA)
         axis1 = SweepAxis("cavity_offset", -from_hz(25e6), from_hz(25e6), points)
-        return FigureSetup(
-            name, spins, cavity, env, axis1, probe, None,
-            note=f"spin branches split to +/-{split_hz / 1e6:g} MHz; "
-                 "probe vs spin-cavity detuning",
-        )
+        return FigureSetup(name, spins, cavity, env, axis1, probe, None)
 
     if name == "2c":
         env = EnvironmentState(R_ratio=-0.3)
         d_op = abs(operating_point_closed_form(_G, -0.3)[0])
         cavity = CavityParams(omega_c_ref=spins.omega_zfs + d_op, kappa_out=_KAPPA)
         axis1 = SweepAxis("delta_T", -200.0, 200.0, points)
-        return FigureSetup(
-            name, spins, cavity, env, axis1, probe, 0.0,
-            note="insensitive branch vs temperature at |R| = 0.3; slice at dT = 0",
-        )
+        return FigureSetup(name, spins, cavity, env, axis1, probe, 0.0)
 
     env = EnvironmentState(R_ratio=-0.3)
     cavity = CavityParams(
         omega_c_ref=spins.omega_zfs + from_hz(_D_PANEL_HZ), kappa_out=_KAPPA
     )
     axis1 = SweepAxis("B_field", -500e-6, 500e-6, points)
-    return FigureSetup(
-        name, spins, cavity, env, axis1, probe, 0.0,
-        note="field sweep at the pinned panel detuning 9.25 MHz; slice at B = 0",
-    )
+    return FigureSetup(name, spins, cavity, env, axis1, probe, 0.0)
 
 
 __all__ = ["FIGURE_NAMES", "FigureSetup", "figure_setup"]

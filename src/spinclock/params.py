@@ -7,6 +7,10 @@ is one delta-function class per branch, which reproduces a homogeneous line.
 
 All values stored here are angular (rad/s); see :mod:`spinclock.units`.
 Temperatures are kelvin, magnetic fields tesla, times seconds.
+
+The flat JSON config that presets and provenance sidecars carry is described
+by one table, ``_FIELDS``, with one row per stored field; a key absent from
+a config takes the field's dataclass default.
 """
 
 from __future__ import annotations
@@ -38,8 +42,12 @@ def _require_finite(obj, *names: str) -> None:
 
 def _is_finite_number(value) -> bool:
     """True for a finite int or float that is not a bool (JSON true/false)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _finite_number(value, name: str):
@@ -196,7 +204,9 @@ class ProbeParams:
             raise ConfigError("photon_flux must be >= 0")
         if not self.tau > 0:
             raise ConfigError("tau must be > 0")
-        if self.beta_amplitude ** 2 > self.photon_flux * (1.0 + 1e-12):
+        # beta * beta overflows to inf where a float's ** 2 raises
+        if self.beta_amplitude * self.beta_amplitude \
+                > self.photon_flux * (1.0 + 1e-12):
             raise ConfigError("beta_amplitude^2 exceeds photon_flux")
 
 
@@ -218,56 +228,42 @@ def instantaneous_frequencies(
 
 # --- flat JSON config mapping -------------------------------------------------
 #
-# Keys carry explicit SI unit suffixes; frequencies are in Hz (cycles/s).
+# One row per stored field: config key -> (parameter type, attribute, whether
+# the key holds the value in Hz where the field holds rad/s).  Keys carry
+# explicit SI unit suffixes.  A key absent from a config is left out of the
+# constructor call, so its field takes the dataclass default.
 
-_SPIN_KEYS = {
-    "omega_zfs_hz": "omega_zfs",
-    "gamma_pump_hz": "gamma_pump",
-    "gamma_dephasing_hz": "Gamma_deph",
-    "gamma_relax_hz": "gamma_0",
-    "g0_single_hz": "g0_single",
-    "g_collective_hz": "g_collective",
+_FIELDS = {
+    "omega_zfs_hz": (SpinEnsembleParams, "omega_zfs", True),
+    "gamma_pump_hz": (SpinEnsembleParams, "gamma_pump", True),
+    "gamma_dephasing_hz": (SpinEnsembleParams, "Gamma_deph", True),
+    "gamma_relax_hz": (SpinEnsembleParams, "gamma_0", True),
+    "g0_single_hz": (SpinEnsembleParams, "g0_single", True),
+    "g_collective_hz": (SpinEnsembleParams, "g_collective", True),
+    "n_spins": (SpinEnsembleParams, "n_spins", False),
+    "omega_c_ref_hz": (CavityParams, "omega_c_ref", True),
+    "kappa_out_hz": (CavityParams, "kappa_out", True),
+    "kappa_loss_hz": (CavityParams, "kappa_loss", True),
+    "dwa_dt_hz_per_k": (EnvironmentState, "dwa_dT", True),
+    "gyromagnetic_hz_per_t": (EnvironmentState, "gyromagnetic", True),
+    "delta_t_k": (EnvironmentState, "delta_T", False),
+    "b_field_t": (EnvironmentState, "B_field", False),
+    "r_ratio": (EnvironmentState, "R_ratio", False),
+    "omega_probe_hz": (ProbeParams, "omega_probe", True),
+    "photon_flux_per_s": (ProbeParams, "photon_flux", False),
+    "beta_amplitude_sqrt_per_s": (ProbeParams, "beta_amplitude", False),
+    "tau_s": (ProbeParams, "tau", False),
+    "quadrature_phase_rad": (ProbeParams, "quadrature_phase", False),
 }
-_CAVITY_KEYS = {
-    "omega_c_ref_hz": "omega_c_ref",
-    "kappa_out_hz": "kappa_out",
-    "kappa_loss_hz": "kappa_loss",
+# The spin classes of each branch as two lists, offsets (Hz) and weights.
+# An absent list is the default single class: offset 0, weight 1.
+_CLASS_KEYS = {
+    Branch.PLUS: ("class_offsets_plus_hz", "class_weights_plus"),
+    Branch.MINUS: ("class_offsets_minus_hz", "class_weights_minus"),
 }
-_ENV_SCALED = {
-    "dwa_dt_hz_per_k": "dwa_dT",
-    "gyromagnetic_hz_per_t": "gyromagnetic",
-}
-_ENV_PLAIN = {
-    "delta_t_k": "delta_T",
-    "b_field_t": "B_field",
-    "r_ratio": "R_ratio",
-}
-_PROBE_KEYS = {
-    "omega_probe_hz": "omega_probe",
-}
-_PROBE_PLAIN = {
-    "photon_flux_per_s": "photon_flux",
-    "beta_amplitude_sqrt_per_s": "beta_amplitude",
-    "tau_s": "tau",
-    "quadrature_phase_rad": "quadrature_phase",
-}
-_CLASS_KEYS = (
-    "class_offsets_plus_hz",
-    "class_weights_plus",
-    "class_offsets_minus_hz",
-    "class_weights_minus",
-)
+_TYPES = (SpinEnsembleParams, CavityParams, EnvironmentState, ProbeParams)
 
-KNOWN_CONFIG_KEYS = frozenset(
-    list(_SPIN_KEYS)
-    + ["n_spins"]
-    + list(_CAVITY_KEYS)
-    + list(_ENV_SCALED)
-    + list(_ENV_PLAIN)
-    + list(_PROBE_KEYS)
-    + list(_PROBE_PLAIN)
-    + list(_CLASS_KEYS)
-)
+KNOWN_CONFIG_KEYS = frozenset(_FIELDS).union(*_CLASS_KEYS.values())
 
 
 def params_to_config(
@@ -277,29 +273,15 @@ def params_to_config(
     probe: ProbeParams,
 ) -> dict:
     """Flatten the four parameter objects into one Hz-facing key-value dict."""
+    objects = dict(zip(_TYPES, (spins, cavity, env, probe)))
     cfg: dict = {}
-    for key, attr in _SPIN_KEYS.items():
-        value = getattr(spins, attr)
-        cfg[key] = None if value is None else to_hz(value)
-    cfg["n_spins"] = spins.n_spins
-    cfg["class_offsets_plus_hz"] = [
-        to_hz(c.detuning_offset) for c in spins.classes(Branch.PLUS)
-    ]
-    cfg["class_weights_plus"] = [c.weight for c in spins.classes(Branch.PLUS)]
-    cfg["class_offsets_minus_hz"] = [
-        to_hz(c.detuning_offset) for c in spins.classes(Branch.MINUS)
-    ]
-    cfg["class_weights_minus"] = [c.weight for c in spins.classes(Branch.MINUS)]
-    for key, attr in _CAVITY_KEYS.items():
-        cfg[key] = to_hz(getattr(cavity, attr))
-    for key, attr in _ENV_SCALED.items():
-        cfg[key] = to_hz(getattr(env, attr))
-    for key, attr in _ENV_PLAIN.items():
-        cfg[key] = getattr(env, attr)
-    for key, attr in _PROBE_KEYS.items():
-        cfg[key] = to_hz(getattr(probe, attr))
-    for key, attr in _PROBE_PLAIN.items():
-        cfg[key] = getattr(probe, attr)
+    for key, (kind, attr, hz) in _FIELDS.items():
+        value = getattr(objects[kind], attr)
+        cfg[key] = to_hz(value) if hz and value is not None else value
+    for branch, (off_key, w_key) in _CLASS_KEYS.items():
+        classes = spins.classes(branch)
+        cfg[off_key] = [to_hz(c.detuning_offset) for c in classes]
+        cfg[w_key] = [c.weight for c in classes]
     return cfg
 
 
@@ -315,16 +297,6 @@ def params_from_config(
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    def angular(key, default):
-        if key not in cfg:
-            return default
-        if key == "g_collective_hz" and cfg[key] is None:
-            return None
-        return from_hz(_finite_number(cfg[key], key))
-
-    def plain(key, default):
-        return _finite_number(cfg[key], key) if key in cfg else default
-
     def numbers(key, default):
         values = cfg.get(key, default)
         if not isinstance(values, list):
@@ -332,10 +304,7 @@ def params_from_config(
         return [_finite_number(v, key) for v in values]
 
     classes = []
-    for branch, off_key, w_key in (
-        (Branch.PLUS, "class_offsets_plus_hz", "class_weights_plus"),
-        (Branch.MINUS, "class_offsets_minus_hz", "class_weights_minus"),
-    ):
+    for branch, (off_key, w_key) in _CLASS_KEYS.items():
         offsets = numbers(off_key, [0.0])
         weights = numbers(w_key, [1.0])
         if len(offsets) != len(weights):
@@ -343,40 +312,18 @@ def params_from_config(
         for off, w in zip(offsets, weights):
             classes.append(SpinClass(from_hz(off), w, branch))
 
-    spin_defaults = SpinEnsembleParams()
-    spins = SpinEnsembleParams(
-        omega_zfs=angular("omega_zfs_hz", spin_defaults.omega_zfs),
-        spin_classes=tuple(classes),
-        gamma_pump=angular("gamma_pump_hz", spin_defaults.gamma_pump),
-        Gamma_deph=angular("gamma_dephasing_hz", spin_defaults.Gamma_deph),
-        gamma_0=angular("gamma_relax_hz", spin_defaults.gamma_0),
-        g0_single=angular("g0_single_hz", spin_defaults.g0_single),
-        n_spins=plain("n_spins", spin_defaults.n_spins),
-        g_collective=angular("g_collective_hz", None),
-    )
-    cavity_defaults = CavityParams()
-    cavity = CavityParams(
-        omega_c_ref=angular("omega_c_ref_hz", cavity_defaults.omega_c_ref),
-        kappa_out=angular("kappa_out_hz", cavity_defaults.kappa_out),
-        kappa_loss=angular("kappa_loss_hz", cavity_defaults.kappa_loss),
-    )
-    env_defaults = EnvironmentState()
-    env = EnvironmentState(
-        delta_T=plain("delta_t_k", env_defaults.delta_T),
-        B_field=plain("b_field_t", env_defaults.B_field),
-        dwa_dT=angular("dwa_dt_hz_per_k", env_defaults.dwa_dT),
-        R_ratio=plain("r_ratio", env_defaults.R_ratio),
-        gyromagnetic=angular("gyromagnetic_hz_per_t", env_defaults.gyromagnetic),
-    )
-    probe_defaults = ProbeParams()
-    probe = ProbeParams(
-        omega_probe=angular("omega_probe_hz", probe_defaults.omega_probe),
-        photon_flux=plain("photon_flux_per_s", probe_defaults.photon_flux),
-        beta_amplitude=plain("beta_amplitude_sqrt_per_s", probe_defaults.beta_amplitude),
-        tau=plain("tau_s", probe_defaults.tau),
-        quadrature_phase=plain("quadrature_phase_rad", probe_defaults.quadrature_phase),
-    )
-    return spins, cavity, env, probe
+    kwargs = {kind: {} for kind in _TYPES}
+    kwargs[SpinEnsembleParams]["spin_classes"] = tuple(classes)
+    for key, (kind, attr, hz) in _FIELDS.items():
+        if key not in cfg:
+            continue
+        value = cfg[key]
+        # a null coupling is derived as g0 * sqrt(N)
+        if value is not None or key != "g_collective_hz":
+            value = _finite_number(value, key)
+            value = from_hz(value) if hz else value
+        kwargs[kind][attr] = value
+    return tuple(kind(**kwargs[kind]) for kind in _TYPES)
 
 
 __all__ = [

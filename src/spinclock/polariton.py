@@ -58,10 +58,9 @@ class PolaritonSolution:
 
     lambdas: np.ndarray        # (3,) rad/s, ascending
     eigvecs: np.ndarray        # (3, 3), column j belongs to lambdas[j]
-    branch_labels: tuple[str, str, str] = BRANCHES
 
     def branch(self, name: str) -> float:
-        return float(self.lambdas[self.branch_labels.index(name)])
+        return float(self.lambdas[_branch_index(name)])
 
 
 @dataclass(frozen=True)

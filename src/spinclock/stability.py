@@ -117,7 +117,7 @@ def shot_noise_precision(cavity: CavityParams, probe: ProbeParams) -> float:
         raise ValueError("tau must be > 0")
     xi = cavity.loss_ratio
     return (cavity.kappa_out / math.sqrt(probe.tau * probe.photon_flux)) \
-        * math.sqrt(1.0 + 0.5 * xi ** 2)
+        * math.sqrt(1.0 + 0.5 * _square(xi))
 
 
 def shot_noise_fractional(
@@ -159,16 +159,15 @@ def polarization_steady_state(
 
 def coupling_sensitivity_to_pump(
     spins: SpinEnsembleParams,
-    alpha_drive: float = 0.0,
 ) -> tuple[float, float]:
     """(dg/g per dgamma/gamma, nominal 1e-8) for side-by-side reporting.
 
-    g tracks sqrt(P), so dg/g = dP / (2 P).  The nominal 1e-8 design figure
-    is not recoverable from the rate model; both numbers are returned and
-    the computed one is used downstream.
+    g tracks sqrt(P), so dg/g = dP / (2 P), taken without a microwave
+    drive.  The nominal 1e-8 design figure is not recoverable from the rate
+    model; both numbers are returned and the computed one is used downstream.
     """
     state = polarization_steady_state(
-        spins.gamma_pump, spins.gamma_0, spins.g0_single, alpha_drive
+        spins.gamma_pump, spins.gamma_0, spins.g0_single, 0.0
     )
     dP = state.dP_dgamma * spins.gamma_pump  # dgamma = gamma * (dgamma/gamma)
     ratio = 0.5 * dP / state.P if state.P > 0 else 0.0
@@ -182,7 +181,6 @@ def environmental_floors(
     op: OperatingPoint,
     dT_stab: float,
     dB_stab: float,
-    alpha_drive: float = 0.0,
     laser_stability: float = 1e-6,
 ) -> NoiseBudget:
     """Fractional floors for static offsets of the stabilization magnitudes.
@@ -202,7 +200,7 @@ def environmental_floors(
     magnetic = abs(_shift(lam, vec, idx, _dH_dB(env), dB_stab)) / nu0
 
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
-    dg_over_g, _ = coupling_sensitivity_to_pump(spins, alpha_drive)
+    dg_over_g, _ = coupling_sensitivity_to_pump(spins)
     dg = dg_over_g * laser_stability * spins.branch_coupling
     pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
 

@@ -131,15 +131,10 @@ class SweepResult:
     values1: np.ndarray
     values2: np.ndarray
     t: np.ndarray  # complex, shape (axis1.points, axis2.points)
-    quadrature_phase: float
 
     @property
     def abs_t(self) -> np.ndarray:
         return np.abs(self.t)
-
-    @property
-    def quadrature(self) -> np.ndarray:
-        return quadrature_of(self.t, self.quadrature_phase)
 
     def row_trace(self, axis1_value: float) -> tuple[float, np.ndarray, np.ndarray]:
         """1-D cut at the axis1 grid point nearest ``axis1_value``.
@@ -163,7 +158,6 @@ def spectrum_sweep(
     env: EnvironmentState,
     axis1: SweepAxis,
     axis2: SweepAxis,
-    quadrature_phase: float = math.pi / 2,
     omega_probe_fixed: float | None = None,
 ) -> SweepResult:
     """Evaluate the transmission over a 2-D grid of swept variables.
@@ -179,14 +173,19 @@ def spectrum_sweep(
     alone in a probe-vs-cavity sweep).  The grid is filled one block of about
     ``_BLOCK_POINTS`` points at a time, so no temporary grows past one block
     and the preallocated ``(n1, n2)`` result is the only grid-sized array.
-    Every step is elementwise, so the block size changes no value.
+    Every step is elementwise, so the block size changes no value.  A grid
+    too large to allocate is a ConfigError, raised before any block runs.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("sweep axes must differ")
 
     v1 = axis1.grid()
     v2 = axis2.grid()
-    t = np.empty((v1.size, v2.size), dtype=np.complex128)
+    try:
+        t = np.empty((v1.size, v2.size), dtype=np.complex128)
+    except MemoryError:
+        raise ConfigError(f"a {v1.size} x {v2.size} sweep grid does not fit "
+                          "in memory") from None
     rows = max(1, _BLOCK_POINTS // v2.size)
     for start in range(0, v1.size, rows):
         block = slice(start, start + rows)
@@ -207,14 +206,7 @@ def spectrum_sweep(
 
         c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
         t[block] = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
-    return SweepResult(
-        axis1=axis1,
-        axis2=axis2,
-        values1=v1,
-        values2=v2,
-        t=t,
-        quadrature_phase=quadrature_phase,
-    )
+    return SweepResult(axis1=axis1, axis2=axis2, values1=v1, values2=v2, t=t)
 
 
 __all__ = [

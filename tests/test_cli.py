@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -398,25 +401,158 @@ _FLAG_VALUES = st.one_of(
     st.floats(-1e9, 1e9),
 )
 _FUZZ_FLAGS = ("--g-hz", "--R", "--kappa-hz", "--dT-mk", "--B-nt",
-               "--power-photons-per-s")
+               "--power-photons-per-s", "--quadrature-deg")
+_FUZZ_COMMANDS = {
+    "operating-point": ["operating-point"],
+    "stability": ["stability", "--tau-points", "5"],
+    "spectrum": ["spectrum", "--figure", "2a", "--points", "5"],
+}
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["operating-point", "stability"]),
+def _quiet_main(argv):
+    """``main(argv)`` with stdout dropped; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
        flags=st.dictionaries(st.sampled_from(_FUZZ_FLAGS), _FLAG_VALUES,
                              max_size=len(_FUZZ_FLAGS)))
 @example(command="operating-point", flags={"--g-hz": 1.0, "--R": -1.0})
+@example(command="operating-point", flags={"--g-hz": -1e16})
 def test_flag_fuzz_ends_in_a_documented_exit(command, flags):
     # any value of any flag ends in success, a configuration error or a
-    # solver error, never in a traceback or a warning
-    argv = [command, *(f"{flag}={value!r}" for flag, value in flags.items())]
-    if command == "stability":
-        argv += ["--tau-points", "5"]
+    # solver error, never in a traceback or a warning; values are passed
+    # as separate arguments, so a negative one must not read as an option
+    argv = [*_FUZZ_COMMANDS[command],
+            *(arg for flag, value in flags.items()
+              if command == "spectrum" or flag != "--quadrature-deg"
+              for arg in (flag, repr(value)))]
     with tempfile.TemporaryDirectory() as tmp:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            rc = main([*argv, "--out", str(Path(tmp) / "out.csv")])
+        rc, err = _quiet_main([*argv, "--out", str(Path(tmp) / "out.csv")])
     assert rc in (0, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
-    assert "Warning" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+    assert "Warning" not in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["operating-point", "--R", "-1e-3"],
+    ["operating-point", "--R", "-1E+2"],
+    ["operating-point", "--g-hz", "-inf"],
+    ["spectrum", "--figure", "2a", "--points", "5",
+     "--quadrature-deg", "-1e1"],
+], ids=["R-exponent", "R-capital-exponent", "g-minus-inf",
+        "quadrature-exponent"])
+def test_negative_flag_value_in_exponent_form(tmp_path, argv):
+    # "--flag -1e-3" must mean the same as "--flag=-1e-3"
+    *head, flag, value = argv
+    out = tmp_path / "out.csv"
+    results = []
+    for form in (argv, [*head, f"{flag}={value}"]):
+        rc, err = _quiet_main([*form, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        for f in tmp_path.iterdir():
+            f.unlink()
+        results.append((rc, err, files))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 2, 3)
+
+
+def test_oversized_sweep_grid_is_config_error(tmp_path, capsys):
+    # 3e6 x 3e6 complex points are beyond any address space: the grid
+    # allocation fails at once, before a block runs or a file opens
+    assert _run("spectrum", "--figure", "2a", "--points", "3000000",
+                "--out", str(tmp_path / "out.csv")) == 2
+    err = capsys.readouterr().err
+    assert "3000000 x 3000000" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@functools.cache
+def _valid_sidecars() -> dict:
+    """A valid sidecar document of each command, written by a fresh run."""
+    runs = {
+        "spectrum-figure": ["spectrum", "--figure", "2c", "--points", "3"],
+        "spectrum-axes": ["spectrum", "--axis1", "B_field:-1e-6:1e-6",
+                          "--axis2", "cavity_offset:-1e6:1e6", "--points",
+                          "3", "--format", "json", "--seed", "4"],
+        "stability": ["stability", "--tau-points", "3", "--B-nt", "5"],
+        "operating-point": ["operating-point", "--branch", "lower"],
+    }
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in runs.items():
+            out = Path(tmp) / "out.csv"
+            assert _quiet_main([*argv, "--out", str(out)])[0] == 0
+            docs[name] = json.loads(
+                (Path(tmp) / "out.csv.provenance.json").read_text())
+    return docs
+
+
+# JSON values of every kind; floats include NaN and the infinities (written
+# as the NaN / Infinity tokens), +/-1e308 and an integer no float can hold.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.integers(-2 ** 70, 2 ** 70), st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=2),
+)
+_DROP = object()  # a mutation that removes the key
+
+
+@st.composite
+def _mutations(draw):
+    """(sidecar, place, key, new value or _DROP) for one of the valid
+    sidecars; the place is the top level, the config or an axis."""
+    name = draw(st.sampled_from(sorted(_valid_sidecars())))
+    doc = _valid_sidecars()[name]
+    place = draw(st.sampled_from(
+        ["top", "config", *(axis for axis in ("axis1", "axis2")
+                            if axis in doc)]))
+    key = draw(st.sampled_from(sorted(doc if place == "top" else doc[place])))
+    if key in ("points", "tau_points"):
+        # a count stays small, so no draw allocates a large grid
+        values = _JSON_VALUES.filter(
+            lambda v: not isinstance(v, int) or isinstance(v, bool) or v <= 64)
+    else:
+        values = _JSON_VALUES
+    return name, place, key, draw(st.one_of(st.just(_DROP), values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutation=_mutations())
+@example(mutation=("stability", "top", "seed", math.nan))
+@example(mutation=("operating-point", "top", "tool", math.inf))
+@example(mutation=("stability", "config", "kappa_loss_hz", 1e300))
+@example(mutation=("stability", "top", "tau_start_s", -1.0))
+@example(mutation=("operating-point", "config", "beta_amplitude_sqrt_per_s",
+                   1.3407807929942597e+154))
+def test_replay_fuzz_ends_in_a_documented_exit(mutation):
+    # a sidecar with one key dropped or replaced ends in success, a
+    # configuration error or a solver error; a failed run writes nothing
+    name, place, key, value = mutation
+    doc = copy.deepcopy(_valid_sidecars()[name])
+    target = doc if place == "top" else doc[place]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp) / "in.json"
+        sidecar.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out" / "out.csv"
+        rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+        written = list(out.parent.iterdir()) if out.parent.exists() else []
+    assert rc in (0, 2, 3), mutation
+    assert "Traceback" not in err and "Warning" not in err, (mutation, err)
+    if rc:
+        assert written == [], (mutation, err)

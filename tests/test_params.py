@@ -7,6 +7,7 @@ import pytest
 from spinclock.params import (
     Branch,
     CavityParams,
+    KNOWN_CONFIG_KEYS,
     ConfigError,
     EnvironmentState,
     ProbeParams,
@@ -210,3 +211,27 @@ def test_config_values_must_be_finite_numbers(key, value):
     cfg[key] = value
     with pytest.raises(ConfigError, match=key):
         Preset.from_config(cfg)
+
+
+def test_every_config_key_is_read():
+    # a key that passes the unknown-key check must reach its field: set to
+    # a value unlike both the preset's and the default, it comes back
+    cfg = table1_preset("current").to_config()
+    del cfg["preset_name"], cfg["dt_stab_k"]
+    default = params_to_config(*params_from_config({}))
+    for key in sorted(KNOWN_CONFIG_KEYS):
+        changed = dict(cfg)
+        if key.startswith("class_weights_"):
+            offsets = key.replace("class_weights_", "class_offsets_") + "_hz"
+            changed[offsets] = [0.0, 0.0]
+            changed[key] = [0.25, 0.75]
+        elif key.startswith("class_offsets_"):
+            changed[key] = [1e3]
+        else:
+            changed[key] = 0.75 * cfg[key] if cfg[key] else 0.5
+        assert changed[key] not in (cfg[key], default[key]), key
+        back = params_to_config(*params_from_config(changed))[key]
+        if "_hz" in key:  # through rad/s and back
+            assert back == pytest.approx(changed[key], rel=1e-15), key
+        else:
+            assert back == changed[key], key

@@ -426,8 +426,30 @@ def test_sweep_memory_is_output_plus_one_block():
       "--format", "json"],
      {"out.json": "26851e3b32aba71778ed34553338a6c1"
                   "7cf3e0e9113489063a9743c4aee50fc2"}),
+    # recorded before the config field table and the shared emit path;
+    # they pin the report and sidecar formats, K and T axes included
+    (["operating-point", "--preset", "outlook", "--branch", "lower",
+      "--g-hz", "2.5e6", "--R", "-0.37", "--kappa-hz", "1e5", "--dT-mk", "4",
+      "--B-nt", "30"],
+     {"out.json": "22f1d21f775c550198f2d1aa8cc2790f"
+                  "7aa09ec87c45d2df08bad1861e4ba952",
+      "out.json.provenance.json": "f7f0dcf794ef4fa2de8643c65743b39a"
+                                  "d51f35f4a0773c23b8c6a838d5cfea15"}),
+    (["spectrum", "--axis1", "delta_T:-1:1", "--axis2", "B_field:-1e-6:1e-6:7",
+      "--points", "9", "--format", "json"],
+     {"out.json": "6134016d4472172dc0fc949d48044dad"
+                  "e7d730d1c8146ef9d7741b2e2910cc2a",
+      "out.json.provenance.json": "931a5bcf92f2d6338e8c45f9153723d3"
+                                  "7d9c5d4de98514bd5e8c5bd15bf1e76f"}),
+    (["stability", "--preset", "current", "--g-hz", "2e6", "--dT-mk", "5",
+      "--B-nt", "20", "--format", "json"],
+     {"out.json": "b53f296cc60340fc69621f3fc82ad8654"
+                  "c939067fe5b0b04bef056a8722d3fb1",
+      "out.json.provenance.json": "4f4ed9e3539251ceea627be02564ea1b"
+                                  "50c4715fbe5161fa1a4062f7736f79c6"}),
 ], ids=["fig2a-61", "fig2c-41", "fig2d-201", "stability-outlook-csv",
-        "stability-outlook-json"])
+        "stability-outlook-json", "operating-point-report-sidecar",
+        "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
 def test_fig2a_csv_bytes_unchanged(tmp_path, argv, digests):
     out = tmp_path / next(iter(digests))
     assert main([*argv, "--out", str(out)]) == 0
