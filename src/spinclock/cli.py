@@ -354,11 +354,12 @@ def _cmd_operating_point(args) -> int:
 
 def _stability_from_doc(doc: dict, out: Path) -> None:
     preset = Preset.from_config(doc["config"])
-    taus = np.logspace(
-        math.log10(doc["tau_start_s"]),
-        math.log10(doc["tau_stop_s"]),
-        doc["tau_points"],
-    )
+    try:
+        taus = np.logspace(math.log10(doc["tau_start_s"]),
+                           math.log10(doc["tau_stop_s"]), doc["tau_points"])
+    except MemoryError:
+        raise ConfigError(f"tau_points = {doc['tau_points']} does not fit "
+                          "in memory") from None
     curve = stability_curve(preset, taus=taus, dB_stab=doc["db_stab_t"])
     n = curve.taus.size
     _write_table(

@@ -30,6 +30,30 @@ positive detuning must shift like the bare cavity, R*a.)  Setting the slope
 to zero gives the insensitive detunings
 
     D_pm = +/- sqrt(2) g (sqrt|R| - 1/sqrt|R|),    R < 0.
+
+At any field and temperature the same root is in closed form.  With
+T' = a dT and B' = gyro B the spin lines sit at w+/- = T' +/- B'; every
+coupling is g or 0.  Off the spin lines an eigenvector is
+v ~ (1, g+/(L - w+), g-/(L - w-)), and the slope a (1 - (1 - R) v_c^2)
+vanishes where
+
+    sum_k g_k^2 / (L - w_k)^2 = r,    r = -R > 0.
+
+With both lines coupled, z = L - T' and h = |B'| turn this into a quadratic
+in z^2; with q = hypot(g, 2 h sqrt(r)) its roots and detunings are
+
+    bright:  z = +/- hypot(h, sqrt(g/r) sqrt(g + q))     (upper +, lower -)
+             D = (1 - R) T' + z (1 - 2 r g / (g + q))
+    middle:  z = -/+ h sqrt((q - 3g) / (q + g))          (h > 0, q >= 3g)
+             D = (1 - R) T' + z (1 + g (g + q) / (2 h^2)).
+
+With one line coupled, at w_k, the other line w_d is an eigenvalue of its
+own; the cavity pair has its root at L = w_k + s g/sqrt(r), s = +/-1,
+
+    D = w_k + s g (1 - r)/sqrt(r) - R T',
+
+on branch (s > 0) + (L > w_d) of the three ascending ones.  At B = 0,
+dT = 0 the bright roots are D_pm again, and D = 0 exactly at R = -1.
 """
 
 from __future__ import annotations
@@ -43,13 +67,11 @@ from .params import CavityParams, EnvironmentState, SpinEnsembleParams
 
 BRANCHES = ("lower", "middle", "upper")
 
-_SCAN_POINTS = 241     # detunings in the operating-point scan over +/-20 g
-_XTOL = 1e-3          # rad/s, width at which the root bracket counts as polished
-_POLISH_MAXITER = 100  # hard cap on polish steps
+_POLISH_MAXITER = 100  # hard cap on the Newton steps of _shift
 
 
 class NoOperatingPointError(RuntimeError):
-    """No zero of dnu/dT exists in the searched detuning range."""
+    """No zero of dnu/dT exists within +/-20 g of detuning."""
 
 
 @dataclass(frozen=True)
@@ -310,62 +332,41 @@ def dnu_dT_central_difference(
     return float((up - dn) / (2.0 * step))
 
 
-def _bracketed_root(f, a, b, fa, fb):
-    """Zero of ``f`` in [a, b], where ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
+def _insensitive_detunings(spins: SpinEnsembleParams, env: EnvironmentState,
+                           idx: int) -> list[float]:
+    """Every detuning at which branch ``idx`` has zero thermal slope, R < 0.
 
-    False-position steps with the Illinois halving of a stale end keep the
-    root bracketed and converge superlinearly.  A step lands at least
-    _XTOL / 2 inside each end (Dekker's minimum step), so a root next to one
-    end, as at a closed-form seed, closes the bracket in one step instead of
-    a run of halvings of the far end; a step that would not land strictly
-    inside the bracket bisects instead.  The loop stops once the bracket is
-    narrower than _XTOL, cannot be split in floating point (ulp(D) > _XTOL),
-    or after _POLISH_MAXITER steps, and returns the secant point of the
-    final bracket.
+    The closed forms of the module docstring, at the field and temperature
+    of ``env``.  None squares g or cubes a detuning, so each stays finite
+    wherever the root is a float.
     """
-    wa, wb = fa, fb  # end values as scaled by the Illinois rule
-    kept = 0         # which end the previous step kept: -1 a, +1 b
-    for _ in range(_POLISH_MAXITER):
-        if b - a <= _XTOL:
-            break
-        x = a - wa * (b - a) / (wb - wa)
-        x = min(max(x, a + 0.5 * _XTOL), b - 0.5 * _XTOL)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if not a < x < b:
-                break
-        fx = f(x)
-        if fx == 0:
-            return x
-        if (fx > 0) == (fa > 0):
-            a, fa, wa = x, fx, fx
-            if kept == +1:
-                wb *= 0.5
-            kept = +1
-        else:
-            b, fb, wb = x, fx, fx
-            if kept == -1:
-                wa *= 0.5
-            kept = -1
-    return a - fa * (b - a) / (fb - fa)
-
-
-def _first_root(f, xs, ys):
-    """First zero of ``f`` over ascending samples ``xs``, ``ys = f(xs)``.
-
-    A sample where f is exactly zero is that zero; otherwise the first sign
-    change is polished by ``_bracketed_root``.  None if there is neither.
-    """
-    sign = np.sign(ys)
-    hits = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    if sign[i] == 0:
-        return float(xs[i])
-    if sign[i + 1] == 0:
-        return float(xs[i + 1])
-    return float(_bracketed_root(f, xs[i], xs[i + 1], ys[i], ys[i + 1]))
+    # Python floats: no numpy overflow warnings, and bools that add as ints
+    g = float(spins.branch_coupling)
+    p, m = _coupling_pattern(spins)
+    r = -float(env.R_ratio)
+    thermal = float(env.dwa_dT * env.delta_T)
+    zeeman = float(env.gyromagnetic * env.B_field)
+    base = (1.0 + r) * thermal
+    if p and m:
+        h = abs(zeeman)
+        q = math.hypot(g, 2.0 * h * math.sqrt(r))
+        if idx != 1:
+            z = math.hypot(h, math.sqrt(g / r) * math.sqrt(g + q))
+            z = z if idx == 2 else -z
+            return [base + z * (1.0 - 2.0 * r * g / (g + q))]
+        if not (h > 0 and q >= 3.0 * g):
+            return []
+        z = h * math.sqrt((q - 3.0 * g) / (q + g))
+        c = 1.0 + 0.5 * (g / h) * ((g + q) / h)
+        return [base - z * c, base + z * c]
+    if not (p or m):
+        return []
+    # one line coupled, at thermal + sign * zeeman; the other is a bare
+    # eigenvalue, below or above the root's branch
+    sign = 1.0 if p else -1.0
+    arm = g / math.sqrt(r)
+    return [base + sign * zeeman + s * arm * (1.0 - r) for s in (-1.0, 1.0)
+            if (s > 0) + (2.0 * sign * zeeman + s * arm > 0) == idx]
 
 
 def operating_point_numeric(
@@ -375,18 +376,12 @@ def operating_point_numeric(
 ) -> OperatingPoint:
     """Root of dnu/dT over spin-cavity detuning for one branch.
 
-    A bright branch is bracketed about its signed closed-form root D_pm
-    (exact for equal couplings at B = 0, a seed elsewhere) by one stacked
-    Hellmann-Feynman solve at D_pm and D_pm +/- h, h the scan spacing
-    40 g / (_SCAN_POINTS - 1).  The middle branch, and a seed bracket that
-    has no sign change or reaches outside +/-20 g, fall back to a stacked
-    solve of _SCAN_POINTS detunings over +/-20 g, whose first sign change
-    is the bracket.  A sample where the slope is exactly zero is the root.
-    The root is polished inside the bracket by false position with
-    bisection; one solve at the root gives the residual slope, the exact
-    temperature and field curvatures (second-order perturbation theory) and
-    the eigenpairs that the environmental floors shift.  R >= 0 has no
-    root: the slope a (R v_c^2 + 1 - v_c^2) keeps the sign of a.
+    The root is the first in ascending detuning, within +/-20 g, of the
+    closed forms in ``_insensitive_detunings``; there is no search.  One
+    solve at the root gives the residual slope, the exact temperature and
+    field curvatures (second-order perturbation theory) and the eigenpairs
+    that the environmental floors shift.  R >= 0 has no root: the slope
+    a (R v_c^2 + 1 - v_c^2) keeps the sign of a.
     """
     idx = _branch_index(branch)
     g = spins.branch_coupling
@@ -402,33 +397,19 @@ def operating_point_numeric(
             "response, dnu/dT keeps its sign or vanishes on every branch"
         )
     lo, hi = -20.0 * g, 20.0 * g
-    h = (hi - lo) / (_SCAN_POINTS - 1)
-    dh_dt = _dH_dT(env)
-
-    def slope(detuning):
-        _, vec = _solve(spins, env, detuning, env.delta_T, env.B_field)
-        return _slope(vec, idx, dh_dt)
-
-    root = None
-    if branch != "middle":
-        lower, upper = operating_point_closed_form(g, env.R_ratio)
-        seed = lower if branch == "lower" else upper
-        if lo <= seed - h and seed + h <= hi:
-            xs = seed + np.array([-h, 0.0, h])
-            root = _first_root(slope, xs, slope(xs))
-    if root is None:
-        grid = np.linspace(lo, hi, _SCAN_POINTS)
-        root = _first_root(slope, grid, slope(grid))
-    if root is None:
+    roots = [d for d in _insensitive_detunings(spins, env, idx) if lo <= d <= hi]
+    if not roots:
         raise NoOperatingPointError(
             f"dnu/dT has no sign change on branch {branch!r} in "
             f"[{lo:.3e}, {hi:.3e}] rad/s"
         )
+    root = min(roots)
+    dh_dt = _dH_dT(env)
     lam, vec = _solve(spins, env, root, env.delta_T, env.B_field)
     residual = float(_slope(vec, idx, dh_dt))
     if abs(residual) > 1e-6 * abs(env.dwa_dT):
         raise NoOperatingPointError(
-            f"root polish failed: |dnu/dT| = {abs(residual):.3e} rad/s/K"
+            f"|dnu/dT| = {abs(residual):.3e} rad/s/K at the closed-form root"
         )
     return OperatingPoint(
         detuning_D=root,

@@ -216,7 +216,6 @@ def stability_curve(
     preset: Preset,
     taus=None,
     dB_stab: float = 0.0,
-    op: OperatingPoint | None = None,
 ) -> StabilityCurve:
     """Fractional frequency deviation vs integration time for a preset.
 
@@ -230,8 +229,7 @@ def stability_curve(
     if np.any(taus <= 0):
         raise ValueError("integration times must be > 0")
 
-    if op is None:
-        op = operating_point_numeric(preset.spins, preset.env)
+    op = operating_point_numeric(preset.spins, preset.env)
     budget = environmental_floors(
         preset.spins, preset.cavity, preset.env, op,
         dT_stab=preset.dT_stab, dB_stab=dB_stab,

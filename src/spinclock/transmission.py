@@ -61,7 +61,11 @@ class SweepAxis:
     def grid(self) -> np.ndarray:
         if self.points == 1:
             return np.array([0.5 * (self.start + self.stop)])
-        return np.linspace(self.start, self.stop, self.points)
+        try:
+            return np.linspace(self.start, self.stop, self.points)
+        except MemoryError:
+            raise ConfigError(f"a {self.points}-point {self.variable} axis "
+                              "does not fit in memory") from None
 
 
 def quadrature_of(t, phase: float):

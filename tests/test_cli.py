@@ -472,6 +472,29 @@ def test_oversized_sweep_grid_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,sidecar,place,key", [
+    (["stability", "--tau-points", str(10 ** 14)], "stability", "top",
+     "tau_points"),
+    (["spectrum", "--axis1", f"probe_offset:-1e6:1e6:{10 ** 14}",
+      "--axis2", "cavity_offset:-1e6:1e6:3"], "spectrum-axes", "axis1",
+     "points"),
+], ids=["tau-points", "axis-points"])
+def test_oversized_point_count_is_config_error(tmp_path, argv, sidecar,
+                                               place, key):
+    # 10**14 float64 points are beyond any address space, so the allocation
+    # fails at once; from a flag or a replayed sidecar the run exits 2
+    # naming the count and writes nothing
+    doc = copy.deepcopy(_valid_sidecars()[sidecar])
+    (doc if place == "top" else doc[place])[key] = 10 ** 14
+    (tmp_path / "in.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out" / "out.csv"
+    for run in (argv, ["replay", str(tmp_path / "in.json")]):
+        rc, err = _quiet_main([*run, "--out", str(out)])
+        assert rc == 2, (run, err)
+        assert str(10 ** 14) in err and "Traceback" not in err, err
+        assert not out.parent.exists()
+
+
 @functools.cache
 def _valid_sidecars() -> dict:
     """A valid sidecar document of each command, written by a fresh run."""

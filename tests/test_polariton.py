@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,9 @@ from spinclock.params import (
     SpinEnsembleParams,
 )
 from spinclock.polariton import (
-    _SCAN_POINTS,
-    _XTOL,
     BRANCHES,
     NoOperatingPointError,
-    _bracketed_root,
+    _coupling_pattern,
     _dH_dT,
     _slope,
     _solve,
@@ -42,6 +41,7 @@ from spinclock.polariton import (
 )
 from spinclock.presets import table1_preset
 from spinclock.units import from_hz, to_hz
+from test_stability import _exact_eigenvalue
 
 ZFS = from_hz(2.87e9)
 
@@ -244,9 +244,13 @@ def test_polish_stops_where_detuning_ulp_exceeds_tolerance():
         operating_point_closed_form(g, -0.3)[1], rel=1e-12)
 
 
+_SCAN_POINTS = 241  # reference grid over +/-20 g
+_XTOL = 1e-3        # rad/s, width of the reference's final bracket
+
+
 def _scan_root(spins, env, branch):
     """Reference root: the first zero of dnu/dT on a _SCAN_POINTS grid over
-    +/-20 g, polished in its bracket; None if the grid shows none."""
+    +/-20 g, bisected in its bracket; None if the grid shows none."""
     idx = BRANCHES.index(branch)
     dh = _dH_dT(env)
 
@@ -261,8 +265,19 @@ def _scan_root(spins, env, branch):
         if ys[i] == 0:
             return grid[i]
         if i + 1 < _SCAN_POINTS and ys[i] * ys[i + 1] < 0:
-            return _bracketed_root(slope, grid[i], grid[i + 1],
-                                   ys[i], ys[i + 1])
+            a, b, fa = grid[i], grid[i + 1], ys[i]
+            while b - a > _XTOL:
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break  # one float wide
+                f = slope(mid)
+                if f == 0:
+                    return mid
+                if (f > 0) == (fa > 0):
+                    a, fa = mid, f
+                else:
+                    b = mid
+            return 0.5 * (a + b)
     return None
 
 
@@ -294,6 +309,93 @@ def test_seeded_bracket_finds_the_scan_root():
         outcomes.add((branch, got is None))
     # at 3 mT the bright branches also lose their root: both outcomes occur
     assert outcomes == {(b, none) for b in BRANCHES for none in (False, True)}
+
+
+def _exact_cavity_weight_excess(spins, env, idx, detuning):
+    """v_c^2 - 1/(1 - R) of branch ``idx`` at the rational ``detuning``.
+
+    H is taken in exact rationals from the float thermal and Zeeman shifts
+    the solve uses; L is bisected from its characteristic polynomial and
+    v ~ (1, g+/(L - w+), g-/(L - w-)) gives v_c^2 = 1 / (1 + S), S the sum
+    of g_k^2 / (L - w_k)^2.  The slope a (1 - (1 - R) v_c^2) has the
+    opposite sign to the result (a > 0).
+    """
+    g = Fraction(spins.branch_coupling)
+    thermal = Fraction(env.dwa_dT * env.delta_T)
+    zeeman = Fraction(env.gyromagnetic * env.B_field)
+    r_ratio = Fraction(env.R_ratio)
+    diag = (detuning + r_ratio * thermal, thermal + zeeman, thermal - zeeman)
+    coupling = [g * int(c) for c in _coupling_pattern(spins)]
+    h = [[diag[0], coupling[0], coupling[1]],
+         [coupling[0], diag[1], 0],
+         [coupling[1], 0, diag[2]]]
+    lams = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in h]))
+    width = 1e-3 * min(abs(lams[idx] - lams[j]) for j in range(3) if j != idx)
+    lam = _exact_eigenvalue(h, lams[idx], width)
+    s = sum(c * c / (lam - w) ** 2 for c, w in zip(coupling, diag[1:]) if c)
+    return 1 / (1 + s) - 1 / (1 - r_ratio)
+
+
+def test_operating_point_matches_exact_oracle():
+    # 4 ulp of max(|D|, g) either side of the returned root, the branch's
+    # exact cavity weight lies on opposite sides of 1/(1 - R), where the
+    # thermal slope vanishes: the exact root is within 4 ulp.  Both presets,
+    # fields up to 3 mT, temperature offsets up to 10 mK, every branch; every
+    # fifth draw keeps one spin line only
+    rng = np.random.default_rng(29)
+    fields = (lambda: 0.0, lambda: rng.uniform(0.0, 100e-9),
+              lambda: rng.uniform(0.0, 1e-4), lambda: rng.uniform(0.0, 3e-3))
+    one_line = ((SpinClass(0.0, 1.0, Branch.PLUS),),
+                (SpinClass(0.0, 1.0, Branch.MINUS),))
+    found = set()
+    for k in range(90):
+        p = table1_preset(("current", "outlook")[k % 2])
+        spins = dataclasses.replace(
+            p.spins, g_collective=from_hz(10 ** rng.uniform(math.log10(3e5),
+                                                            math.log10(3e7))))
+        if k % 5 == 4:
+            spins = dataclasses.replace(spins,
+                                        spin_classes=one_line[k // 5 % 2])
+        env = dataclasses.replace(p.env, R_ratio=-rng.uniform(0.02, 3.0),
+                                  B_field=fields[k % 4](),
+                                  delta_T=rng.uniform(-10e-3, 10e-3))
+        idx = k % 3
+        try:
+            op = operating_point_numeric(spins, env, BRANCHES[idx])
+        except NoOperatingPointError:
+            continue
+        found.add((idx, k % 5 == 4))
+        d = Fraction(op.detuning_D)
+        step = 4 * Fraction(float(np.spacing(max(abs(op.detuning_D),
+                                                 spins.branch_coupling))))
+        below, above = (_exact_cavity_weight_excess(spins, env, idx, x)
+                        for x in (d - step, d + step))
+        assert below * above < 0, (k, BRANCHES[idx], env)
+    assert found == {(i, one) for i in range(3) for one in (False, True)}
+
+
+@pytest.mark.parametrize("branch_classes,branch,want", [
+    (Branch.PLUS, "middle", 1.357790e8),
+    (Branch.MINUS, "middle", -1.357790e8),
+    (Branch.PLUS, "upper", 2.160793e8),
+    (Branch.PLUS, "lower", None),
+], ids=["plus-middle", "minus-middle", "plus-upper", "plus-lower"])
+def test_one_line_ensemble_operating_point(branch_classes, branch, want):
+    # one coupled line at +/-gyro B: its pair with the cavity roots at
+    # D = +/-gyro B +/- g (1 - r) / sqrt(r), and the bare other line decides
+    # which branch each root is on.  Inputs are numpy scalars, as a
+    # parameter grid hands them over
+    spins = SpinEnsembleParams(
+        spin_classes=(SpinClass(0.0, 1.0, branch_classes),),
+        gamma_pump=0.0, g_collective=np.float64(from_hz(5e6)))
+    env = EnvironmentState(R_ratio=np.float64(-0.3), B_field=np.float64(1e-3))
+    if want is None:
+        with pytest.raises(NoOperatingPointError, match="no sign change"):
+            operating_point_numeric(spins, env, branch)
+        return
+    op = operating_point_numeric(spins, env, branch)
+    assert op.detuning_D == pytest.approx(want, rel=1e-6)
+    assert abs(op.dnudT_residual) <= 1e-6 * env.dwa_dT
 
 
 def test_zero_coupling_has_no_operating_point():

@@ -239,9 +239,9 @@ def test_floors_do_not_move_with_one_ulp_of_detuning(name):
 
 
 def test_operating_point_and_floors_solve_few_matrices(monkeypatch):
-    # a closed-form-seeded bracket and floors from the root's eigenpairs:
-    # a change that puts the 241-point scan back on the common path, or a
-    # displaced solve back into the floors, fails here
+    # the root in closed form and floors from the root's eigenpairs: one
+    # solve in all; a bracket or scan before the root, or a displaced solve
+    # in the floors, fails here
     matrices = []
     eigh = np.linalg.eigh
 
@@ -268,7 +268,7 @@ def test_operating_point_and_floors_solve_few_matrices(monkeypatch):
         op = operating_point_numeric(p.spins, p.env, branch)
         environmental_floors(p.spins, p.cavity, p.env, op,
                              dT_stab=p.dT_stab, dB_stab=db)
-        assert sum(matrices) <= 12, (branch, matrices)
+        assert matrices == [1], (branch, matrices)
 
 
 def test_error_floor_decreases_with_coupling_in_mhz_range():

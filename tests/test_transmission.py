@@ -427,12 +427,16 @@ def test_sweep_memory_is_output_plus_one_block():
      {"out.json": "26851e3b32aba71778ed34553338a6c1"
                   "7cf3e0e9113489063a9743c4aee50fc2"}),
     # recorded before the config field table and the shared emit path;
-    # they pin the report and sidecar formats, K and T axes included
+    # they pin the report and sidecar formats, K and T axes included.  The
+    # report was re-recorded with the closed-form root for any field: its D
+    # is 0.43 ulp from the exact root where the bracketed polish left 2.43
+    # (test_polariton.py::test_operating_point_matches_exact_oracle); the
+    # sidecar is unchanged
     (["operating-point", "--preset", "outlook", "--branch", "lower",
       "--g-hz", "2.5e6", "--R", "-0.37", "--kappa-hz", "1e5", "--dT-mk", "4",
       "--B-nt", "30"],
-     {"out.json": "22f1d21f775c550198f2d1aa8cc2790f"
-                  "7aa09ec87c45d2df08bad1861e4ba952",
+     {"out.json": "a422b905a2df978b02fc65674ef862cb"
+                  "36f01300fbe66a98911101498c7fb818",
       "out.json.provenance.json": "f7f0dcf794ef4fa2de8643c65743b39a"
                                   "d51f35f4a0773c23b8c6a838d5cfea15"}),
     (["spectrum", "--axis1", "delta_T:-1:1", "--axis2", "B_field:-1e-6:1e-6:7",
