@@ -8,9 +8,15 @@ Python float, the shortest round-trip text, so identical configurations give
 identical bytes.  CSV and JSON tables are streamed to the file in blocks of
 rows, so the memory a write takes does not grow with the grid.
 
+Every file is opened through ``_open_output``.  An existing output or sidecar
+is replaced by a new file, not truncated: a hard link to the old file keeps
+the old bytes, and the new file gets the default permissions.  A symlinked
+``--out`` is written through to its target.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure.  An output
 that would hold a NaN or an infinity is a configuration error: nothing is
-written, not even the sidecar.
+written, not even the sidecar.  So is an ``--out`` that cannot be opened (a
+directory, or a path below a regular file).
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -60,9 +68,36 @@ def _axis_in(variable: str, value):
     return from_hz(value) if _AXIS_UNIT[variable] == "hz" else value
 
 
+def _open_output(path: Path):
+    """``path`` opened for writing UTF-8 text, its directory created: the one
+    place the CLI opens a file to write.
+
+    An existing regular file is unlinked and the path created afresh, so a
+    rewrite is a new file (see the module docstring): truncating a
+    just-written file instead makes ext4 free its blocks and force their
+    delayed allocation, which takes longer than a small request's
+    computation.  A symlink or a non-regular target (a FIFO, ``/dev/stdout``)
+    is written through.  A path that cannot be opened is a ConfigError.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        except FileNotFoundError:
+            pass
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        # mkdir names the parent it failed on, which need not be the output
+        culprit = os.fspath(exc.filename or path)
+        reason = exc.strerror if culprit == os.fspath(path) \
+            else f"{culprit}: {exc.strerror}"
+        raise ConfigError(f"--out: cannot write {path}: {reason}") from None
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _require_finite_output(values: dict) -> None:
@@ -103,8 +138,7 @@ def _write_table(path: Path, header, columns, fmt: str) -> None:
     _require_finite_output(dict(zip(header, columns)))
     columns = [np.asarray(col, dtype=np.float64) for col in columns]
     blocks = range(0, columns[0].size, _BLOCK_ROWS)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as out:
+    with _open_output(path) as out:
         if fmt == "json":
             table = dict(zip(header, columns))
             out.write("{")

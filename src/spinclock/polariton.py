@@ -67,7 +67,7 @@ from .params import CavityParams, EnvironmentState, SpinEnsembleParams
 
 BRANCHES = ("lower", "middle", "upper")
 
-_POLISH_MAXITER = 100  # hard cap on the Newton steps of _shift
+_SHIFT_MAXITER = 100  # hard cap on the Newton steps of _shift
 
 
 class NoOperatingPointError(RuntimeError):
@@ -207,7 +207,7 @@ def _shift(lams: np.ndarray, vecs: np.ndarray, idx: int, dh: np.ndarray,
     lo = max(-bound, poles[idx - 1]) if idx > 0 else -bound
     hi = min(bound, poles[idx]) if idx < 2 else bound
     s = vnn
-    for _ in range(_POLISH_MAXITER):
+    for _ in range(_SHIFT_MAXITER):
         if not lo < s < hi:
             s = 0.5 * (lo + hi)
             if not lo < s < hi:

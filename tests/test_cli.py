@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinclock import __version__
+from spinclock import __version__, cli
 from spinclock.cli import _BLOCK_ROWS, _parser, _write_table, main
 
 
@@ -579,3 +580,133 @@ def test_replay_fuzz_ends_in_a_documented_exit(mutation):
     assert "Traceback" not in err and "Warning" not in err, (mutation, err)
     if rc:
         assert written == [], (mutation, err)
+
+
+# --- writing outputs -----------------------------------------------------------
+
+
+# A small run of each output kind and the name of its --out; the JSON
+# spectrum also writes a slice.
+_OUTPUT_KINDS = {
+    "csv-table": (["stability", "--tau-points", "5"], "out.csv"),
+    "json-table": (["spectrum", "--figure", "2c", "--points", "5",
+                    "--format", "json"], "out.json"),
+    "report": (["operating-point"], "out.json"),
+}
+
+
+def _contents(directory: Path) -> dict:
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTPUT_KINDS))
+def test_rewrite_over_longer_files_leaves_no_stale_tail(tmp_path, kind):
+    # every path a run writes already holds a longer file: afterwards each
+    # holds exactly the bytes of a run into an empty directory
+    argv, name = _OUTPUT_KINDS[kind]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert _quiet_main([*argv, "--out", str(fresh / name)])[0] == 0
+    reused.mkdir()
+    for f in fresh.iterdir():
+        (reused / f.name).write_bytes(b"x" * (f.stat().st_size + 4096))
+    assert _quiet_main([*argv, "--out", str(reused / name)])[0] == 0
+    assert _contents(reused) == _contents(fresh)
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTPUT_KINDS))
+def test_symlinked_out_is_written_through(tmp_path, kind):
+    argv, name = _OUTPUT_KINDS[kind]
+    fresh = tmp_path / "fresh" / name
+    assert _quiet_main([*argv, "--out", str(fresh)])[0] == 0
+    target = tmp_path / "target"
+    target.write_bytes(b"x" * (fresh.stat().st_size + 4096))
+    link = tmp_path / name
+    link.symlink_to(target)
+    assert _quiet_main([*argv, "--out", str(link)])[0] == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTPUT_KINDS))
+def test_rewrite_replaces_the_file_instead_of_truncating(tmp_path, kind):
+    # truncating a just-written file makes ext4 free its blocks and force
+    # their allocation, which costs more than a small request's
+    # computation: a rewritten output is a new inode.  A hard link to each
+    # old file keeps its inode number from being reused, and keeps the old
+    # bytes (the rerun's --seed changes the sidecar)
+    argv, name = _OUTPUT_KINDS[kind]
+    out, old = tmp_path / "out", tmp_path / "old"
+    assert _quiet_main([*argv, "--out", str(out / name)])[0] == 0
+    old.mkdir()
+    before = _contents(out)
+    for f in out.iterdir():
+        os.link(f, old / f.name)
+    assert _quiet_main([*argv, "--seed", "7", "--out", str(out / name)])[0] \
+        == 0
+    assert sorted(before) == sorted(_contents(out))
+    for f in out.iterdir():
+        assert f.stat().st_ino != (old / f.name).stat().st_ino, f.name
+    assert _contents(old) == before
+    sidecar = name + ".provenance.json"
+    assert json.loads(_contents(out)[sidecar])["seed"] == 7
+    assert json.loads(before[sidecar])["seed"] is None
+
+
+def test_each_run_opens_only_its_outputs(tmp_path, monkeypatch):
+    # a fresh run, a rerun over its files and a replay of each command
+    # open exactly the output, its sidecar and a 2c/2d slice, each once,
+    # and leave no file the opener did not open
+    opened = []
+    real = cli._open_output
+
+    def counting(path):
+        opened.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_open_output", counting)
+    runs = {
+        "spectrum": (["spectrum", "--figure", "2d", "--points", "5"],
+                     "s.csv", ["s_slice.csv"]),
+        "stability": (["stability", "--tau-points", "5"], "t.csv", []),
+        "operating-point": (["operating-point"], "o.json", []),
+    }
+    for command, (argv, name, extra) in runs.items():
+        expected = sorted([name, name + ".provenance.json", *extra])
+        sidecar = tmp_path / command / (name + ".provenance.json")
+        for directory, run in ((command, argv), (command, argv),
+                               ("replay-" + command,
+                                ["replay", str(sidecar)])):
+            opened.clear()
+            out = tmp_path / directory / name
+            assert _quiet_main([*run, "--out", str(out)])[0] == 0
+            assert sorted(opened) == expected, (command, run)
+            assert sorted(_contents(out.parent)) == expected, (command, run)
+
+
+@pytest.mark.parametrize("form", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", ["spectrum", "stability",
+                                     "operating-point", "replay"])
+def test_unwritable_out_is_config_error(tmp_path, command, form):
+    # an --out that names a directory, or a path below a regular file,
+    # exits 2 naming --out and the path, with no traceback and no file
+    sidecar = tmp_path / "in.json"
+    sidecar.write_text(json.dumps(_valid_sidecars()["stability"]),
+                       encoding="utf-8")
+    argv = {"spectrum": ["spectrum", "--figure", "2c", "--points", "3"],
+            "stability": ["stability", "--tau-points", "3"],
+            "operating-point": ["operating-point"],
+            "replay": ["replay", str(sidecar)]}[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    if form == "directory":
+        out = work / "out.csv"
+        out.mkdir()
+    else:
+        (work / "file").write_bytes(b"")
+        out = work / "file" / "out.csv"
+    rc, err = _quiet_main([*argv, "--out", str(out)])
+    assert rc == 2, err
+    assert err.startswith(f"error: --out: cannot write {out}"), err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in work.rglob("*")) == \
+        (["out.csv"] if form == "directory" else ["file"])

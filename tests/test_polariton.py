@@ -217,9 +217,10 @@ def test_numeric_operating_point_matches_closed_form():
 
 
 def test_numeric_operating_point_within_polish_tolerance_of_closed_form():
-    # the signed closed-form root is exact for equal couplings at B = 0, so
-    # the numeric root may differ by no more than the 1e-3 rad/s polish
-    # tolerance
+    # at B = 0 with equal couplings the numeric root, the general closed
+    # form of _insensitive_detunings, and the signed root of
+    # operating_point_closed_form are two forms of one expression: they
+    # must agree to 1e-3 rad/s, far above the rounding of either
     rng = np.random.default_rng(5)
     for k in range(40):
         g = from_hz(rng.uniform(0.5e6, 10e6))
@@ -234,8 +235,9 @@ def test_numeric_operating_point_within_polish_tolerance_of_closed_form():
 
 
 def test_polish_stops_where_detuning_ulp_exceeds_tolerance():
-    # at |D| ~ 2e13 rad/s one ulp is ~4e-3 rad/s, wider than the 1e-3
-    # tolerance: the polish must stop on the unsplittable bracket
+    # at |D| ~ 2e13 rad/s one ulp is ~4e-3 rad/s, coarser than the 1e-3
+    # rad/s the test above allows: the closed form takes no steps, so it
+    # still lands within 1e-12 relative of operating_point_closed_form's root
     g = from_hz(2e12)
     env = EnvironmentState(R_ratio=-0.3)
     op = operating_point_numeric(_spins(2e12), env)
@@ -282,10 +284,10 @@ def _scan_root(spins, env, branch):
 
 
 def test_seeded_bracket_finds_the_scan_root():
-    # the closed-form seed is exact only for equal couplings at B = 0;
-    # off it (fields up to 3 mT, both presets) and on the middle branch the
-    # numeric root must still be the one the full scan finds, and a request
-    # the scan finds no root for must still fail
+    # operating_point_closed_form holds only for equal couplings at B = 0;
+    # the general closed form of _insensitive_detunings must give the root
+    # an independent 241-point scan finds at fields up to 3 mT, on both
+    # presets and on the middle branch, and fail where the scan finds none
     rng = np.random.default_rng(11)
     fields = (lambda: 0.0, lambda: rng.uniform(0.0, 100e-9),
               lambda: rng.uniform(0.0, 1e-4), lambda: rng.uniform(0.0, 3e-3))
