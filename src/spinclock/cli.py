@@ -15,8 +15,8 @@ the old bytes, and the new file gets the default permissions.  A symlinked
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.  An output
 that would hold a NaN or an infinity is a configuration error: nothing is
-written, not even the sidecar.  So is an ``--out`` that cannot be opened (a
-directory, or a path below a regular file).
+written, not even the sidecar.  So is any path of the run (``--out``, the
+2c/2d slice, the sidecar) that cannot be opened, such as a directory.
 """
 
 from __future__ import annotations
@@ -69,24 +69,28 @@ def _axis_in(variable: str, value):
 
 
 def _open_output(path: Path):
-    """``path`` opened for writing UTF-8 text, its directory created: the one
-    place the CLI opens a file to write.
+    """``path`` opened for writing UTF-8 text: the one place the CLI opens a
+    file to write.
 
     An existing regular file is unlinked and the path created afresh, so a
     rewrite is a new file (see the module docstring): truncating a
     just-written file instead makes ext4 free its blocks and force their
     delayed allocation, which takes longer than a small request's
     computation.  A symlink or a non-regular target (a FIFO, ``/dev/stdout``)
-    is written through.  A path that cannot be opened is a ConfigError.
+    is written through.  The directory is created only when the open finds
+    it missing.  A path that cannot be opened is a ConfigError.
     """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             if stat.S_ISREG(os.lstat(path).st_mode):
                 os.unlink(path)
         except FileNotFoundError:
             pass
-        return open(path, "w", encoding="utf-8")
+        try:
+            return open(path, "w", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return open(path, "w", encoding="utf-8")
     except OSError as exc:
         # mkdir names the parent it failed on, which need not be the output
         culprit = os.fspath(exc.filename or path)
@@ -95,9 +99,26 @@ def _open_output(path: Path):
         raise ConfigError(f"--out: cannot write {path}: {reason}") from None
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _open_output(path) as out:
-        out.write(text)
+def _open_outputs(paths: list) -> list:
+    """Each of ``paths`` opened through ``_open_output``, or none: on a
+    failure the regular files already opened, which ``_open_output``
+    created, are removed (a symlink's target is left, emptied)."""
+    files = []
+    try:
+        for path in paths:
+            files.append(_open_output(path))
+    except ConfigError:
+        for path, out in zip(paths, files):
+            out.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        raise
+    return files
+
+
+def _text(text: str):
+    """A writer of ``text`` to an open file."""
+    return lambda out: out.write(text)
 
 
 def _require_finite_output(values: dict) -> None:
@@ -127,43 +148,41 @@ def _block_text(block: np.ndarray) -> list:
     return text[inverse].tolist()
 
 
-def _write_table(path: Path, header, columns, fmt: str) -> None:
-    """Write named columns as CSV or JSON, each value as ``repr(float(v))``.
+def _table(header, columns, fmt: str):
+    """A writer of named columns as CSV or JSON to an open file, once every
+    value is checked finite."""
+    _require_finite_output(dict(zip(header, columns)))
+    columns = [np.asarray(col, dtype=np.float64) for col in columns]
+    return functools.partial(_write_table, header=header, columns=columns,
+                             fmt=fmt)
+
+
+def _write_table(out, header, columns, fmt: str) -> None:
+    """Write named float64 columns to the open file ``out`` as CSV or JSON,
+    each value as ``repr(float(v))``.
 
     Both formats are written one block of ``_BLOCK_ROWS`` values per column
     at a time, so the memory a write takes does not grow with the table.
     JSON holds the bytes of ``json.dumps(table, sort_keys=True, indent=1)``,
     which also writes a float as its ``repr``: one sorted key per column.
     """
-    _require_finite_output(dict(zip(header, columns)))
-    columns = [np.asarray(col, dtype=np.float64) for col in columns]
     blocks = range(0, columns[0].size, _BLOCK_ROWS)
-    with _open_output(path) as out:
-        if fmt == "json":
-            table = dict(zip(header, columns))
-            out.write("{")
-            for i, name in enumerate(sorted(table)):
-                out.write(f"{',' if i else ''}\n {json.dumps(name)}: [")
-                for start in blocks:
-                    out.write((",\n  " if start else "\n  ") + ",\n  ".join(
-                        _block_text(table[name][start:start + _BLOCK_ROWS])))
-                out.write("\n ]")
-            out.write("\n}\n")
-            return
-        out.write(",".join(header) + "\n")
-        for start in blocks:
-            cells = [_block_text(col[start:start + _BLOCK_ROWS])
-                     for col in columns]
-            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _sidecar_path(out: Path) -> Path:
-    return out.with_name(out.name + ".provenance.json")
-
-
-def _write_sidecar(out: Path, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
-    _write_text(_sidecar_path(out), text + "\n")
+    if fmt == "json":
+        table = dict(zip(header, columns))
+        out.write("{")
+        for i, name in enumerate(sorted(table)):
+            out.write(f"{',' if i else ''}\n {json.dumps(name)}: [")
+            for start in blocks:
+                out.write((",\n  " if start else "\n  ") + ",\n  ".join(
+                    _block_text(table[name][start:start + _BLOCK_ROWS])))
+            out.write("\n ]")
+        out.write("\n}\n")
+        return
+    out.write(",".join(header) + "\n")
+    for start in blocks:
+        cells = [_block_text(col[start:start + _BLOCK_ROWS])
+                 for col in columns]
+        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _axis_to_doc(axis: SweepAxis) -> dict:
@@ -202,9 +221,7 @@ def _apply_overrides(preset: Preset, args, stability_mode: bool) -> Preset:
         flux = args.power_photons_per_s
         if flux <= 0:
             raise ConfigError("--power-photons-per-s must be > 0")
-        probe = dataclasses.replace(
-            probe, photon_flux=flux, beta_amplitude=math.sqrt(flux / 2.0)
-        )
+        probe = dataclasses.replace(probe, photon_flux=flux)
     if getattr(args, "dT_mk", None) is not None:
         if stability_mode:
             dT_stab = args.dT_mk * 1e-3
@@ -241,7 +258,7 @@ def _provenance(command: str, preset: Preset, args, extra: dict) -> dict:
 # --- spectrum ---------------------------------------------------------------
 
 
-def _spectrum_from_doc(doc: dict, out: Path) -> None:
+def _spectrum_from_doc(doc: dict, out: Path) -> dict:
     preset = Preset.from_config(doc["config"])
     axis1 = _axis_from_doc(doc["axis1"])
     axis2 = _axis_from_doc(doc["axis2"])
@@ -252,8 +269,7 @@ def _spectrum_from_doc(doc: dict, out: Path) -> None:
     v2 = _axis_out(axis2.variable, result.values2)
     n1, n2 = v1.size, v2.size
     flat = result.t.reshape(-1)
-    _write_table(
-        out,
+    writers = {out: _table(
         ("axis1", "axis2", "re_t", "im_t", "abs_t"),
         (
             np.repeat(v1, n2),
@@ -263,18 +279,18 @@ def _spectrum_from_doc(doc: dict, out: Path) -> None:
             np.abs(flat),
         ),
         doc["format"],
-    )
+    )}
 
     slice_value = doc.get("slice_axis1_value")
     if slice_value is not None:
         _, grid2, row = result.row_trace(_axis_in(axis1.variable, slice_value))
-        _write_table(
-            _slice_path(out),
+        writers[_slice_path(out)] = _table(
             ("axis2", "re_t", "im_t", "abs_t", "quadrature"),
             (_axis_out(axis2.variable, grid2), row.real, row.imag,
              np.abs(row), quadrature_of(row, doc["quadrature_phase_rad"])),
             doc["format"],
         )
+    return writers
 
 
 def _slice_path(out: Path) -> Path:
@@ -344,7 +360,7 @@ def _operating_point_report(doc: dict) -> str:
     preset = Preset.from_config(doc["config"])
     op = operating_point_numeric(preset.spins, preset.env, branch=doc["branch"])
     budget = environmental_floors(
-        preset.spins, preset.cavity, preset.env, op,
+        preset.spins, preset.env, op,
         dT_stab=preset.dT_stab, dB_stab=doc["db_stab_t"],
     )
     report = {
@@ -386,7 +402,7 @@ def _cmd_operating_point(args) -> int:
 # --- stability ----------------------------------------------------------------
 
 
-def _stability_from_doc(doc: dict, out: Path) -> None:
+def _stability_from_doc(doc: dict, out: Path) -> dict:
     preset = Preset.from_config(doc["config"])
     try:
         taus = np.logspace(math.log10(doc["tau_start_s"]),
@@ -396,8 +412,7 @@ def _stability_from_doc(doc: dict, out: Path) -> None:
                           "in memory") from None
     curve = stability_curve(preset, taus=taus, dB_stab=doc["db_stab_t"])
     n = curve.taus.size
-    _write_table(
-        out,
+    return {out: _table(
         ("tau_s", "sigma_total", "sigma_shot",
          "floor_thermal", "floor_magnetic", "floor_pump"),
         (
@@ -409,7 +424,7 @@ def _stability_from_doc(doc: dict, out: Path) -> None:
             np.full(n, curve.budget.pump_floor),
         ),
         doc["format"],
-    )
+    )}
 
 
 def _parse_tau_range(spec: str) -> tuple[float, float]:
@@ -517,20 +532,28 @@ def _cmd_replay(args) -> int:
 # --- output -------------------------------------------------------------------
 
 
-# Each command's runner writes the output of a document to a path.
+# Each command's runner computes the files of a document's run into ``out``:
+# a writer to an open file for each path, the output's first.
 _RUNNERS = {
     "spectrum": _spectrum_from_doc,
     "stability": _stability_from_doc,
-    "operating-point": lambda doc, out: _write_text(
-        out, _operating_point_report(doc)),
+    "operating-point": lambda doc, out: {
+        out: _text(_operating_point_report(doc))},
 }
 
 
 def _emit(doc: dict, out: Path) -> int:
-    """Run ``doc`` into ``out``, then write its sidecar: the one path from a
-    document to its output, shared by fresh runs and ``replay``."""
-    _RUNNERS[doc["command"]](doc, out)
-    _write_sidecar(out, doc)
+    """Run ``doc`` into ``out`` and its sidecar, shared by fresh runs and
+    ``replay``: every file is computed, and every path opened, before the
+    first byte is written, so a run that fails writes nothing."""
+    writers = _RUNNERS[doc["command"]](doc, out)
+    sidecar = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    writers[out.with_name(out.name + ".provenance.json")] = \
+        _text(sidecar + "\n")
+    paths = list(writers)
+    for path, file in zip(paths, _open_outputs(paths)):
+        with file:
+            writers.pop(path)(file)  # frees a table's columns once written
     print(f"wrote {out}")
     return 0
 
@@ -558,7 +581,6 @@ def _add_common(p: argparse.ArgumentParser, stability: bool) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the provenance sidecar only; "
                         "no computation uses it")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -595,6 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="quadrature_deg",
                     help="homodyne phase in degrees (90 = Im[t])")
     sp.add_argument("--out", required=True)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sp, stability=False)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -613,6 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="integration-time range, e.g. 0.1..1e4")
     st.add_argument("--tau-points", type=int, default=81, dest="tau_points")
     st.add_argument("--out", required=True)
+    st.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(st, stability=True)
     st.set_defaults(func=_cmd_stability)
 

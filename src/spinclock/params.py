@@ -189,25 +189,14 @@ class EnvironmentState:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Probe drive: frequency, source power, amplitude, integration time, phase."""
+    """Probe drive: the source power I in photons/s."""
 
-    omega_probe: float = from_hz(2.87e9)
     photon_flux: float = 1e18
-    beta_amplitude: float = math.sqrt(0.5e18)
-    tau: float = 1.0
-    quadrature_phase: float = math.pi / 2
 
     def __post_init__(self):
-        _require_finite(self, "omega_probe", "photon_flux", "beta_amplitude",
-                        "tau", "quadrature_phase")
+        _require_finite(self, "photon_flux")
         if not self.photon_flux >= 0:
             raise ConfigError("photon_flux must be >= 0")
-        if not self.tau > 0:
-            raise ConfigError("tau must be > 0")
-        # beta * beta overflows to inf where a float's ** 2 raises
-        if self.beta_amplitude * self.beta_amplitude \
-                > self.photon_flux * (1.0 + 1e-12):
-            raise ConfigError("beta_amplitude^2 exceeds photon_flux")
 
 
 def instantaneous_frequencies(
@@ -249,11 +238,7 @@ _FIELDS = {
     "delta_t_k": (EnvironmentState, "delta_T", False),
     "b_field_t": (EnvironmentState, "B_field", False),
     "r_ratio": (EnvironmentState, "R_ratio", False),
-    "omega_probe_hz": (ProbeParams, "omega_probe", True),
     "photon_flux_per_s": (ProbeParams, "photon_flux", False),
-    "beta_amplitude_sqrt_per_s": (ProbeParams, "beta_amplitude", False),
-    "tau_s": (ProbeParams, "tau", False),
-    "quadrature_phase_rad": (ProbeParams, "quadrature_phase", False),
 }
 # The spin classes of each branch as two lists, offsets (Hz) and weights.
 # An absent list is the default single class: offset 0, weight 1.

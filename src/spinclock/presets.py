@@ -12,7 +12,6 @@ pinned here: microsecond-scale pumping and a 10 ms ensemble lifetime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .params import (
@@ -79,13 +78,10 @@ def _build(name, kappa_hz, Gamma_hz, g_hz, R, g0_hz, n_spins, flux, dT_stab):
         kappa_loss=0.0,
     )
     env = EnvironmentState(R_ratio=R)
-    probe = ProbeParams(
-        omega_probe=omega_zfs,
-        photon_flux=flux,
-        beta_amplitude=math.sqrt(flux / 2.0),  # half the source goes to the LO
-        tau=1.0,
-    )
-    return Preset(name, spins, cavity, env, probe, dT_stab)
+    # flux is the source power I of the precision formula; how the source
+    # splits between the probe and the local oscillator reaches no output,
+    # so no split is stored
+    return Preset(name, spins, cavity, env, ProbeParams(flux), dT_stab)
 
 
 _PRESETS = {

@@ -4,8 +4,10 @@ Shot-noise-limited precision of a homodyne frequency measurement:
 
     dnu = (kappa / sqrt(tau * I)) * sqrt(1 + xi^2 / 2),   xi = kappa_l / kappa
 
-with I the source power in photons/s and tau the integration time.  The
-fractional form divides by the carrier (the zero-field line center).
+with I the source power in photons/s and tau the integration time.
+``shot_noise_precision`` gives the 1 s value; ``stability_curve`` scales it
+by 1/sqrt(tau) over its integration times.  The fractional form divides by
+the carrier (the zero-field line center).
 
 The probe amplitude must stay low enough that the ensemble remains
 polarized; per spin, beta << sqrt(kappa * gamma * (gamma + Gamma)) / (4 g0 |t|).
@@ -21,7 +23,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,20 +112,20 @@ class StabilityCurve:
 
 
 def shot_noise_precision(cavity: CavityParams, probe: ProbeParams) -> float:
-    """Frequency precision dnu (rad/s) after integrating for probe.tau."""
+    """Frequency precision dnu (rad/s) after integrating for 1 s:
+    kappa / sqrt(I) * sqrt(1 + xi^2 / 2)."""
     if probe.photon_flux <= 0:
         raise ValueError("photon_flux must be > 0 for a shot-noise estimate")
-    if probe.tau <= 0:
-        raise ValueError("tau must be > 0")
     xi = cavity.loss_ratio
-    return (cavity.kappa_out / math.sqrt(probe.tau * probe.photon_flux)) \
+    return (cavity.kappa_out / math.sqrt(probe.photon_flux)) \
         * math.sqrt(1.0 + 0.5 * _square(xi))
 
 
 def shot_noise_fractional(
     cavity: CavityParams, probe: ProbeParams, carrier: float
 ) -> float:
-    """dnu / nu against the given carrier frequency (rad/s)."""
+    """dnu / nu after integrating for 1 s, against the given carrier
+    frequency (rad/s)."""
     return shot_noise_precision(cavity, probe) / carrier
 
 
@@ -153,30 +155,25 @@ def polarization_steady_state(
     if denom == 0:
         raise ValueError("all rates zero: steady state undefined")
     p = (gamma_pump + omega_r) / denom
-    dp = gamma_0 / (gamma_pump + omega_r + gamma_0) ** 2
+    dp = gamma_0 / _square(gamma_pump + omega_r + gamma_0)
     return PolarizationState(P=p, rabi_drive=omega_r, dP_dgamma=dp)
 
 
-def coupling_sensitivity_to_pump(
-    spins: SpinEnsembleParams,
-) -> tuple[float, float]:
-    """(dg/g per dgamma/gamma, nominal 1e-8) for side-by-side reporting.
+def coupling_sensitivity_to_pump(spins: SpinEnsembleParams) -> float:
+    """dg/g per dgamma/gamma of the pumped ensemble.
 
     g tracks sqrt(P), so dg/g = dP / (2 P), taken without a microwave
-    drive.  The nominal 1e-8 design figure is not recoverable from the rate
-    model; both numbers are returned and the computed one is used downstream.
+    drive.  The rate model does not recover the nominal 1e-8 design figure.
     """
     state = polarization_steady_state(
         spins.gamma_pump, spins.gamma_0, spins.g0_single, 0.0
     )
     dP = state.dP_dgamma * spins.gamma_pump  # dgamma = gamma * (dgamma/gamma)
-    ratio = 0.5 * dP / state.P if state.P > 0 else 0.0
-    return ratio, 1e-8
+    return 0.5 * dP / state.P if state.P > 0 else 0.0
 
 
 def environmental_floors(
     spins: SpinEnsembleParams,
-    cavity: CavityParams,
     env: EnvironmentState,
     op: OperatingPoint,
     dT_stab: float,
@@ -200,7 +197,7 @@ def environmental_floors(
     magnetic = abs(_shift(lam, vec, idx, _dH_dB(env), dB_stab)) / nu0
 
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
-    dg_over_g, _ = coupling_sensitivity_to_pump(spins)
+    dg_over_g = coupling_sensitivity_to_pump(spins)
     dg = dg_over_g * laser_stability * spins.branch_coupling
     pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
 
@@ -231,12 +228,11 @@ def stability_curve(
 
     op = operating_point_numeric(preset.spins, preset.env)
     budget = environmental_floors(
-        preset.spins, preset.cavity, preset.env, op,
+        preset.spins, preset.env, op,
         dT_stab=preset.dT_stab, dB_stab=dB_stab,
     )
     carrier = preset.spins.omega_zfs
-    sigma_1s = shot_noise_fractional(
-        preset.cavity, replace(preset.probe, tau=1.0), carrier)
+    sigma_1s = shot_noise_fractional(preset.cavity, preset.probe, carrier)
     sigma_shot = sigma_1s / np.sqrt(taus)
     floor = budget.floor_total
     sigma_y = np.sqrt(sigma_shot ** 2 + floor ** 2)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from spinclock import __version__, cli
 from spinclock.cli import _BLOCK_ROWS, _parser, _write_table, main
+from spinclock.params import KNOWN_CONFIG_KEYS
 
 
 def _run(*argv):
@@ -359,13 +360,15 @@ def test_write_table_matches_repr_of_each_value(tmp_path, rows):
     header, columns = _edge_columns()
     columns = [col[:rows] for col in columns]
     out = tmp_path / "t.csv"
-    _write_table(out, header, columns, "csv")
+    with open(out, "w", encoding="utf-8") as f:
+        _write_table(f, header, columns, "csv")
     expected = ",".join(header) + "\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
     assert out.read_bytes() == expected.encode()
 
     out = tmp_path / "t.json"
-    _write_table(out, header, columns, "json")
+    with open(out, "w", encoding="utf-8") as f:
+        _write_table(f, header, columns, "json")
     doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
     assert out.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
@@ -386,7 +389,8 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
         for fmt, fmt_peaks in peaks.items():
             tracemalloc.start()
             try:
-                _write_table(tmp_path / f"t.{fmt}", "abcde", columns, fmt)
+                with open(tmp_path / f"t.{fmt}", "w", encoding="utf-8") as f:
+                    _write_table(f, "abcde", columns, fmt)
                 fmt_peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -558,7 +562,9 @@ def _mutations(draw):
 @example(mutation=("operating-point", "top", "tool", math.inf))
 @example(mutation=("stability", "config", "kappa_loss_hz", 1e300))
 @example(mutation=("stability", "top", "tau_start_s", -1.0))
-@example(mutation=("operating-point", "config", "beta_amplitude_sqrt_per_s",
+@example(mutation=("spectrum-figure", "config", "g_collective_hz",
+                   1.3407807929942597e+154))
+@example(mutation=("operating-point", "config", "gamma_pump_hz",
                    1.3407807929942597e+154))
 def test_replay_fuzz_ends_in_a_documented_exit(mutation):
     # a sidecar with one key dropped or replaced ends in success, a
@@ -580,6 +586,77 @@ def test_replay_fuzz_ends_in_a_documented_exit(mutation):
     assert "Traceback" not in err and "Warning" not in err, (mutation, err)
     if rc:
         assert written == [], (mutation, err)
+
+
+def _replayed_outputs(doc: dict, directory: Path) -> dict:
+    """What replaying ``doc`` into ``directory`` writes besides its sidecar;
+    the operating-point report is parsed and its ``params`` echo dropped."""
+    directory.mkdir()
+    sidecar = directory / "in.json"
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    out = directory / "out.txt"
+    rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    assert rc == 0, err
+    outputs = {f.name: f.read_bytes() for f in directory.iterdir()
+               if f.name.startswith("out")
+               and not f.name.endswith(".provenance.json")}
+    if doc["command"] == "operating-point":
+        report = json.loads(outputs[out.name])
+        del report["params"]
+        outputs[out.name] = report
+    return outputs
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_CONFIG_KEYS))
+def test_every_config_key_changes_an_output(tmp_path, key):
+    # a setting that no output reads would be ignored without a word: a
+    # changed value of each config key must change some output of some
+    # command.  g0 and N set the coupling only when g_collective_hz is null,
+    # and a class weight acts only between classes at different offsets
+    for name, doc in _valid_sidecars().items():
+        base = copy.deepcopy(doc)
+        config = base["config"]
+        if key in ("g0_single_hz", "n_spins"):
+            config["g_collective_hz"] = None
+        moved = copy.deepcopy(base)
+        if key.startswith("class_weights_"):
+            offsets = key.replace("class_weights_", "class_offsets_") + "_hz"
+            for cfg, weights in ((config, [0.5, 0.5]),
+                                 (moved["config"], [0.25, 0.75])):
+                cfg[offsets], cfg[key] = [0.0, 1e5], weights
+        elif key.startswith("class_offsets_"):
+            moved["config"][key] = [1e3]
+        else:
+            moved["config"][key] = 0.75 * config[key] if config[key] else 1e-3
+        if _replayed_outputs(base, tmp_path / f"{name}-base") \
+                != _replayed_outputs(moved, tmp_path / f"{name}-moved"):
+            return
+    pytest.fail(f"no output of any command reads {key}")
+
+
+@pytest.mark.parametrize("key", ["omega_probe_hz", "beta_amplitude_sqrt_per_s",
+                                 "quadrature_phase_rad", "tau_s"])
+def test_sidecar_with_a_removed_probe_key_is_config_error(tmp_path, key):
+    # the probe keys that no output read are gone; a sidecar that still
+    # carries one exits 2 naming it and writes nothing
+    for name, doc in _valid_sidecars().items():
+        doc = copy.deepcopy(doc)
+        doc["config"][key] = 1.0
+        sidecar = tmp_path / f"{name}.json"
+        sidecar.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / name / "out.csv"
+        rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+        assert rc == 2, (name, err)
+        assert f"unknown config key(s): {key}" in err, err
+        assert "Traceback" not in err and not out.parent.exists()
+
+
+def test_operating_point_has_no_format_flag(capsys):
+    # the report is always JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["operating-point", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 # --- writing outputs -----------------------------------------------------------
@@ -681,6 +758,29 @@ def test_each_run_opens_only_its_outputs(tmp_path, monkeypatch):
             assert _quiet_main([*run, "--out", str(out)])[0] == 0
             assert sorted(opened) == expected, (command, run)
             assert sorted(_contents(out.parent)) == expected, (command, run)
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["stability", "--tau-points", "3"], "o.csv.provenance.json"),
+    (["spectrum", "--figure", "2c", "--points", "3"], "o_slice.csv"),
+], ids=["sidecar", "slice"])
+def test_unwritable_path_of_a_run_writes_nothing(tmp_path, argv, blocked):
+    # every path of a run is opened before its first byte is written: a
+    # directory in the way of the sidecar or the 2c/2d slice exits 2
+    # naming it, and leaves no output behind
+    (tmp_path / blocked).mkdir()
+    rc, err = _quiet_main([*argv, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2, err
+    assert err.startswith(f"error: --out: cannot write {tmp_path / blocked}")
+    assert "Traceback" not in err
+    assert [f.name for f in tmp_path.iterdir()] == [blocked]
+
+
+def test_out_in_new_nested_directories(tmp_path):
+    out = tmp_path / "a" / "b" / "o.csv"
+    assert _quiet_main(["stability", "--tau-points", "3",
+                        "--out", str(out)])[0] == 0
+    assert sorted(_contents(out.parent)) == ["o.csv", "o.csv.provenance.json"]
 
 
 @pytest.mark.parametrize("form", ["directory", "under-a-file"])

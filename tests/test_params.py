@@ -111,15 +111,8 @@ def test_cavity_and_probe_validation():
         CavityParams(kappa_out=0.0)
     with pytest.raises(ConfigError):
         CavityParams(kappa_loss=-1.0)
-    with pytest.raises(ConfigError):
-        ProbeParams(tau=0.0)
-    with pytest.raises(ConfigError):
-        ProbeParams(photon_flux=1e6, beta_amplitude=2e3)
-    # beta^2 == flux is allowed
-    ProbeParams(photon_flux=1e6, beta_amplitude=1e3)
     for cls, field in ((CavityParams, "kappa_out"), (CavityParams, "kappa_loss"),
-                       (CavityParams, "omega_c_ref"), (ProbeParams, "photon_flux"),
-                       (ProbeParams, "tau"), (ProbeParams, "quadrature_phase")):
+                       (CavityParams, "omega_c_ref"), (ProbeParams, "photon_flux")):
         for value in (math.inf, math.nan):
             with pytest.raises(ConfigError, match=field):
                 cls(**{field: value})
@@ -171,7 +164,7 @@ def test_config_roundtrip_of_custom_params():
     )
     cavity = CavityParams(kappa_out=from_hz(123e3), kappa_loss=from_hz(11e3))
     env = EnvironmentState(delta_T=0.25, B_field=2e-7, R_ratio=-0.21)
-    probe = ProbeParams(photon_flux=3e17, beta_amplitude=1e8, tau=2.5)
+    probe = ProbeParams(photon_flux=3e17)
     cfg = params_to_config(spins, cavity, env, probe)
     s2, c2, e2, p2 = params_from_config(cfg)
     assert (s2, c2, e2, p2) == (spins, cavity, env, probe)

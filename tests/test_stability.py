@@ -30,7 +30,7 @@ from spinclock.units import from_hz, to_hz
 def test_shot_noise_current_parameters():
     # kappa = 200 kHz, I = 1e18 /s, tau = 1 s, lossless cavity
     cavity = CavityParams(kappa_out=from_hz(200e3))
-    probe = ProbeParams(photon_flux=1e18, beta_amplitude=0.0, tau=1.0)
+    probe = ProbeParams(photon_flux=1e18)
     dnu = shot_noise_precision(cavity, probe)
     assert dnu == pytest.approx(from_hz(200e3) / 1e9, rel=1e-12)
     frac = shot_noise_fractional(cavity, probe, from_hz(2.87e9))
@@ -40,14 +40,14 @@ def test_shot_noise_current_parameters():
 def test_shot_noise_matched_loss_factor():
     cavity_0 = CavityParams(kappa_out=from_hz(200e3))
     cavity_1 = CavityParams(kappa_out=from_hz(200e3), kappa_loss=from_hz(200e3))
-    probe = ProbeParams(photon_flux=1e18, beta_amplitude=0.0, tau=1.0)
+    probe = ProbeParams(photon_flux=1e18)
     ratio = shot_noise_precision(cavity_1, probe) / shot_noise_precision(cavity_0, probe)
     assert ratio == pytest.approx(math.sqrt(1.5), rel=1e-12)
 
 
 def test_shot_noise_outlook_level():
     cavity = CavityParams(kappa_out=from_hz(50e3))
-    probe = ProbeParams(photon_flux=1e20, beta_amplitude=0.0, tau=1.0)
+    probe = ProbeParams(photon_flux=1e20)
     frac = shot_noise_fractional(cavity, probe, from_hz(2.87e9))
     assert frac == pytest.approx(1.7e-15, rel=0.03)
 
@@ -55,11 +55,7 @@ def test_shot_noise_outlook_level():
 def test_shot_noise_rejects_degenerate_inputs():
     cavity = CavityParams()
     with pytest.raises(ValueError):
-        shot_noise_precision(cavity, ProbeParams(photon_flux=0.0,
-                                                 beta_amplitude=0.0, tau=1.0))
-    with pytest.raises(Exception):
-        # tau = 0 is rejected at construction already
-        ProbeParams(photon_flux=1e18, beta_amplitude=0.0, tau=0.0)
+        shot_noise_precision(cavity, ProbeParams(photon_flux=0.0))
 
 
 def test_beta_bound_unbounded_cases():
@@ -118,19 +114,18 @@ def test_polarization_formula_values():
     assert s.dP_dgamma == pytest.approx(gamma0 / (gamma + omega + gamma0) ** 2)
 
 
-def test_pump_sensitivity_reported_next_to_nominal():
+def test_pump_sensitivity_is_small_and_positive():
     p = table1_preset("current")
-    computed, nominal = coupling_sensitivity_to_pump(p.spins)
-    assert nominal == 1e-8
+    computed = coupling_sensitivity_to_pump(p.spins)
     assert computed > 0
-    # 10 ms lifetime against microsecond pumping: small either way
+    # 10 ms lifetime against microsecond pumping
     assert computed < 1e-3
 
 
 def test_floors_vanish_without_instability():
     p = table1_preset("current")
     op = operating_point_numeric(p.spins, p.env)
-    budget = environmental_floors(p.spins, p.cavity, p.env, op,
+    budget = environmental_floors(p.spins, p.env, op,
                                   dT_stab=0.0, dB_stab=0.0, laser_stability=0.0)
     assert budget.thermal_floor == 0.0
     assert budget.magnetic_floor == 0.0
@@ -141,9 +136,9 @@ def test_floors_vanish_without_instability():
 def test_floors_scale_quadratically():
     p = table1_preset("current")
     op = operating_point_numeric(p.spins, p.env)
-    b1 = environmental_floors(p.spins, p.cavity, p.env, op,
+    b1 = environmental_floors(p.spins, p.env, op,
                               dT_stab=10e-3, dB_stab=10e-9)
-    b2 = environmental_floors(p.spins, p.cavity, p.env, op,
+    b2 = environmental_floors(p.spins, p.env, op,
                               dT_stab=20e-3, dB_stab=20e-9)
     assert b2.thermal_floor / b1.thermal_floor == pytest.approx(4.0, rel=0.01)
     assert b2.magnetic_floor / b1.magnetic_floor == pytest.approx(4.0, rel=0.01)
@@ -152,7 +147,7 @@ def test_floors_scale_quadratically():
 def test_budget_composition_and_ordering():
     p = table1_preset("current")
     op = operating_point_numeric(p.spins, p.env)
-    b = environmental_floors(p.spins, p.cavity, p.env, op,
+    b = environmental_floors(p.spins, p.env, op,
                              dT_stab=10e-3, dB_stab=10e-9)
     comp_sq = (b.shot_sigma ** 2 + b.thermal_floor ** 2
                + b.magnetic_floor ** 2 + b.pump_floor ** 2)
@@ -214,7 +209,7 @@ def test_floors_match_exact_rational_shift(name):
     p = table1_preset(name)
     op = operating_point_numeric(p.spins, p.env)
     db = 10e-9
-    b = environmental_floors(p.spins, p.cavity, p.env, op,
+    b = environmental_floors(p.spins, p.env, op,
                              dT_stab=p.dT_stab, dB_stab=db)
     thermal = _exact_floor(p.spins, p.env, op, _dH_dT(p.env), p.dT_stab)
     magnetic = _exact_floor(p.spins, p.env, op, _dH_dB(p.env), db)
@@ -227,13 +222,13 @@ def test_floors_do_not_move_with_one_ulp_of_detuning(name):
     p = table1_preset(name)
     op = operating_point_numeric(p.spins, p.env)
     kw = dict(dT_stab=p.dT_stab, dB_stab=10e-9)
-    base = environmental_floors(p.spins, p.cavity, p.env, op, **kw)
+    base = environmental_floors(p.spins, p.env, op, **kw)
     for d in (np.nextafter(op.detuning_D, -np.inf),
               np.nextafter(op.detuning_D, np.inf)):
         lam, vec = _solve(p.spins, p.env, d, p.env.delta_T, p.env.B_field)
         moved = dataclasses.replace(op, detuning_D=float(d),
                                     lambdas_rel=lam, eigvecs=vec)
-        b = environmental_floors(p.spins, p.cavity, p.env, moved, **kw)
+        b = environmental_floors(p.spins, p.env, moved, **kw)
         assert b.thermal_floor == pytest.approx(base.thermal_floor, rel=1e-9)
         assert b.magnetic_floor == pytest.approx(base.magnetic_floor, rel=1e-9)
 
@@ -266,7 +261,7 @@ def test_operating_point_and_floors_solve_few_matrices(monkeypatch):
     for p, branch, db in cases:
         matrices.clear()
         op = operating_point_numeric(p.spins, p.env, branch)
-        environmental_floors(p.spins, p.cavity, p.env, op,
+        environmental_floors(p.spins, p.env, op,
                              dT_stab=p.dT_stab, dB_stab=db)
         assert matrices == [1], (branch, matrices)
 
@@ -310,8 +305,7 @@ def test_curve_monotonic_in_power_and_kappa():
     base = stability_curve(p, taus=tau).sigma_shot[0]
 
     more_power = dataclasses.replace(
-        p, probe=dataclasses.replace(p.probe, photon_flux=4e18,
-                                     beta_amplitude=math.sqrt(2e18))
+        p, probe=dataclasses.replace(p.probe, photon_flux=4e18)
     )
     assert stability_curve(more_power, taus=tau).sigma_shot[0] \
         == pytest.approx(base / 2, rel=1e-12)

@@ -426,31 +426,31 @@ def test_sweep_memory_is_output_plus_one_block():
       "--format", "json"],
      {"out.json": "26851e3b32aba71778ed34553338a6c1"
                   "7cf3e0e9113489063a9743c4aee50fc2"}),
-    # recorded before the config field table and the shared emit path;
     # they pin the report and sidecar formats, K and T axes included.  The
-    # report was re-recorded with the closed-form root for any field: its D
-    # is 0.43 ulp from the exact root where the bracketed polish left 2.43
-    # (test_polariton.py::test_operating_point_matches_exact_oracle); the
-    # sidecar is unchanged
+    # report's D is 0.43 ulp from the exact root
+    # (test_polariton.py::test_operating_point_matches_exact_oracle).  The
+    # sidecars and the report's params echo were re-recorded without the
+    # probe keys no output read (omega_probe_hz, beta_amplitude_sqrt_per_s,
+    # quadrature_phase_rad, tau_s); every other key and value is unchanged
     (["operating-point", "--preset", "outlook", "--branch", "lower",
       "--g-hz", "2.5e6", "--R", "-0.37", "--kappa-hz", "1e5", "--dT-mk", "4",
       "--B-nt", "30"],
-     {"out.json": "a422b905a2df978b02fc65674ef862cb"
-                  "36f01300fbe66a98911101498c7fb818",
-      "out.json.provenance.json": "f7f0dcf794ef4fa2de8643c65743b39a"
-                                  "d51f35f4a0773c23b8c6a838d5cfea15"}),
+     {"out.json": "6cf3b957e5ca56ec0b63d0792e96fa07"
+                  "03b1a1f519eed381d723c0bcc95f5ee0",
+      "out.json.provenance.json": "3c5bf963f3d5285e48069de006c6dbe2"
+                                  "8c5ca446d64357052d70ec54d5554b31"}),
     (["spectrum", "--axis1", "delta_T:-1:1", "--axis2", "B_field:-1e-6:1e-6:7",
       "--points", "9", "--format", "json"],
      {"out.json": "6134016d4472172dc0fc949d48044dad"
                   "e7d730d1c8146ef9d7741b2e2910cc2a",
-      "out.json.provenance.json": "931a5bcf92f2d6338e8c45f9153723d3"
-                                  "7d9c5d4de98514bd5e8c5bd15bf1e76f"}),
+      "out.json.provenance.json": "b59be7a429e99801ca303b961ef61d6e"
+                                  "4bea37126cbcf57d736674b6723dfa4a"}),
     (["stability", "--preset", "current", "--g-hz", "2e6", "--dT-mk", "5",
       "--B-nt", "20", "--format", "json"],
      {"out.json": "b53f296cc60340fc69621f3fc82ad8654"
                   "c939067fe5b0b04bef056a8722d3fb1",
-      "out.json.provenance.json": "4f4ed9e3539251ceea627be02564ea1b"
-                                  "50c4715fbe5161fa1a4062f7736f79c6"}),
+      "out.json.provenance.json": "d27bad1d5d64ed7f15da4b61979d8da1"
+                                  "768a60a61da7ede5405ab2394c06c5c3"}),
 ], ids=["fig2a-61", "fig2c-41", "fig2d-201", "stability-outlook-csv",
         "stability-outlook-json", "operating-point-report-sidecar",
         "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
