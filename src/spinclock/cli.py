@@ -1,8 +1,14 @@
 """Command-line front end: sweeps, operating-point reports, stability curves.
 
-Every run writes its fully resolved configuration to a JSON provenance
-sidecar next to the output; ``spinclock replay sidecar.json --out X``
-re-executes from the sidecar and reproduces the output byte for byte.
+Every run is a document, the JSON that its provenance sidecar next to the
+output records: a fresh run turns its flags into one, and ``spinclock
+replay sidecar.json --out X`` reads one and reproduces the output byte for
+byte.  Either way the document is checked in one place, ``_check_document``,
+and then computed, so a bad value fails alike from a flag or a sidecar, with
+a message that names the document key (``--B-nt inf`` names ``db_stab_t``).
+A key that no run reads exits 2.  Each flag is recorded as typed
+(``--g-hz 3.3e6`` is ``g_collective_hz: 3300000.0``); only ``--dT-mk`` and
+``--B-nt`` are scaled, from mK and nT.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
 identical bytes.  CSV and JSON tables are streamed to the file in blocks of
@@ -22,7 +28,6 @@ written, not even the sidecar.  So is any path of the run (``--out``, the
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -201,58 +206,81 @@ def _axis_from_doc(doc: dict) -> SweepAxis:
                      float(_axis_in(variable, doc["stop"])), doc["points"])
 
 
-# --- configuration resolution ---------------------------------------------
+# --- documents ----------------------------------------------------------------
 
 
-def _base_preset(args) -> Preset:
-    return table1_preset(getattr(args, "preset", None) or "current")
+# Each document value kind is a predicate with its description.
+_NUMBER = (_is_finite_number, "a finite number")
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
+                   "a finite number or null")
+_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+          "an integer >= 1")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_SEED = (lambda v: v is None or isinstance(v, int) and not isinstance(v, bool),
+         "an integer or null")
 
 
-def _apply_overrides(preset: Preset, args, stability_mode: bool) -> Preset:
-    spins, cavity, env, probe = preset.spins, preset.cavity, preset.env, preset.probe
-    dT_stab = preset.dT_stab
-    if getattr(args, "g_hz", None) is not None:
-        spins = dataclasses.replace(spins, g_collective=from_hz(args.g_hz))
-    if getattr(args, "kappa_hz", None) is not None:
-        cavity = dataclasses.replace(cavity, kappa_out=from_hz(args.kappa_hz))
-    if getattr(args, "R", None) is not None:
-        env = dataclasses.replace(env, R_ratio=args.R)
-    if getattr(args, "power_photons_per_s", None) is not None:
-        flux = args.power_photons_per_s
-        if flux <= 0:
-            raise ConfigError("--power-photons-per-s must be > 0")
-        probe = dataclasses.replace(probe, photon_flux=flux)
-    if getattr(args, "dT_mk", None) is not None:
-        if stability_mode:
-            dT_stab = args.dT_mk * 1e-3
-        else:
-            env = dataclasses.replace(env, delta_T=args.dT_mk * 1e-3)
-    if getattr(args, "B_nt", None) is not None and not stability_mode:
-        env = dataclasses.replace(env, B_field=args.B_nt * 1e-9)
-    return Preset(preset.name, spins, cavity, env, probe, dT_stab)
+def _one_of(*values):
+    # membership of a tuple compares values, so an unhashable one is unequal
+    return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
 
 
-def _finite_flag(value: float, flag: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite, got {value}")
-    return value
+_FORMAT = _one_of("csv", "json")
+# The keys of each command's document besides _HEADER's
+_SIDECAR_KEYS = {
+    "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
+                     axis2=_OBJECT, slice_axis1_value=_NUMBER_OR_NULL),
+    "stability": dict(format=_FORMAT, tau_start_s=_POSITIVE,
+                      tau_stop_s=_POSITIVE, tau_points=_COUNT,
+                      db_stab_t=_NUMBER),
+    "operating-point": dict(branch=_one_of(*BRANCHES), db_stab_t=_NUMBER),
+}
+_HEADER = dict(version=_one_of(__version__), command=_one_of(*_SIDECAR_KEYS),
+               config=_OBJECT)
+# Keys that no computation reads, checked when present
+_OPTIONAL = dict(tool=_one_of("spinclock"), seed=_SEED)
+_AXIS_KEYS = dict(variable=_one_of(*_AXIS_UNIT), start=_NUMBER, stop=_NUMBER,
+                  points=_COUNT)
 
 
-def _db_stab(args) -> float:
-    """Magnetic stability magnitude (T) from --B-nt in stability mode."""
-    return _finite_flag(args.B_nt or 0.0, "--B-nt") * 1e-9
+def _require(doc: dict, where: str, kinds: dict, optional=None) -> None:
+    """ConfigError naming the first key of ``kinds`` missing or of another
+    kind.  With ``optional`` given, a key in neither table is an error, and
+    a key of ``optional`` is checked when present."""
+    if optional is not None:
+        unknown = sorted(doc.keys() - kinds.keys() - optional.keys())
+        if unknown:
+            raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
+        kinds = {**kinds, **{k: v for k, v in optional.items() if k in doc}}
+    for key, (ok, expected) in kinds.items():
+        if key not in doc:
+            raise ConfigError(f"{where} has no {key!r}")
+        if not ok(doc[key]):
+            raise ConfigError(
+                f"{where} {key!r} must be {expected}, got {doc[key]!r}")
 
 
-def _provenance(command: str, preset: Preset, args, extra: dict) -> dict:
-    doc = {
-        "tool": "spinclock",
-        "version": __version__,
-        "command": command,
-        "seed": getattr(args, "seed", None),
-        "config": preset.to_config(),
-    }
-    doc.update(extra)
-    return doc
+def _check_document(doc, where: str) -> None:
+    """ConfigError unless ``doc`` holds the keys its command reads, each of
+    its kind, and no other key; ``where`` names the document.
+
+    Every run, fresh or replayed, is checked here.  Its config is then
+    checked by ``Preset.from_config`` and the rules between keys by the
+    command's runner, before any file is opened.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    _require(doc, where, _HEADER)
+    _require(doc, where, {**_HEADER, **_SIDECAR_KEYS[doc["command"]]},
+             _OPTIONAL)
+    if doc["command"] != "spectrum":
+        return
+    for name in ("axis1", "axis2"):
+        axis, at = doc[name], f"{where} {name}"
+        _require(axis, at, _AXIS_KEYS)
+        _require(axis, at, _AXIS_KEYS,
+                 dict(unit=_one_of(_AXIS_UNIT[axis["variable"]])))
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -297,61 +325,6 @@ def _slice_path(out: Path) -> Path:
     return out.with_name(out.stem + "_slice" + out.suffix)
 
 
-def _cmd_spectrum(args) -> int:
-    phase = math.radians(_finite_flag(args.quadrature_deg, "--quadrature-deg"))
-    points = args.points
-
-    if args.figure is not None:
-        setup = figure_setup(args.figure, points=points)
-        preset = Preset("figure-" + args.figure, setup.spins, setup.cavity,
-                        setup.env, table1_preset("current").probe, 0.0)
-        preset = _apply_overrides(preset, args, stability_mode=False)
-        axis1, axis2 = setup.axis1, setup.axis2
-        slice_value = setup.slice_axis1_value
-    else:
-        preset = _apply_overrides(_base_preset(args), args, stability_mode=False)
-        axis1 = _parse_axis(args.axis1, points, "--axis1")
-        axis2 = _parse_axis(args.axis2, points, "--axis2")
-        slice_value = None
-
-    doc = _provenance(
-        "spectrum", preset, args,
-        {
-            "format": args.format,
-            "quadrature_phase_rad": phase,
-            "axis1": _axis_to_doc(axis1),
-            "axis2": _axis_to_doc(axis2),
-            "slice_axis1_value": (
-                None if slice_value is None
-                else _axis_out(axis1.variable, slice_value)
-            ),
-        },
-    )
-    return _emit(doc, Path(args.out))
-
-
-def _parse_axis(spec: str | None, points: int, flag: str) -> SweepAxis:
-    if spec is None:
-        raise ConfigError(f"{flag} is required unless --figure is given "
-                          "(format: variable:start:stop, external units)")
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ConfigError(f"{flag} must be variable:start:stop[:points]")
-    variable = parts[0]
-    if variable not in _AXIS_UNIT:
-        raise ConfigError(
-            f"{flag}: unknown variable {variable!r}; "
-            f"choose from {', '.join(_AXIS_UNIT)}"
-        )
-    try:
-        start, stop = float(parts[1]), float(parts[2])
-        n = int(parts[3]) if len(parts) == 4 else points
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    return _axis_from_doc(
-        {"variable": variable, "start": start, "stop": stop, "points": n})
-
-
 # --- operating point ---------------------------------------------------------
 
 
@@ -387,26 +360,17 @@ def _operating_point_report(doc: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
-def _cmd_operating_point(args) -> int:
-    preset = _apply_overrides(_base_preset(args), args, stability_mode=True)
-    doc = _provenance(
-        "operating-point", preset, args,
-        {"branch": args.branch, "db_stab_t": _db_stab(args)},
-    )
-    if args.out:
-        return _emit(doc, Path(args.out))
-    sys.stdout.write(_operating_point_report(doc))
-    return 0
-
-
 # --- stability ----------------------------------------------------------------
 
 
 def _stability_from_doc(doc: dict, out: Path) -> dict:
     preset = Preset.from_config(doc["config"])
+    lo, hi = doc["tau_start_s"], doc["tau_stop_s"]
+    if not lo < hi:
+        raise ConfigError(f"tau_start_s must be < tau_stop_s, got {lo!r} "
+                          f"and {hi!r}")
     try:
-        taus = np.logspace(math.log10(doc["tau_start_s"]),
-                           math.log10(doc["tau_stop_s"]), doc["tau_points"])
+        taus = np.logspace(math.log10(lo), math.log10(hi), doc["tau_points"])
     except MemoryError:
         raise ConfigError(f"tau_points = {doc['tau_points']} does not fit "
                           "in memory") from None
@@ -427,106 +391,108 @@ def _stability_from_doc(doc: dict, out: Path) -> dict:
     )}
 
 
-def _parse_tau_range(spec: str) -> tuple[float, float]:
-    try:
-        lo, hi = spec.split("..")
-        lo, hi = float(lo), float(hi)
-    except ValueError:
-        raise ConfigError("--tau must look like 0.1..1e4") from None
-    if not 0 < lo < hi < math.inf:
-        raise ConfigError("--tau range must be positive, finite and increasing")
-    return lo, hi
+# --- fresh runs ------------------------------------------------------------------
+#
+# A fresh run only turns its flags into its document; every check is made on
+# the document, as for a replay.
 
 
-def _cmd_stability(args) -> int:
-    preset = _apply_overrides(_base_preset(args), args, stability_mode=True)
-    lo, hi = _parse_tau_range(args.tau)
-    if args.tau_points < 1:
-        raise ConfigError(f"--tau-points must be >= 1, got {args.tau_points}")
-    doc = _provenance(
-        "stability", preset, args,
-        {
-            "format": args.format,
-            "tau_start_s": lo,
-            "tau_stop_s": hi,
-            "tau_points": args.tau_points,
-            "db_stab_t": _db_stab(args),
-        },
-    )
-    return _emit(doc, Path(args.out))
-
-
-# --- replay -------------------------------------------------------------------
-
-
-# Each sidecar value kind is a predicate with its description.
-_NUMBER = (_is_finite_number, "a finite number")
-_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0")
-_NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
-                   "a finite number or null")
-_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-          "an integer >= 1")
-_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
-
-
-def _one_of(*values):
-    return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
-
-
-_FORMAT = _one_of("csv", "json")
-_SIDECAR_KEYS = {
-    "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
-                     axis2=_OBJECT, slice_axis1_value=_NUMBER_OR_NULL),
-    "stability": dict(format=_FORMAT, tau_start_s=_POSITIVE,
-                      tau_stop_s=_POSITIVE, tau_points=_COUNT,
-                      db_stab_t=_NUMBER),
-    "operating-point": dict(branch=_one_of(*BRANCHES), db_stab_t=_NUMBER),
+# The flags every fresh run takes, each with the document key it sets (its
+# argparse dest) and its help: in spectrum, then in operating-point and
+# stability.  A key of the command's document is set there, any other in
+# its config.
+_COMMON_FLAGS = {
+    "--g-hz": [("g_collective_hz", "ensemble coupling g (Hz)")] * 2,
+    "--kappa-hz": [("kappa_out_hz", "cavity output rate kappa (Hz)")] * 2,
+    "--R": [("r_ratio", "cavity/spin thermal-coefficient ratio")] * 2,
+    "--power-photons-per-s": [("photon_flux_per_s",
+                               "source power I (photons/s)")] * 2,
+    "--dT-mk": [("delta_t_k", "static temperature offset (mK)"),
+                ("dt_stab_k", "temperature stability (mK)")],
+    "--B-nt": [("b_field_t", "static axial field (nT)"),
+               ("db_stab_t", "magnetic stability (nT, default 0)")],
 }
-_AXIS_KEYS = dict(variable=_one_of(*_AXIS_UNIT), start=_NUMBER, stop=_NUMBER,
-                  points=_COUNT)
+# The flags typed in another unit than their key's; the rest are recorded
+# as typed
+_FLAG_SCALE = {"--dT-mk": 1e-3, "--B-nt": 1e-9}
 
 
-def _require(doc: dict, where: str, kinds: dict) -> None:
-    """ConfigError naming the first key of ``kinds`` missing or of another kind."""
-    for key, (ok, expected) in kinds.items():
-        if key not in doc:
-            raise ConfigError(f"{where} has no {key!r}")
-        if not ok(doc[key]):
-            raise ConfigError(
-                f"{where} {key!r} must be {expected}, got {doc[key]!r}")
-
-
-def _finite_json_number(text: str) -> float:
-    """A JSON number token as a float; NaN, Infinity and overflows are
-    rejected, so the sidecar written back can hold every value read."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"{text} is not a finite number")
-    return value
-
-
-def _read_sidecar(path: Path) -> dict:
-    """Load a sidecar and check its version and the keys its command reads."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"),
-                         parse_float=_finite_json_number,
-                         parse_constant=_finite_json_number)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read sidecar {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"sidecar {path} is not a JSON object")
-    where = f"sidecar {path}"
-    _require(doc, where, {"version": _one_of(__version__),
-                          "command": _one_of(*_SIDECAR_KEYS), "config": _OBJECT})
-    _require(doc, where, _SIDECAR_KEYS[doc["command"]])
-    if doc["command"] == "spectrum":
-        for axis in ("axis1", "axis2"):
-            _require(doc[axis], f"{where} {axis}", _AXIS_KEYS)
+def _document(args, preset: Preset, **keys) -> dict:
+    """A fresh run's document: ``keys`` beside the preset's config, and
+    each common flag given written over the key it sets."""
+    doc = {"tool": "spinclock", "version": __version__,
+           "command": args.command, "seed": args.seed,
+           "config": preset.to_config(), **keys}
+    for flag, modes in _COMMON_FLAGS.items():
+        key = modes[args.command != "spectrum"][0]
+        value = getattr(args, key)
+        if value is not None:
+            target = doc if key in _SIDECAR_KEYS[args.command] \
+                else doc["config"]
+            target[key] = value * _FLAG_SCALE.get(flag, 1.0)
     return doc
 
 
-def _cmd_replay(args) -> int:
-    return _emit(_read_sidecar(Path(args.sidecar)), Path(args.out))
+def _spectrum_document(args) -> dict:
+    if args.figure is None:
+        preset = table1_preset(args.preset)
+        axes = [_parse_axis(args.axis1, args.points, "--axis1"),
+                _parse_axis(args.axis2, args.points, "--axis2")]
+        slice_value = None
+    else:
+        setup = figure_setup(args.figure, points=args.points)
+        preset = Preset("figure-" + args.figure, setup.spins, setup.cavity,
+                        setup.env, table1_preset("current").probe, 0.0)
+        axes = [_axis_to_doc(setup.axis1), _axis_to_doc(setup.axis2)]
+        slice_value = setup.slice_axis1_value
+        if slice_value is not None:
+            slice_value = _axis_out(setup.axis1.variable, slice_value)
+    return _document(args, preset, format=args.format,
+                     quadrature_phase_rad=math.radians(args.quadrature_deg),
+                     axis1=axes[0], axis2=axes[1],
+                     slice_axis1_value=slice_value)
+
+
+def _parse_axis(spec: str | None, points: int, flag: str) -> dict:
+    """The axis document of ``--axis1`` / ``--axis2``, as typed."""
+    if spec is None:
+        raise ConfigError(f"{flag} is required unless --figure is given "
+                          "(format: variable:start:stop, external units)")
+    parts = spec.split(":")
+    if len(parts) not in (3, 4):
+        raise ConfigError(f"{flag} must be variable:start:stop[:points]")
+    try:
+        start, stop = float(parts[1]), float(parts[2])
+        n = int(parts[3]) if len(parts) == 4 else points
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    return {"variable": parts[0], "start": start, "stop": stop, "points": n,
+            "unit": _AXIS_UNIT.get(parts[0])}
+
+
+def _operating_point_document(args) -> dict:
+    return _document(args, table1_preset(args.preset), branch=args.branch)
+
+
+def _stability_document(args) -> dict:
+    try:
+        lo, hi = args.tau.split("..")
+        lo, hi = float(lo), float(hi)
+    except ValueError:
+        raise ConfigError("--tau must look like 0.1..1e4") from None
+    return _document(args, table1_preset(args.preset), format=args.format,
+                     tau_start_s=lo, tau_stop_s=hi,
+                     tau_points=args.tau_points)
+
+
+def _replay_document(args):
+    """The sidecar's document as JSON reads it; ``_check_document`` checks
+    it like any other."""
+    path = Path(args.sidecar)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read sidecar {path}: {exc}") from None
 
 
 # --- output -------------------------------------------------------------------
@@ -542,10 +508,22 @@ _RUNNERS = {
 }
 
 
+def _run(args) -> int:
+    """Every run's one path: its document is checked, then computed into its
+    outputs; an operating-point report without ``--out`` goes to stdout."""
+    doc = args.document(args)
+    _check_document(doc, f"sidecar {Path(args.sidecar)}"
+                    if args.command == "replay" else args.command)
+    if args.out is None:
+        sys.stdout.write(_operating_point_report(doc))
+        return 0
+    return _emit(doc, Path(args.out))
+
+
 def _emit(doc: dict, out: Path) -> int:
-    """Run ``doc`` into ``out`` and its sidecar, shared by fresh runs and
-    ``replay``: every file is computed, and every path opened, before the
-    first byte is written, so a run that fails writes nothing."""
+    """Run a checked ``doc`` into ``out`` and its sidecar: every file is
+    computed, and every path opened, before the first byte is written, so a
+    run that fails writes nothing."""
     writers = _RUNNERS[doc["command"]](doc, out)
     sidecar = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     writers[out.with_name(out.name + ".provenance.json")] = \
@@ -562,22 +540,14 @@ def _emit(doc: dict, out: Path) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, stability: bool) -> None:
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None,
+    p.add_argument("--preset", choices=PRESET_NAMES, default="current",
                    help="base parameter set (default: current)")
-    p.add_argument("--g-hz", type=float, dest="g_hz",
-                   help="override ensemble coupling g (Hz)")
-    p.add_argument("--kappa-hz", type=float, dest="kappa_hz",
-                   help="override cavity output rate kappa (Hz)")
-    p.add_argument("--R", type=float, dest="R",
-                   help="override cavity/spin thermal-coefficient ratio")
-    p.add_argument("--power-photons-per-s", type=float,
-                   dest="power_photons_per_s", help="override source power I")
-    p.add_argument("--dT-mk", type=float, dest="dT_mk",
-                   help=("temperature stability (mK)" if stability
-                         else "static temperature offset (mK)"))
-    p.add_argument("--B-nt", type=float, dest="B_nt",
-                   help=("magnetic stability (nT)" if stability
-                         else "static axial field (nT)"))
+    for flag, modes in _COMMON_FLAGS.items():
+        key, text = modes[stability]
+        p.add_argument(flag, type=float, dest=key, help=f"{text}; sets {key}",
+                       metavar=flag.lstrip("-").replace("-", "_").upper())
+    if stability:
+        p.set_defaults(db_stab_t=0.0)
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the provenance sidecar only; "
                         "no computation uses it")
@@ -615,35 +585,43 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid points per axis (default 1001)")
     sp.add_argument("--quadrature-deg", type=float, default=90.0,
                     dest="quadrature_deg",
-                    help="homodyne phase in degrees (90 = Im[t])")
+                    help="homodyne phase in degrees (90 = Im[t]); sets "
+                         "quadrature_phase_rad")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sp, stability=False)
-    sp.set_defaults(func=_cmd_spectrum)
+    sp.set_defaults(document=_spectrum_document)
 
-    op = sub.add_parser("operating-point",
-                        help="find the temperature-insensitive detuning")
+    op = sub.add_parser(
+        "operating-point", help="find the temperature-insensitive detuning",
+        description="Temperature-insensitive detuning of one branch, its "
+                    "curvatures and environmental floors, as a JSON report. "
+                    "--kappa-hz and --power-photons-per-s reach only the "
+                    "sidecar and the report's params echo; stability reads "
+                    "both.",
+    )
     op.add_argument("--branch", choices=("lower", "middle", "upper"),
                     default="upper")
     op.add_argument("--out", default=None,
                     help="report path (default: stdout)")
     _add_common(op, stability=True)
-    op.set_defaults(func=_cmd_operating_point)
+    op.set_defaults(document=_operating_point_document)
 
     st = sub.add_parser("stability",
                         help="fractional frequency deviation vs time")
     st.add_argument("--tau", default="0.1..1e4",
-                    help="integration-time range, e.g. 0.1..1e4")
+                    help="integration-time range, e.g. 0.1..1e4; sets "
+                         "tau_start_s and tau_stop_s")
     st.add_argument("--tau-points", type=int, default=81, dest="tau_points")
     st.add_argument("--out", required=True)
     st.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(st, stability=True)
-    st.set_defaults(func=_cmd_stability)
+    st.set_defaults(document=_stability_document)
 
     rp = sub.add_parser("replay", help="re-run from a provenance sidecar")
     rp.add_argument("sidecar")
     rp.add_argument("--out", required=True)
-    rp.set_defaults(func=_cmd_replay)
+    rp.set_defaults(document=_replay_document)
 
     # argparse takes "-1e-3" and "-inf" for options, since its own pattern
     # of a negative number has no exponent; no option here starts this way
@@ -669,7 +647,7 @@ def main(argv=None) -> int:
         # an overflow surfaces as a non-finite output, which exits 2 naming
         # the column; numpy's warnings about it would only precede that line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

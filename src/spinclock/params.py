@@ -195,8 +195,8 @@ class ProbeParams:
 
     def __post_init__(self):
         _require_finite(self, "photon_flux")
-        if not self.photon_flux >= 0:
-            raise ConfigError("photon_flux must be >= 0")
+        if not self.photon_flux > 0:
+            raise ConfigError(f"photon_flux must be > 0, got {self.photon_flux}")
 
 
 def instantaneous_frequencies(

@@ -114,8 +114,6 @@ class StabilityCurve:
 def shot_noise_precision(cavity: CavityParams, probe: ProbeParams) -> float:
     """Frequency precision dnu (rad/s) after integrating for 1 s:
     kappa / sqrt(I) * sqrt(1 + xi^2 / 2)."""
-    if probe.photon_flux <= 0:
-        raise ValueError("photon_flux must be > 0 for a shot-noise estimate")
     xi = cavity.loss_ratio
     return (cavity.kappa_out / math.sqrt(probe.photon_flux)) \
         * math.sqrt(1.0 + 0.5 * _square(xi))

@@ -224,8 +224,8 @@ def test_operating_point_lower_branch_closed_form(tmp_path):
     assert doc["closed_form_delta_rel"] < 0.02
 
 
-@pytest.mark.parametrize("content", [None, "{not json"],
-                         ids=["missing", "invalid-json"])
+@pytest.mark.parametrize("content", [None, "{not json", "[" * 100_000],
+                         ids=["missing", "invalid-json", "deep-nesting"])
 def test_replay_bad_sidecar_is_config_error(tmp_path, capsys, content):
     sidecar = tmp_path / "sidecar.json"
     if content is not None:
@@ -279,15 +279,15 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     (["operating-point", "--kappa-hz", "nan"], 2, "kappa_out"),
     (["stability", "--power-photons-per-s", "inf"], 2, "photon_flux"),
     (["spectrum", "--figure", "2a", "--points", "5",
-      "--quadrature-deg", "nan"], 2, "--quadrature-deg"),
-    (["operating-point", "--dT-mk", "nan"], 2, "dT_stab"),
+      "--quadrature-deg", "nan"], 2, "quadrature_phase_rad"),
+    (["operating-point", "--dT-mk", "nan"], 2, "dt_stab_k"),
     (["spectrum", "--figure", "2c", "--points", "5", "--dT-mk", "nan"], 2,
-     "delta_T"),
+     "delta_t_k"),
     (["operating-point", "--g-hz", "nan"], 2, "g_collective"),
     (["operating-point", "--g-hz", "0"], 3, "coupling g = 0"),
-    (["stability", "--B-nt", "inf"], 2, "--B-nt"),
-    (["stability", "--tau", "0.1..inf"], 2, "--tau"),
-    (["stability", "--tau-points", "0"], 2, "--tau-points"),
+    (["stability", "--B-nt", "inf"], 2, "db_stab_t"),
+    (["stability", "--tau", "0.1..inf"], 2, "tau_stop_s"),
+    (["stability", "--tau-points", "0"], 2, "tau_points"),
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
         "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
         "tau-points-zero"])
@@ -527,7 +527,8 @@ _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6),
     st.integers(-2 ** 70, 2 ** 70), st.just(10 ** 400),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324]),
+    st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324,
+                     1.3407807929942597e+154, -1.3407807929942597e+154]),
 )
 _JSON_VALUES = st.one_of(
     _JSON_SCALARS,
@@ -540,13 +541,16 @@ _DROP = object()  # a mutation that removes the key
 @st.composite
 def _mutations(draw):
     """(sidecar, place, key, new value or _DROP) for one of the valid
-    sidecars; the place is the top level, the config or an axis."""
+    sidecars; the place is the top level, the config or an axis, and the
+    key one of the place's or a new one."""
     name = draw(st.sampled_from(sorted(_valid_sidecars())))
     doc = _valid_sidecars()[name]
     place = draw(st.sampled_from(
         ["top", "config", *(axis for axis in ("axis1", "axis2")
                             if axis in doc)]))
-    key = draw(st.sampled_from(sorted(doc if place == "top" else doc[place])))
+    key = draw(st.one_of(
+        st.sampled_from(sorted(doc if place == "top" else doc[place])),
+        st.text(min_size=1, max_size=6)))
     if key in ("points", "tau_points"):
         # a count stays small, so no draw allocates a large grid
         values = _JSON_VALUES.filter(
@@ -566,14 +570,17 @@ def _mutations(draw):
                    1.3407807929942597e+154))
 @example(mutation=("operating-point", "config", "gamma_pump_hz",
                    1.3407807929942597e+154))
+@example(mutation=("stability", "top", "db_stab", 5))
+@example(mutation=("spectrum-axes", "axis1", "extra", 1))
+@example(mutation=("spectrum-figure", "top", "command", ["spectrum"]))
 def test_replay_fuzz_ends_in_a_documented_exit(mutation):
-    # a sidecar with one key dropped or replaced ends in success, a
+    # a sidecar with one key dropped, added or replaced ends in success, a
     # configuration error or a solver error; a failed run writes nothing
     name, place, key, value = mutation
     doc = copy.deepcopy(_valid_sidecars()[name])
     target = doc if place == "top" else doc[place]
     if value is _DROP:
-        del target[key]
+        target.pop(key, None)
     else:
         target[key] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -649,6 +656,89 @@ def test_sidecar_with_a_removed_probe_key_is_config_error(tmp_path, key):
         assert rc == 2, (name, err)
         assert f"unknown config key(s): {key}" in err, err
         assert "Traceback" not in err and not out.parent.exists()
+
+
+def _write_doc(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name,place,key,value,named", [
+    ("stability", "top", "db_stab", 5, "unknown key(s): db_stab"),
+    ("spectrum-axes", "axis1", "extra", 1, "axis1 has unknown key(s): extra"),
+    ("spectrum-axes", "axis2", "unit", "k", "axis2 'unit' must be one of 'hz'"),
+    ("spectrum-figure", "axis1", "unit", "hz", "axis1 'unit'"),
+    ("operating-point", "top", "tool", "other", "'tool'"),
+    ("stability", "top", "seed", 1.5, "'seed'"),
+    ("spectrum-axes", "top", "seed", True, "'seed'"),
+], ids=["top-level-key", "axis-key", "hz-axis-in-kelvin", "kelvin-axis-in-hz",
+        "other-tool", "float-seed", "bool-seed"])
+def test_replay_rejects_what_no_run_writes(tmp_path, name, place, key, value,
+                                          named):
+    # a key that no run reads, or a tool, seed or axis unit that no run
+    # writes, exits 2 naming it and writes nothing, so it cannot reach the
+    # new sidecar
+    doc = copy.deepcopy(_valid_sidecars()[name])
+    (doc if place == "top" else doc[place])[key] = value
+    sidecar = _write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out" / "out.csv"
+    rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    assert rc == 2, err
+    assert err.startswith(f"error: sidecar {sidecar} ") and named in err, err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("name", ["spectrum-figure", "spectrum-axes",
+                                  "stability", "operating-point"])
+def test_replay_without_tool_seed_and_units(tmp_path, name):
+    # no computation reads these keys, so a hand-written sidecar may leave
+    # them out and replays to the same outputs
+    doc = copy.deepcopy(_valid_sidecars()[name])
+    full = _replayed_outputs(doc, tmp_path / "full")
+    for target in (doc, doc.get("axis1", {}), doc.get("axis2", {})):
+        for key in ("tool", "seed", "unit"):
+            target.pop(key, None)
+    assert _replayed_outputs(doc, tmp_path / "bare") == full
+
+
+@pytest.mark.parametrize("argv,name,top,config", [
+    (["stability", "--tau", "5..1"], "stability",
+     {"tau_start_s": 5.0, "tau_stop_s": 1.0}, {}),
+    (["stability", "--tau", "5..5"], "stability",
+     {"tau_start_s": 5.0, "tau_stop_s": 5.0}, {}),
+    (["stability", "--tau-points", "0"], "stability", {"tau_points": 0}, {}),
+    (["spectrum", "--figure", "2c", "--points", "3",
+      "--power-photons-per-s", "0"], "spectrum-figure", {},
+     {"photon_flux_per_s": 0.0}),
+    (["stability", "--B-nt", "inf"], "stability", {"db_stab_t": math.inf}, {}),
+], ids=["reversed-tau", "empty-tau", "no-tau-points", "spectrum-zero-power",
+        "infinite-field-noise"])
+def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config):
+    # a value given by a flag and the same value in a valid sidecar exit 2
+    # with the same message after the name of the document, writing nothing
+    doc = copy.deepcopy(_valid_sidecars()[name])
+    doc.update(top)
+    doc["config"].update(config)
+    sidecar = _write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out" / "out.csv"
+    fresh = _quiet_main([*argv, "--out", str(out)])
+    replay = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    assert fresh[0] == replay[0] == 2, (fresh, replay)
+    assert fresh[1].removeprefix(f"error: {argv[0]} ") \
+        == replay[1].removeprefix(f"error: sidecar {sidecar} "), \
+        (fresh, replay)
+    assert not out.parent.exists()
+
+
+def test_hz_flag_is_recorded_as_typed(tmp_path):
+    # the flag's value goes into the document as typed, not through rad/s
+    # and back (which gives 3300000.0000000005)
+    out = tmp_path / "op.json"
+    assert _run("operating-point", "--g-hz", "3.3e6", "--out", str(out)) == 0
+    sidecar = json.loads((tmp_path / "op.json.provenance.json").read_text())
+    assert sidecar["config"]["g_collective_hz"] == 3300000.0
+    assert json.loads(out.read_text())["params"]["g_collective_hz"] \
+        == 3300000.0
 
 
 def test_operating_point_has_no_format_flag(capsys):

@@ -116,6 +116,8 @@ def test_cavity_and_probe_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ConfigError, match=field):
                 cls(**{field: value})
+    with pytest.raises(ConfigError, match="photon_flux must be > 0"):
+        ProbeParams(photon_flux=0.0)
     p = table1_preset("current")
     with pytest.raises(ConfigError, match="dT_stab"):
         Preset(p.name, p.spins, p.cavity, p.env, p.probe, math.nan)
