@@ -11,8 +11,10 @@ A key that no run reads exits 2.  Each flag is recorded as typed
 ``--B-nt`` are scaled, from mK and nT.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
-identical bytes.  CSV and JSON tables are streamed to the file in blocks of
-rows, so the memory a write takes does not grow with the grid.
+identical bytes.  A CSV or JSON table formats each distinct magnitude of a
+column once per file and streams its rows to the file in blocks, so the
+memory a write takes grows with the distinct magnitudes (33 bytes each per
+column in CSV, 36 in JSON), not with the rows.
 
 Every file is opened through ``_open_output``.  An existing output or sidecar
 is replaced by a new file, not truncated: a hard link to the old file keeps
@@ -138,19 +140,86 @@ def _require_finite_output(values: dict) -> None:
                               "overflows the model); nothing written")
 
 
-# Rows per table block: large enough that numpy's per-call cost is small,
-# small enough that one block's strings take about a megabyte.
+# Values per table block: large enough that numpy's per-call cost is small,
+# small enough that one block's rows take about half a megabyte.
 _BLOCK_ROWS = 4096
+_MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
+# The longest repr of a float's magnitude, as 2.2250738585072014e-308's
+_REPR_WIDTH = 23
 
 
-def _block_text(block: np.ndarray) -> list:
-    """``repr`` of each value of a column block, formatting each distinct
-    value once; values are keyed on their bit patterns, so -0.0 and 0.0 keep
-    their own text."""
-    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                    dtype=object)
-    return text[inverse].tolist()
+def _blocks(shape: tuple) -> list:
+    """The index of each block of at most ``_BLOCK_ROWS`` values of a 2-D
+    array of ``shape``, in C order: whole rows, or pieces of one row when a
+    row is longer than a block.  There is always at least one block."""
+    n1, n2 = shape
+    if n2 > _BLOCK_ROWS:
+        return [(i, slice(j, j + _BLOCK_ROWS))
+                for i in range(n1) for j in range(0, n2, _BLOCK_ROWS)]
+    step = _BLOCK_ROWS // max(n2, 1)
+    return [slice(i, i + step) for i in range(0, max(n1, 1), step)]
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``bits``, which is sorted in place."""
+    bits.sort()
+    keep = np.empty(bits.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=keep[1:])
+    return bits[keep]
+
+
+def _magnitudes(grid: np.ndarray, blocks: list) -> np.ndarray:
+    """The sorted distinct magnitudes of a float64 column, its bits with the
+    sign cleared: found sort-based from each block's distinct magnitudes
+    (8 bytes each while they are found), then those of all blocks."""
+    parts = [_distinct(grid[index].reshape(-1).view(np.uint64) & _MAGNITUDE)
+             for index in blocks]
+    return parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
+
+
+def _text_table(grids: list, blocks: list, seps: list) -> tuple:
+    """Each column's ``_magnitudes``, the row where they start in one table
+    of texts, and that table.  A row of it is a NUL for the sign, the
+    magnitude's ``repr`` padded with NULs to ``_REPR_WIDTH`` bytes, and its
+    column's separator from ``seps`` (all of one length).
+
+    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so one text serves
+    both signs and -0.0 gets its sign like any other value.  A distinct
+    magnitude of a column takes 33 bytes with a one-byte separator.
+    """
+    mags = [_magnitudes(grid, blocks) for grid in grids]
+    starts = np.cumsum([0] + [m.size for m in mags[:-1]])
+    every = np.concatenate(mags)
+    mags = [every[a:a + m.size] for a, m in zip(starts, mags)]
+    table = np.zeros((every.size, 1 + _REPR_WIDTH + len(seps[0])),
+                     dtype=np.uint8)
+    for start in range(0, every.size, _BLOCK_ROWS):
+        chunk = np.array(list(map(repr, every[start:start + _BLOCK_ROWS]
+                                  .view(np.float64).tolist())), dtype="S")
+        table[start:start + chunk.size, 1:1 + chunk.itemsize] = \
+            chunk.view(np.uint8).reshape(chunk.size, -1)
+    for a, m, sep in zip(starts, mags, seps):
+        table[a:a + m.size, 1 + _REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
+    return mags, starts, table
+
+
+def _rows(grids: list, mags: list, starts, table, index) -> bytes:
+    """The bytes of one block of rows of ``grids``: each value as its row
+    of ``table`` with the sign set, NULs dropped.  ``mags``, ``starts`` and
+    ``table`` are the columns' ``_text_table``.  All columns go through
+    each step at once, so that a small table costs few numpy calls."""
+    bits = np.stack([grid[index] for grid in grids]) \
+        .reshape(len(grids), -1).view(np.uint64)
+    magnitudes = bits & _MAGNITUDE
+    at = np.empty((len(grids), bits.shape[1]), dtype=np.intp)
+    for c, column in enumerate(mags):
+        at[c] = column.searchsorted(magnitudes[c])
+    at += starts[:, None]
+    # take copies whole rows, several times faster than fancy indexing
+    rows = np.take(table, at.T, axis=0)
+    rows[:, :, 0] = (bits >> 63).T * ord("-")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _table(header, columns, fmt: str):
@@ -163,31 +232,45 @@ def _table(header, columns, fmt: str):
 
 
 def _write_table(out, header, columns, fmt: str) -> None:
-    """Write named float64 columns to the open file ``out`` as CSV or JSON,
-    each value as ``repr(float(v))``.
+    """Write named float64 columns to the open text file ``out`` as CSV or
+    JSON, each value as ``repr(float(v))``.
 
-    Both formats are written one block of ``_BLOCK_ROWS`` values per column
-    at a time, so the memory a write takes does not grow with the table.
-    JSON holds the bytes of ``json.dumps(table, sort_keys=True, indent=1)``,
-    which also writes a float as its ``repr``: one sorted key per column.
+    The columns are arrays of one shape, 1-D or 2-D (a broadcast view
+    serves), each written in C order.  Each distinct magnitude of a column
+    is formatted once per file (``_text_table``), and the rows are put
+    together from those texts one block of ``_BLOCK_ROWS`` values at a time.
+    So the memory a write takes grows with the distinct magnitudes, 33 bytes
+    each per column in CSV and 36 in JSON, and not with the rows.  JSON
+    holds the bytes of
+    ``json.dumps(table, sort_keys=True, indent=1)``, which also writes a
+    float as its ``repr``: one sorted key per column.
     """
-    blocks = range(0, columns[0].size, _BLOCK_ROWS)
+    grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
+    blocks = _blocks(grids[0].shape)
+    out.flush()
+    raw = out.buffer  # the rows are ASCII bytes
     if fmt == "json":
-        table = dict(zip(header, columns))
-        out.write("{")
-        for i, name in enumerate(sorted(table)):
-            out.write(f"{',' if i else ''}\n {json.dumps(name)}: [")
-            for start in blocks:
-                out.write((",\n  " if start else "\n  ") + ",\n  ".join(
-                    _block_text(table[name][start:start + _BLOCK_ROWS])))
-            out.write("\n ]")
-        out.write("\n}\n")
+        sep = b",\n  "
+        mags, starts, table = _text_table(grids, blocks, [sep] * len(grids))
+        raw.write(b"{")
+        for i, c in enumerate(sorted(range(len(header)),
+                                     key=header.__getitem__)):
+            column = [grids[c]], mags[c:c + 1], starts[c:c + 1], table
+            raw.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
+                      .encode())
+            if grids[c].size:
+                raw.write(b"\n  ")
+            for index in blocks[:-1]:
+                raw.write(_rows(*column, index))
+            raw.write(_rows(*column, blocks[-1])[:-len(sep)])
+            raw.write(b"\n ]")
+        raw.write(b"\n}\n")
         return
-    out.write(",".join(header) + "\n")
-    for start in blocks:
-        cells = [_block_text(col[start:start + _BLOCK_ROWS])
-                 for col in columns]
-        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    mags, starts, table = _text_table(
+        grids, blocks, [b","] * (len(grids) - 1) + [b"\n"])
+    raw.write((",".join(header) + "\n").encode())
+    for index in blocks:
+        raw.write(_rows(grids, mags, starts, table, index))
 
 
 def _axis_to_doc(axis: SweepAxis) -> dict:
@@ -293,18 +376,17 @@ def _spectrum_from_doc(doc: dict, out: Path) -> dict:
     result = spectrum_sweep(preset.spins, preset.cavity, preset.env,
                             axis1, axis2)
 
+    t = result.t
     v1 = _axis_out(axis1.variable, result.values1)
     v2 = _axis_out(axis2.variable, result.values2)
-    n1, n2 = v1.size, v2.size
-    flat = result.t.reshape(-1)
     writers = {out: _table(
         ("axis1", "axis2", "re_t", "im_t", "abs_t"),
         (
-            np.repeat(v1, n2),
-            np.tile(v2, n1),
-            flat.real,
-            flat.imag,
-            np.abs(flat),
+            np.broadcast_to(v1[:, None], t.shape),
+            np.broadcast_to(v2, t.shape),
+            t.real,
+            t.imag,
+            np.abs(t),
         ),
         doc["format"],
     )}
@@ -435,11 +517,15 @@ def _document(args, preset: Preset, **keys) -> dict:
 
 def _spectrum_document(args) -> dict:
     if args.figure is None:
-        preset = table1_preset(args.preset)
+        preset = table1_preset(args.preset or "current")
         axes = [_parse_axis(args.axis1, args.points, "--axis1"),
                 _parse_axis(args.axis2, args.points, "--axis2")]
         slice_value = None
     else:
+        # a figure fixes its parameters and axes
+        for flag in ("--preset", "--axis1", "--axis2"):
+            if getattr(args, flag.lstrip("-")) is not None:
+                raise ConfigError(f"{flag} cannot be combined with --figure")
         setup = figure_setup(args.figure, points=args.points)
         preset = Preset("figure-" + args.figure, setup.spins, setup.cavity,
                         setup.env, table1_preset("current").probe, 0.0)
@@ -577,7 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "9.25 MHz detuning. 2c/2d also write a *_slice file "
                     "(the operating-point trace).",
     )
-    sp.add_argument("--figure", choices=FIGURE_NAMES)
+    sp.add_argument("--figure", choices=FIGURE_NAMES,
+                    help="a reference panel; it fixes the parameters and "
+                         "axes, so --preset, --axis1 and --axis2 exit 2")
     sp.add_argument("--axis1", help="variable:start:stop[:points], "
                     "units Hz / K / T")
     sp.add_argument("--axis2", help="variable:start:stop[:points]")
@@ -590,7 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sp, stability=False)
-    sp.set_defaults(document=_spectrum_document)
+    # None tells an omitted --preset, which --figure rejects, from a typed one
+    sp.set_defaults(document=_spectrum_document, preset=None)
 
     op = sub.add_parser(
         "operating-point", help="find the temperature-insensitive detuning",

@@ -59,6 +59,20 @@ def test_replay_reproduces_output(tmp_path):
         == (tmp_path / "replayed_slice.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--preset", "outlook"), ("--preset", "current"),
+    ("--axis1", "delta_T:0:1"), ("--axis2", "probe_offset:-1e6:1e6:3"),
+])
+def test_spectrum_figure_rejects_preset_and_axes(tmp_path, flag, value):
+    # a figure fixes its parameters and axes, so these flags would not move
+    # the run; naming the default preset is refused too
+    rc, err = _quiet_main(["spectrum", "--figure", "2a", "--points", "3",
+                           flag, value, "--out", str(tmp_path / "a.csv")])
+    assert rc == 2
+    assert f"{flag} cannot be combined with --figure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_slice_contains_quadrature(tmp_path):
     out = tmp_path / "f2d.csv"
     assert _run("spectrum", "--figure", "2d", "--points", "11",
@@ -331,10 +345,23 @@ def test_huge_coupling_shows_no_traceback(capsys):
     assert np.isfinite(json.loads(capsys.readouterr().out)["D_hz"])
 
 
+def _expected_csv(header, columns):
+    return (",".join(header) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in zip(*columns))).encode()
+
+
+def _expected_json(header, columns):
+    doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
 def _edge_columns():
-    """Five columns over 2 blocks plus 3 rows, with the values repr treats
+    """Columns over 2 blocks plus 3 rows, with the values repr treats
     specially: signed zeros, subnormals, both sides of its exponent
-    switches, and one value repeated across the block boundary."""
+    switches, its longest text, and one value repeated across the block
+    boundary.  Magnitudes recur with both signs in every block, and 0.0 and
+    -0.0 fall in blocks of their own as well as in one block together."""
     n = 2 * _BLOCK_ROWS + 3
     rng = np.random.default_rng(5)
     specials = np.array([
@@ -350,27 +377,47 @@ def _edge_columns():
     bits = np.where(np.isfinite(bits), bits, 1.5)
     subnormal = rng.integers(-2**52 + 1, 2**52, n).astype(np.int64)
     subnormal = np.abs(subnormal).view(np.float64) * np.sign(subnormal)
-    return ("zero", "special", "boundary", "bits", "subnormal"), (
-        signed_zero, picks, boundary, bits, subnormal)
+    signs = rng.choice([-1.0, 1.0], n)
+    zeros = np.zeros(n)
+    zeros[_BLOCK_ROWS // 2 + _BLOCK_ROWS:] = -0.0
+    wide = 2.2250738585072014e-308 * signs
+    return ("zero", "special", "boundary", "bits", "subnormal", "signed",
+            "zeros", "wide"), (
+        signed_zero, picks, boundary, bits, subnormal, picks * signs, zeros,
+        wide)
 
 
-@pytest.mark.parametrize("rows", [None, 1],
-                         ids=["blocks-plus-three", "one-row"])
+@pytest.mark.parametrize("rows", [None, 1, _BLOCK_ROWS],
+                         ids=["blocks-plus-three", "one-row", "one-block"])
 def test_write_table_matches_repr_of_each_value(tmp_path, rows):
+    # one text per magnitude serves both signs, -0.0 included
     header, columns = _edge_columns()
     columns = [col[:rows] for col in columns]
-    out = tmp_path / "t.csv"
-    with open(out, "w", encoding="utf-8") as f:
-        _write_table(f, header, columns, "csv")
-    expected = ",".join(header) + "\n" + "".join(
-        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
-    assert out.read_bytes() == expected.encode()
+    for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
+        out = tmp_path / f"t.{fmt}"
+        with open(out, "w", encoding="utf-8") as f:
+            _write_table(f, header, columns, fmt)
+        assert out.read_bytes() == expected(header, columns), fmt
 
-    out = tmp_path / "t.json"
-    with open(out, "w", encoding="utf-8") as f:
-        _write_table(f, header, columns, "json")
-    doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
-    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+@pytest.mark.parametrize("shape", [(3, 5), (7, _BLOCK_ROWS // 3),
+                                   (2, _BLOCK_ROWS + 5)],
+                         ids=["one-block", "rows-per-block", "long-rows"])
+def test_write_table_writes_grids_in_row_order(tmp_path, shape):
+    # 2-D columns, broadcast views included, are written as their C-order
+    # flattening, whether a block holds whole rows or part of one
+    n1, n2 = shape
+    rng = np.random.default_rng(3)
+    grids = (np.broadcast_to(np.linspace(-1.0, 1.0, n1)[:, None], shape),
+             np.broadcast_to(np.linspace(-3.0, 3.0, n2), shape),
+             rng.standard_normal(shape))
+    header = ("a", "b", "c")
+    flat = [grid.reshape(-1) for grid in grids]
+    for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
+        out = tmp_path / f"t.{fmt}"
+        with open(out, "w", encoding="utf-8") as f:
+            _write_table(f, header, grids, fmt)
+        assert out.read_bytes() == expected(header, flat), fmt
 
 
 def test_write_table_memory_does_not_grow_with_rows(tmp_path):

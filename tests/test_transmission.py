@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,11 +401,32 @@ def test_sweep_memory_is_output_plus_one_block():
         assert peak < res.t.nbytes + 4 * 2 ** 20, (name, peak)
 
 
+_FIG2A_301_SHA256 = ("d177a643c109b48f335fb923ce31dc86"
+                     "3c4c31d719dd96b2010c2c2cd80c7b06")
+
+
+def test_perfbench_checks_the_pinned_fig2a_digest():
+    # perfbench's fig2a_csv counts a run whose CSV has another sha256 as
+    # failed; its constant must stay the digest pinned below
+    source = (Path(__file__).resolve().parents[1] / "perfbench"
+              / "workloads.py").read_text(encoding="utf-8")
+    pinned = re.search(r'^FIG2A_SHA256 = "([0-9a-f]{64})"$', source, re.M)
+    assert pinned and pinned.group(1) == _FIG2A_301_SHA256
+    assert re.search(r"^FIG2A_POINTS = 301\b", source, re.M)
+
+
 @pytest.mark.parametrize("argv,digests", [
     # recorded with the flat-grid evaluator that the broadcast sweep replaced
     (["spectrum", "--figure", "2a", "--points", "61", "--format", "csv"],
      {"out.csv": "51ad4becd42e45796d0d8288297fa637"
                  "c01f1ad739f2939b442c469ba6ecb754"}),
+    # the digest perfbench's fig2a_csv checks (FIG2A_SHA256), and a 2a JSON
+    # of two table blocks; both recorded with the per-block text writer
+    (["spectrum", "--figure", "2a", "--points", "301"],
+     {"out.csv": _FIG2A_301_SHA256}),
+    (["spectrum", "--figure", "2a", "--points", "81", "--format", "json"],
+     {"out.json": "18fd821c9cb8e8f0b2fb0467f23bc946"
+                  "0bcf8a702c9c2850649d25bf95605d1c"}),
     # the rest were recorded with the row-at-a-time table writer
     (["spectrum", "--figure", "2c", "--points", "41"],
      {"out.csv": "efc5fc914fa4fb1f0a5b2ec7eda42201"
@@ -451,7 +474,7 @@ def test_sweep_memory_is_output_plus_one_block():
                   "c939067fe5b0b04bef056a8722d3fb1",
       "out.json.provenance.json": "d27bad1d5d64ed7f15da4b61979d8da1"
                                   "768a60a61da7ede5405ab2394c06c5c3"}),
-], ids=["fig2a-61", "fig2c-41", "fig2d-201", "stability-outlook-csv",
+], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-41", "fig2d-201", "stability-outlook-csv",
         "stability-outlook-json", "operating-point-report-sidecar",
         "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
 def test_fig2a_csv_bytes_unchanged(tmp_path, argv, digests):
