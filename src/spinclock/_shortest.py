@@ -1,0 +1,274 @@
+"""``repr`` of many float64 magnitudes at once: Ryu's shortest round-trip
+digits in numpy integer arithmetic.
+
+Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
+digits CPython's ``repr`` writes: the shortest decimal that reads back as the
+same double, and the nearest one among those.  Its common case needs only a
+64x128-bit multiply-and-shift and a loop that drops decimal digits, so it runs
+here on whole uint64 arrays, the multiply in 32-bit limbs.  One product gives
+the scaled value vr and the bits below it; the interval bounds vp and vm are
+vr plus or minus fixed steps of the exponent, with the carry those bits
+decide.  A lane that Ryu sends to its general case (a product with trailing
+decimal zeros, or an interval bound that is itself a candidate), a lane
+whose carry the 64 bits kept cannot decide, and zero are formatted with
+``repr`` instead.  The digits are then laid out as ``repr`` does: positional
+for decimal points from -3 to 16 (``0.0001``, ``1000000000000000.0``),
+scientific outside them (``1e-05``, ``1e+16``).
+
+Texts are built as 24-byte little-endian strings, three uint64 words per
+value, so that moving digits to their places is a shift, not a gather.  The
+tables (Ryu's 5^i and 2^k / 5^q per binary exponent, digit and layout texts)
+are built from Python ints on first use, not at import.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+# The longest repr of a float's magnitude, as 2.2250738585072014e-308's
+REPR_WIDTH = 23
+
+_POW5_BITS = 125  # bits kept of 5^i and of 2^k / 5^q (Ryu's table width)
+_U1 = np.uint64(1)
+_U32 = np.uint64(32)
+_M32 = np.uint64(2 ** 32 - 1)
+_MANTISSA = np.uint64(2 ** 52 - 1)
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+# Bytes [0, k) of a 24-byte string, as three little-endian words per k
+_BELOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1
+                    for k in range(25)] for w in range(3)], dtype=np.uint64)
+
+
+def _pow5bits(e):
+    """ceil(log2(5^e)) for 1 <= e <= 3528, and 1 for e = 0."""
+    return ((e * 1217359) >> 19) + 1
+
+
+@functools.cache
+def _tables() -> dict:
+    """Every table, built on first use and read-only."""
+    # Ryu's multipliers c of 125 bits: 2^k / 5^q rounded up for e2 >= 0, by
+    # q, then 5^i for e2 < 0, by i
+    pow5 = [5 ** i for i in range(342)]
+    c = [(1 << (_pow5bits(q) - 1 + _POW5_BITS)) // pow5[q] + 1
+         for q in range(342)]
+    c += [pow5[i] << _POW5_BITS >> _pow5bits(i) for i in range(326)]
+    limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in c),
+                          dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
+    # each biased exponent's row of them, shift j of vr = floor(4 m c / 2^j),
+    # q, and the decimal exponent of vr
+    e2 = np.maximum(np.arange(2047), 1) - (1023 + 52 + 2)
+    up = e2 >= 0
+    # floor(log10(2^e2)) or floor(log10(5^-e2)), less one
+    q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3),
+                 (-e2 * 732923 >> 20) - (e2 < -1))
+    row = np.where(up, q, 342 - e2 - q)
+    shift = np.where(up, q + _pow5bits(q) - 1 - e2,
+                     q - _pow5bits(-e2 - q)) + _POW5_BITS - 64
+    limbs = np.take(limbs, row, axis=1)
+    shift = shift.astype(np.uint64)
+    # c / 2^j and 2 c / 2^j, the steps from vr to the interval's bounds:
+    # whole parts and the top 64 bits of their fractions
+    steps = [_mul_shift(np.full(2047, d, dtype=np.uint64), limbs, shift)
+             for d in (1, 2)]
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] \
+        // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
+    positional = []
+    for point in range(-3, 17):
+        for count in range(1, 18):
+            if point <= 0:
+                text = b"0." + b"0" * -point + b"\0" * count
+            elif point < count:
+                text = b"\0" * point + b"." + b"\0" * (count - point)
+            else:
+                text = b"\0" * count + b"0" * (point - count) + b".0"
+            positional.append(text.ljust(24, b"\0"))
+    tables = {
+        # by biased exponent: c as 32-bit limbs, (4, 2047); the whole and
+        # fraction parts of c / 2^j and 2 c / 2^j, (2, 2047) each; j - 64;
+        # q and the decimal exponent of vr
+        "limbs": limbs,
+        "whole": np.array([whole for whole, _ in steps]),
+        "fraction": np.array([fraction for _, fraction in steps]),
+        "shift": shift,
+        "q": q,
+        "e10": np.where(up, q, q + e2),
+        # the text of each number below 10^4, first digit in the low byte
+        "quads": digits.astype(np.uint8).view("<u4")[:, 0].copy(),
+        # the bytes around the digits of each positional layout, (3, 340) by
+        # (point + 3) * 17 + count - 1, and "e-324" ... "e+308" by exponent
+        "positional": np.frombuffer(b"".join(positional), dtype="<u8")
+        .reshape(-1, 3).T.copy(),
+        "exponent": np.frombuffer(b"".join(
+            (b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309)),
+            dtype="<u8").copy(),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _mul_shift(m: np.ndarray, limbs: np.ndarray, shift: np.ndarray):
+    """floor(m c / 2^(64 + shift)) and the 64 bits of m c below it, for
+    m < 2^56 and c < 2^126 given as ``limbs`` (4, n) of 32 bits, with
+    shift < 64 and a quotient below 2^64."""
+    product = np.zeros((6,) + m.shape, dtype=np.uint64)  # 32-bit limbs
+    t = np.empty_like(m)
+    for a, m_limb in enumerate((m & _M32, m >> _U32)):
+        for b, c_limb in enumerate(limbs):
+            # below (2^32 - 1)^2 + 2^33 - 1 = 2^64: a limb holds at most
+            # its own 32 bits and the carry into it
+            np.multiply(m_limb, c_limb, out=t)
+            t += product[a + b]
+            np.bitwise_and(t, _M32, out=product[a + b])
+            t >>= _U32
+            product[a + b + 1] += t
+    low, middle, high = (product[k] | product[k + 1] << _U32
+                         for k in (0, 2, 4))
+    # x << (64 - shift) in two steps: a uint64 shift by 64 is undefined
+    left = np.uint64(63) - shift
+    return (middle >> shift | (high << _U1) << left,
+            low >> shift | (middle << _U1) << left)
+
+
+def _digits(bits: np.ndarray) -> tuple:
+    """Ryu's common case for positive doubles given as uint64 ``bits``: each
+    lane's shortest digits as an integer, its decimal exponent, and whether
+    it needs Ryu's general case instead (whose digits are then not used)."""
+    tables = _tables()
+    exponent = (bits >> np.uint64(52)).astype(np.intp)
+    mantissa = bits & _MANTISSA
+    mv = np.where(exponent != 0, mantissa | np.uint64(1 << 52),
+                  mantissa) << np.uint64(2)
+    # the lower bound is nearer for a power of two: 1/4 ulp below, not 1/2
+    mm_shift = ((mantissa != 0) | (exponent <= 1)).astype(np.uint64)
+    vr, below = _mul_shift(mv, np.take(tables["limbs"], exponent, axis=1),
+                           tables["shift"][exponent])
+    # The bounds (mv + 2) c and (mv - 1 - mm_shift) c over 2^j, as vr plus
+    # or minus the whole part of 2 c / 2^j (c / 2^j), and one more where the
+    # fractions carry.  Of the j bits below vr only the top 64 are kept, so
+    # a sum of 2^64 - 1, or equal words, leaves the carry to the bits below:
+    # such a lane goes to the general case.
+    whole, fraction = tables["whole"], tables["fraction"]
+    upper = below + fraction[1, exponent]
+    vp = vr + whole[1, exponent] + (upper < below)
+    lower = fraction[mm_shift, exponent]
+    vm = vr - whole[mm_shift, exponent] - (below < lower)
+    unsure = (upper == np.uint64(2 ** 64 - 1)) | (below == lower)
+
+    # Ryu's general case: the exact product has q trailing zeros, or an
+    # interval bound is exact.  For a binary exponent e2 < 0 that is a
+    # matter of 2^q dividing mv (always so for q <= 1, as 4 divides it,
+    # and never taken for q >= 63), for e2 >= 0 of 5^q dividing a bound.
+    q = tables["q"][exponent]
+    up = exponent >= 1023 + 52 + 2
+    low = np.uint64(64) - np.clip(q, 1, 63).astype(np.uint64)
+    general = unsure | ~up & (q < 63) & (mv << low == 0)
+    lanes = np.flatnonzero(up & (q <= 21))
+    if lanes.size:
+        pow5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)[q[lanes]]
+        lmv = mv[lanes]
+        even = (lmv & np.uint64(4)) == 0
+        fives = lmv % np.uint64(5) == 0
+        general[lanes] |= np.where(
+            fives, lmv % pow5 == 0,
+            even & ((lmv - _U1 - mm_shift[lanes]) % pow5 == 0))
+        # an odd mantissa's exact upper bound is outside the interval
+        vp[lanes] -= ~fives & ~even & ((lmv + np.uint64(2)) % pow5 == 0)
+
+    # Drop the digits the interval (vm, vp] lets go.  One d wide holds a
+    # multiple of each 10^k <= d, so those go at once; the loop then takes
+    # the lanes whose interval holds a rounder number.
+    removed = np.searchsorted(_POW10, vp - vm, side="right") - 1
+    cut = _POW10[removed]
+    p, m = vp // cut, vm // cut
+    lanes = np.arange(bits.size)
+    while lanes.size:
+        p //= np.uint64(10)
+        m //= np.uint64(10)
+        more = p > m
+        lanes, p, m = lanes[more], p[more], m[more]
+        removed[lanes] += 1
+    head = vr // _POW10[np.maximum(removed - 1, 0)]
+    digits = np.where(removed > 0, head // np.uint64(10), vr)
+    # round half up on the last digit dropped, or up off an excluded vm
+    digits += (removed > 0) & (head % np.uint64(10) >= 5) \
+        | (digits == vm // _POW10[removed])
+    return digits, tables["e10"][exponent] + removed, general
+
+
+def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+    """24-byte little-endian strings, (3, n) words, each moved ``nbytes``
+    (0 to 23) toward its end; what passes the end is lost."""
+    bits = (nbytes % 8 * 8).astype(np.uint64)
+    moved = words << bits
+    # what each word passes to the next, in two steps, as in _mul_shift
+    moved[1:] |= (words[:-1] >> _U1) >> (np.uint64(63) - bits)
+    skip = nbytes // 8  # whole words
+    if not skip.any():
+        return moved
+    zero = np.uint64(0)
+    return np.stack([np.where(skip == 0, moved[0], zero),
+                     np.where(skip == 0, moved[1],
+                              np.where(skip == 1, moved[0], zero)),
+                     np.where(skip == 0, moved[2],
+                              np.where(skip == 1, moved[1], moved[0]))])
+
+
+def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
+    """The repr of ``digits``, ``count`` of them, with the decimal point
+    after ``point`` of them, as (3, n) little-endian words."""
+    tables = _tables()
+    quads = tables["quads"]
+    # the digits left-aligned in 17 places, as text from byte 0 on
+    digits = digits * _POW10[17 - count]
+    rest = digits % np.uint64(10 ** 16)
+    first = digits // np.uint64(10 ** 16) + np.uint64(ord("0"))
+    low = quads[rest // np.uint64(10 ** 12)] \
+        | quads[rest // np.uint64(10 ** 8) % np.uint64(10 ** 4)] << _U32
+    high = quads[rest // np.uint64(10 ** 4) % np.uint64(10 ** 4)] \
+        | quads[rest % np.uint64(10 ** 4)] << _U32
+    raw = np.stack([first | low << np.uint64(8),
+                    low >> np.uint64(56) | high << np.uint64(8),
+                    high >> np.uint64(56)])
+    scientific = (point < -3) | (point > 16)
+    # digits [0, split) stay and the rest move one byte on, past the point;
+    # below 1 all of them move past "0.", "0.0", ...
+    split = np.where(scientific, 1, np.clip(point, 0, count))
+    head = np.take(_BELOW, split, axis=1)
+    tail = raw & ~head & np.take(_BELOW, count, axis=1)
+    text = raw & head | _shl(tail, np.where(~scientific & (point <= 0),
+                                            2 - point, 1))
+    text |= np.where(scientific, np.uint64(0), np.take(
+        tables["positional"], (np.clip(point, -3, 16) + 3) * 17 + count - 1,
+        axis=1))
+    lanes = np.flatnonzero(scientific)
+    if lanes.size:
+        several = count[lanes] > 1
+        text[0, lanes] |= several * np.uint64(ord(".") << 8)
+        exponent = np.zeros((3, lanes.size), dtype=np.uint64)
+        exponent[0] = tables["exponent"][point[lanes] + 323]
+        text[:, lanes] |= _shl(exponent, count[lanes] + several)
+    return text
+
+
+def shortest_repr(bits: np.ndarray) -> np.ndarray:
+    """``repr`` of non-negative finite float64 magnitudes given as their
+    uint64 ``bits``, as NUL-padded bytes shaped (n, REPR_WIDTH)."""
+    digits, exponent, general = _digits(bits)
+    general |= bits == 0
+    digits[general], exponent[general] = 1, 0  # any value in range
+    count = np.searchsorted(_POW10, digits, side="right")
+    words = _text(digits, count, exponent + count)
+    text = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[
+        :, :REPR_WIDTH]
+    lanes = np.flatnonzero(general)
+    if lanes.size:
+        texts = np.array(list(map(repr, bits[lanes].view(np.float64)
+                                  .tolist())), dtype="S")
+        text[lanes] = 0
+        text[lanes, :texts.itemsize] = \
+            texts.view(np.uint8).reshape(lanes.size, -1)
+    return text

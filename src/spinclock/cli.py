@@ -14,7 +14,12 @@ Python float, the shortest round-trip text, so identical configurations give
 identical bytes.  A CSV or JSON table formats each distinct magnitude of a
 column once per file and streams its rows to the file in blocks, so the
 memory a write takes grows with the distinct magnitudes (33 bytes each per
-column in CSV, 36 in JSON), not with the rows.
+column in CSV, 36 in JSON), not with the rows.  The texts come from
+``_shortest.shortest_repr``, Ryu's shortest round-trip digits run over 4096
+magnitudes at a time in numpy, which gives the bytes of ``repr``.  It hands
+the values Ryu's general case takes, and zero, to ``repr`` itself, and a
+chunk of fewer than ``_VECTOR_MIN`` magnitudes, such as all of a small
+table's, goes to ``repr`` whole.
 
 Every file is opened through ``_open_output``.  An existing output or sidecar
 is replaced by a new file, not truncated: a hard link to the old file keeps
@@ -42,8 +47,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._shortest import REPR_WIDTH, shortest_repr
 from .figures import FIGURE_NAMES, figure_setup
-from .params import ConfigError, _is_finite_number
+from .params import _CLASS_KEYS, ConfigError, _is_finite_number
 from .polariton import (
     BRANCHES,
     NoOperatingPointError,
@@ -144,8 +150,10 @@ def _require_finite_output(values: dict) -> None:
 # small enough that one block's rows take about half a megabyte.
 _BLOCK_ROWS = 4096
 _MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
-# The longest repr of a float's magnitude, as 2.2250738585072014e-308's
-_REPR_WIDTH = 23
+# Magnitudes below which a chunk costs less through repr than through
+# shortest_repr, whose fixed cost is a few hundred numpy calls (break-even
+# near 550 on a 2-core host, so small tables such as stability's keep repr)
+_VECTOR_MIN = 1024
 
 
 def _blocks(shape: tuple) -> list:
@@ -181,8 +189,10 @@ def _magnitudes(grid: np.ndarray, blocks: list) -> np.ndarray:
 def _text_table(grids: list, blocks: list, seps: list) -> tuple:
     """Each column's ``_magnitudes``, the row where they start in one table
     of texts, and that table.  A row of it is a NUL for the sign, the
-    magnitude's ``repr`` padded with NULs to ``_REPR_WIDTH`` bytes, and its
-    column's separator from ``seps`` (all of one length).
+    magnitude's ``repr`` padded with NULs to ``REPR_WIDTH`` bytes, and its
+    column's separator from ``seps`` (all of one length).  The texts are
+    made ``_BLOCK_ROWS`` at a time by ``shortest_repr``, or by ``repr`` for a
+    chunk of fewer than ``_VECTOR_MIN``.
 
     ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so one text serves
     both signs and -0.0 gets its sign like any other value.  A distinct
@@ -192,23 +202,28 @@ def _text_table(grids: list, blocks: list, seps: list) -> tuple:
     starts = np.cumsum([0] + [m.size for m in mags[:-1]])
     every = np.concatenate(mags)
     mags = [every[a:a + m.size] for a, m in zip(starts, mags)]
-    table = np.zeros((every.size, 1 + _REPR_WIDTH + len(seps[0])),
+    table = np.zeros((every.size, 1 + REPR_WIDTH + len(seps[0])),
                      dtype=np.uint8)
     for start in range(0, every.size, _BLOCK_ROWS):
-        chunk = np.array(list(map(repr, every[start:start + _BLOCK_ROWS]
-                                  .view(np.float64).tolist())), dtype="S")
+        chunk = every[start:start + _BLOCK_ROWS]
+        if chunk.size >= _VECTOR_MIN:
+            table[start:start + chunk.size, 1:1 + REPR_WIDTH] = \
+                shortest_repr(chunk)
+            continue
+        chunk = np.array(list(map(repr, chunk.view(np.float64).tolist())),
+                         dtype="S")
         table[start:start + chunk.size, 1:1 + chunk.itemsize] = \
             chunk.view(np.uint8).reshape(chunk.size, -1)
     for a, m, sep in zip(starts, mags, seps):
-        table[a:a + m.size, 1 + _REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
+        table[a:a + m.size, 1 + REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
     return mags, starts, table
 
 
-def _rows(grids: list, mags: list, starts, table, index) -> bytes:
-    """The bytes of one block of rows of ``grids``: each value as its row
-    of ``table`` with the sign set, NULs dropped.  ``mags``, ``starts`` and
-    ``table`` are the columns' ``_text_table``.  All columns go through
-    each step at once, so that a small table costs few numpy calls."""
+def _cells(grids: list, mags: list, starts, table, index) -> np.ndarray:
+    """One block of ``grids`` as text cells, (values, columns, width) bytes:
+    each value as its row of ``table`` with the sign set.  ``mags``,
+    ``starts`` and ``table`` are the columns' ``_text_table``.  All columns go
+    through each step at once, so that a small table costs few numpy calls."""
     bits = np.stack([grid[index] for grid in grids]) \
         .reshape(len(grids), -1).view(np.uint64)
     magnitudes = bits & _MAGNITUDE
@@ -217,9 +232,14 @@ def _rows(grids: list, mags: list, starts, table, index) -> bytes:
         at[c] = column.searchsorted(magnitudes[c])
     at += starts[:, None]
     # take copies whole rows, several times faster than fancy indexing
-    rows = np.take(table, at.T, axis=0)
-    rows[:, :, 0] = (bits >> 63).T * ord("-")
-    return rows.tobytes().translate(None, b"\0")
+    cells = np.take(table, at.T, axis=0)
+    cells[:, :, 0] = (bits >> 63).T * ord("-")
+    return cells
+
+
+def _text_of(cells: np.ndarray) -> bytes:
+    """The bytes of text cells, NULs dropped."""
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _table(header, columns, fmt: str):
@@ -237,13 +257,16 @@ def _write_table(out, header, columns, fmt: str) -> None:
 
     The columns are arrays of one shape, 1-D or 2-D (a broadcast view
     serves), each written in C order.  Each distinct magnitude of a column
-    is formatted once per file (``_text_table``), and the rows are put
-    together from those texts one block of ``_BLOCK_ROWS`` values at a time.
-    So the memory a write takes grows with the distinct magnitudes, 33 bytes
-    each per column in CSV and 36 in JSON, and not with the rows.  JSON
-    holds the bytes of
-    ``json.dumps(table, sort_keys=True, indent=1)``, which also writes a
-    float as its ``repr``: one sorted key per column.
+    is formatted once per file (``_text_table``: by the vectorised
+    ``shortest_repr``, which leaves Ryu's general case and zero to ``repr``,
+    or by ``repr`` alone for fewer than ``_VECTOR_MIN`` magnitudes), and the
+    rows are put together from those texts one block of ``_BLOCK_ROWS``
+    values at a time; a JSON table of one block builds them once for all
+    its columns.  So the memory a write takes grows with the distinct
+    magnitudes, 33 bytes each per column in CSV and 36 in JSON, and not with
+    the rows.  JSON holds the bytes of ``json.dumps(table, sort_keys=True,
+    indent=1)``, which also writes a float as its ``repr``: one sorted key
+    per column.
     """
     grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
     blocks = _blocks(grids[0].shape)
@@ -252,17 +275,21 @@ def _write_table(out, header, columns, fmt: str) -> None:
     if fmt == "json":
         sep = b",\n  "
         mags, starts, table = _text_table(grids, blocks, [sep] * len(grids))
+        # a table of one block has its cells built once for every column
+        one_block = _cells(grids, mags, starts, table, blocks[0]) \
+            if len(blocks) == 1 else None
         raw.write(b"{")
         for i, c in enumerate(sorted(range(len(header)),
                                      key=header.__getitem__)):
-            column = [grids[c]], mags[c:c + 1], starts[c:c + 1], table
             raw.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
                       .encode())
             if grids[c].size:
                 raw.write(b"\n  ")
-            for index in blocks[:-1]:
-                raw.write(_rows(*column, index))
-            raw.write(_rows(*column, blocks[-1])[:-len(sep)])
+            for k, index in enumerate(blocks):
+                cells = one_block[:, c] if one_block is not None else _cells(
+                    [grids[c]], mags[c:c + 1], starts[c:c + 1], table, index)
+                text = _text_of(cells)
+                raw.write(text[:-len(sep)] if k == len(blocks) - 1 else text)
             raw.write(b"\n ]")
         raw.write(b"\n}\n")
         return
@@ -270,7 +297,7 @@ def _write_table(out, header, columns, fmt: str) -> None:
         grids, blocks, [b","] * (len(grids) - 1) + [b"\n"])
     raw.write((",".join(header) + "\n").encode())
     for index in blocks:
-        raw.write(_rows(grids, mags, starts, table, index))
+        raw.write(_text_of(_cells(grids, mags, starts, table, index)))
 
 
 def _axis_to_doc(axis: SweepAxis) -> dict:
@@ -410,9 +437,29 @@ def _slice_path(out: Path) -> Path:
 # --- operating point ---------------------------------------------------------
 
 
+def _one_line_preset(doc: dict) -> Preset:
+    """The preset of ``doc``, or a ConfigError naming the class offsets of a
+    branch with more than one spin class or a class off its line center.
+
+    The eigen solve folds each branch into one line at its center
+    (``polariton._coupling_pattern``), while the transmission sums every
+    class; so it would give the operating point and floors of an ensemble
+    other than the one the spectrum sees.
+    """
+    preset = Preset.from_config(doc["config"])
+    for branch, (key, _) in _CLASS_KEYS.items():
+        classes = preset.spins.classes(branch)
+        if len(classes) > 1 or any(c.detuning_offset for c in classes):
+            raise ConfigError(
+                f"{key} = {doc['config'][key]!r}: {doc['command']} solves "
+                "each branch as one line at its center, so it takes one "
+                "class per branch, at offset 0")
+    return preset
+
+
 def _operating_point_report(doc: dict) -> str:
     """The operating-point report of ``doc`` as JSON text."""
-    preset = Preset.from_config(doc["config"])
+    preset = _one_line_preset(doc)
     op = operating_point_numeric(preset.spins, preset.env, branch=doc["branch"])
     budget = environmental_floors(
         preset.spins, preset.env, op,
@@ -446,7 +493,7 @@ def _operating_point_report(doc: dict) -> str:
 
 
 def _stability_from_doc(doc: dict, out: Path) -> dict:
-    preset = Preset.from_config(doc["config"])
+    preset = _one_line_preset(doc)
     lo, hi = doc["tau_start_s"], doc["tau_stop_s"]
     if not lo < hi:
         raise ConfigError(f"tau_start_s must be < tau_stop_s, got {lo!r} "

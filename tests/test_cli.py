@@ -748,6 +748,38 @@ def test_replay_without_tool_seed_and_units(tmp_path, name):
     assert _replayed_outputs(doc, tmp_path / "bare") == full
 
 
+_THIRD = [1 / 3] * 3
+
+
+@pytest.mark.parametrize("name", ["operating-point", "stability"])
+@pytest.mark.parametrize("config,named", [
+    ({"class_offsets_plus_hz": [-2.16e6, 0.0, 2.16e6],
+      "class_weights_plus": _THIRD,
+      "class_offsets_minus_hz": [-2.16e6, 0.0, 2.16e6],
+      "class_weights_minus": _THIRD}, "class_offsets_plus_hz"),
+    ({"class_offsets_minus_hz": [1e3]}, "class_offsets_minus_hz"),
+    ({"class_offsets_plus_hz": [0.0, 0.0], "class_weights_plus": [0.5, 0.5]},
+     "class_offsets_plus_hz"),
+    ({"class_offsets_minus_hz": [], "class_weights_minus": []}, None),
+], ids=["hyperfine-triplet", "off-center", "two-at-center", "one-line"])
+def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
+                                                  named):
+    # the eigen solve folds each branch into one line at its center, so with
+    # the 14N triplet resolved it reported the unresolved D (4024922.36 Hz);
+    # a branch of one class at its center, or none, is what it solves
+    doc = copy.deepcopy(_valid_sidecars()[name])
+    doc["config"].update(config)
+    sidecar = _write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out" / "out.csv"
+    rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    if named is None:
+        assert rc == 0, err
+        return
+    assert rc == 2, err
+    assert err.startswith(f"error: {named} = ") and name in err, err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("argv,name,top,config", [
     (["stability", "--tau", "5..1"], "stability",
      {"tau_start_s": 5.0, "tau_stop_s": 1.0}, {}),

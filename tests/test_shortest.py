@@ -1,0 +1,120 @@
+"""The vectorised shortest round-trip formatter against ``repr``."""
+
+import numpy as np
+import pytest
+
+from spinclock import cli
+from spinclock._shortest import REPR_WIDTH, _digits, shortest_repr
+from spinclock.figures import figure_setup
+from spinclock.transmission import spectrum_sweep
+from spinclock.units import to_hz
+
+_TINY = 5e-324
+_HUGE = 1.7976931348623157e308
+
+
+def _neighbours(values) -> np.ndarray:
+    """``values`` and the doubles one ulp either side of each, positive and
+    finite."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # past the largest double
+        every = np.concatenate([np.nextafter(values, 0.0), values,
+                                np.nextafter(values, np.inf)])
+    return every[(every > 0) & np.isfinite(every)]
+
+
+def _assert_repr(values) -> None:
+    values = np.abs(np.asarray(values, dtype=np.float64)).ravel()
+    text = shortest_repr(values.view(np.uint64))
+    assert text.shape == (values.size, REPR_WIDTH)
+    got = [row.tobytes().rstrip(b"\0") for row in text]
+    wrong = [(repr(v), g) for v, g in zip(values.tolist(), got)
+             if repr(v).encode() != g]
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def test_random_bit_patterns_of_every_exponent():
+    rng = np.random.default_rng(1401)
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), 48)
+    mantissa = rng.integers(0, 2 ** 52, exponent.size, dtype=np.uint64)
+    _assert_repr((exponent << np.uint64(52) | mantissa).view(np.float64))
+
+
+def test_subnormals_and_the_ends_of_the_range():
+    rng = np.random.default_rng(1402)
+    subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64)
+    _assert_repr(np.concatenate([
+        subnormal.view(np.float64),
+        np.arange(1, 200) * _TINY,
+        # the 23-character 2.2250738585072014e-308, the smallest normal
+        _neighbours([_TINY, _HUGE, 2.2250738585072014e-308]),
+    ]))
+
+
+def test_powers_of_two_and_their_neighbours():
+    # at a power of two the interval below is half as wide as above
+    _assert_repr(_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    _assert_repr(_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+@pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16])
+def test_positional_and_scientific_switches(switch):
+    # repr writes 0.0001 and 1000000000000000.0 positionally, 1e-05 and
+    # 1e+16 in scientific form
+    steps = np.arange(-200, 201)
+    _assert_repr(np.concatenate([
+        _neighbours([switch]),
+        switch + steps * np.spacing(switch),
+        switch * np.array([1.5, 2.0, 0.5, 0.9999, 1.0001, 9.99, 0.1]),
+    ]))
+
+
+def test_short_decimals_where_the_binary_exponent_turns_positive():
+    # from 2^54 up, a double is an even integer: Ryu's checks on 5^q
+    # dividing the bounds decide the short decimals there, such as 7e+22
+    rng = np.random.default_rng(1404)
+    digits = rng.integers(1, 18, 20_000)
+    mantissa = rng.integers(10 ** (digits - 1), 10 ** digits)
+    exponent = rng.integers(10, 26, digits.size)
+    _assert_repr([float(f"{m}e{e}") for m, e in zip(mantissa.tolist(),
+                                                      exponent.tolist())])
+
+
+def test_integers_up_to_two_to_the_53():
+    rng = np.random.default_rng(1403)
+    _assert_repr(np.concatenate([
+        np.arange(1.0, 100_001.0),
+        rng.integers(1, 2 ** 53, 50_000).astype(np.float64),
+        _neighbours([2.0 ** 53, 1e15, 999999999999999.0]),
+    ]))
+
+
+def test_zero_takes_repr():
+    _assert_repr([0.0, 1.0, 0.0, 0.5])
+
+
+def test_figure_2a_magnitudes_take_the_vector_path(tmp_path, monkeypatch):
+    # the speed-up must not turn off unseen: of the distinct magnitudes of
+    # the 2a table at 301 points, fewer than 1% may reach repr
+    seen, fell_back = [], []
+
+    def counting(bits):
+        seen.append(bits.size)
+        fell_back.append(int((_digits(bits)[2] | (bits == 0)).sum()))
+        return shortest_repr(bits)
+
+    monkeypatch.setattr(cli, "shortest_repr", counting)
+    assert cli.main(["spectrum", "--figure", "2a", "--points", "301",
+                     "--out", str(tmp_path / "a.csv")]) == 0
+    setup = figure_setup("2a", points=301)
+    sweep = spectrum_sweep(setup.spins, setup.cavity, setup.env,
+                           setup.axis1, setup.axis2)
+    t = sweep.t
+    distinct = sum(np.unique(np.abs(column)).size for column in (
+        to_hz(sweep.values1), to_hz(sweep.values2), t.real, t.imag,
+        np.abs(t)))
+    assert sum(seen) > 0.99 * distinct, (sum(seen), distinct)
+    assert sum(fell_back) < 0.01 * sum(seen), (sum(fell_back), sum(seen))

@@ -427,6 +427,19 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
     (["spectrum", "--figure", "2a", "--points", "81", "--format", "json"],
      {"out.json": "18fd821c9cb8e8f0b2fb0467f23bc946"
                   "0bcf8a702c9c2850649d25bf95605d1c"}),
+    # a JSON of several table blocks with its slice, and a stability table
+    # whose texts come partly from the vectorised formatter and partly from
+    # repr; both recorded with the per-file text table, before the writer
+    # formatted magnitudes with the vectorised kernel
+    (["spectrum", "--figure", "2c", "--points", "101", "--format", "json"],
+     {"out.json": "1f71d733713f46b81d94a8bb1cef76f1"
+                  "1127ba0ebe7e414bf0dbf7ec62df0234",
+      "out_slice.json": "767cb12d89e47f9778de4a45d900c638"
+                        "040b8580aa060b56855ab43ee9373976"}),
+    (["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
+      "--tau-points", "3000"],
+     {"out.csv": "be2cc4aed452d550cced26f0fe85c26e"
+                 "2d0b38ddf172fd6afa1e28330c2b970e"}),
     # the rest were recorded with the row-at-a-time table writer
     (["spectrum", "--figure", "2c", "--points", "41"],
      {"out.csv": "efc5fc914fa4fb1f0a5b2ec7eda42201"
@@ -474,7 +487,9 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
                   "c939067fe5b0b04bef056a8722d3fb1",
       "out.json.provenance.json": "d27bad1d5d64ed7f15da4b61979d8da1"
                                   "768a60a61da7ede5405ab2394c06c5c3"}),
-], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-41", "fig2d-201", "stability-outlook-csv",
+], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-101-json",
+        "stability-outlook-3000", "fig2c-41", "fig2d-201",
+        "stability-outlook-csv",
         "stability-outlook-json", "operating-point-report-sidecar",
         "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
 def test_fig2a_csv_bytes_unchanged(tmp_path, argv, digests):
