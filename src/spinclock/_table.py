@@ -1,5 +1,16 @@
-"""``repr`` of many float64 magnitudes at once: Ryu's shortest round-trip
-digits in numpy integer arithmetic.
+"""The table writer: named float64 columns as CSV or JSON, each value as the
+bytes of its ``repr``.  How a float becomes text in an output table is
+decided here and nowhere else; ``write_table`` is the one public name.
+
+A table formats each distinct magnitude of a column once per file and
+streams its rows to the file in blocks, so the memory a write takes grows
+with the distinct magnitudes (33 bytes each per column in CSV, 36 in JSON),
+not with the rows.  The texts come from ``shortest_repr``, Ryu's shortest
+round-trip digits run over 4096 magnitudes at a time in numpy, which gives
+the bytes of ``repr``.  It hands the values Ryu's general case takes, and
+zero, to ``repr`` itself, and a chunk of fewer than ``_VECTOR_MIN``
+magnitudes, such as all of a small table's, goes to ``repr`` whole; either
+way ``_repr_rows`` packs the texts of ``repr``.
 
 Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
 digits CPython's ``repr`` writes: the shortest decimal that reads back as the
@@ -24,11 +35,20 @@ are built from Python ints on first use, not at import.
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 
 # The longest repr of a float's magnitude, as 2.2250738585072014e-308's
 REPR_WIDTH = 23
+# Values per table block: large enough that numpy's per-call cost is small,
+# small enough that one block's rows take about half a megabyte.
+_BLOCK_ROWS = 4096
+_MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
+# Magnitudes below which a chunk costs less through repr than through
+# shortest_repr, whose fixed cost is a few hundred numpy calls (break-even
+# near 550 on a 2-core host, so small tables such as stability's keep repr)
+_VECTOR_MIN = 1024
 
 _POW5_BITS = 125  # bits kept of 5^i and of 2^k / 5^q (Ryu's table width)
 _U1 = np.uint64(1)
@@ -254,6 +274,15 @@ def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     return text
 
 
+def _repr_rows(bits: np.ndarray) -> np.ndarray:
+    """``repr`` itself of float64 magnitudes given as their uint64 ``bits``,
+    as NUL-padded bytes shaped (n, REPR_WIDTH), as ``shortest_repr`` gives
+    them: the one place a Python text of a float becomes a row."""
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                     dtype=f"S{REPR_WIDTH}")
+    return texts.view(np.uint8).reshape(bits.size, REPR_WIDTH)
+
+
 def shortest_repr(bits: np.ndarray) -> np.ndarray:
     """``repr`` of non-negative finite float64 magnitudes given as their
     uint64 ``bits``, as NUL-padded bytes shaped (n, REPR_WIDTH)."""
@@ -266,9 +295,131 @@ def shortest_repr(bits: np.ndarray) -> np.ndarray:
         :, :REPR_WIDTH]
     lanes = np.flatnonzero(general)
     if lanes.size:
-        texts = np.array(list(map(repr, bits[lanes].view(np.float64)
-                                  .tolist())), dtype="S")
-        text[lanes] = 0
-        text[lanes, :texts.itemsize] = \
-            texts.view(np.uint8).reshape(lanes.size, -1)
+        text[lanes] = _repr_rows(bits[lanes])
     return text
+
+
+def _blocks(shape: tuple) -> list:
+    """The index of each block of at most ``_BLOCK_ROWS`` values of a 2-D
+    array of ``shape``, in C order: whole rows, or pieces of one row when a
+    row is longer than a block.  There is always at least one block."""
+    n1, n2 = shape
+    if n2 > _BLOCK_ROWS:
+        return [(i, slice(j, j + _BLOCK_ROWS))
+                for i in range(n1) for j in range(0, n2, _BLOCK_ROWS)]
+    step = _BLOCK_ROWS // max(n2, 1)
+    return [slice(i, i + step) for i in range(0, max(n1, 1), step)]
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``bits``, which is sorted in place."""
+    bits.sort()
+    keep = np.empty(bits.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=keep[1:])
+    return bits[keep]
+
+
+def _magnitudes(grid: np.ndarray, blocks: list) -> np.ndarray:
+    """The sorted distinct magnitudes of a float64 column, its bits with the
+    sign cleared: found sort-based from each block's distinct magnitudes
+    (8 bytes each while they are found), then those of all blocks."""
+    parts = [_distinct(grid[index].reshape(-1).view(np.uint64) & _MAGNITUDE)
+             for index in blocks]
+    return parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
+
+
+def _text_table(grids: list, blocks: list, seps: list) -> tuple:
+    """Each column's ``_magnitudes``, the row where they start in one table
+    of texts, and that table.  A row of it is a NUL for the sign, the
+    magnitude's ``repr`` padded with NULs to ``REPR_WIDTH`` bytes, and its
+    column's separator from ``seps`` (all of one length).  The texts are
+    made ``_BLOCK_ROWS`` at a time by ``shortest_repr``, or by ``repr`` for a
+    chunk of fewer than ``_VECTOR_MIN``.
+
+    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so one text serves
+    both signs and -0.0 gets its sign like any other value.  A distinct
+    magnitude of a column takes 33 bytes with a one-byte separator.
+    """
+    mags = [_magnitudes(grid, blocks) for grid in grids]
+    starts = np.cumsum([0] + [m.size for m in mags[:-1]])
+    every = np.concatenate(mags)
+    mags = [every[a:a + m.size] for a, m in zip(starts, mags)]
+    table = np.zeros((every.size, 1 + REPR_WIDTH + len(seps[0])),
+                     dtype=np.uint8)
+    for start in range(0, every.size, _BLOCK_ROWS):
+        chunk = every[start:start + _BLOCK_ROWS]
+        table[start:start + chunk.size, 1:1 + REPR_WIDTH] = \
+            shortest_repr(chunk) if chunk.size >= _VECTOR_MIN \
+            else _repr_rows(chunk)
+    for a, m, sep in zip(starts, mags, seps):
+        table[a:a + m.size, 1 + REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
+    return mags, starts, table
+
+
+def _cells(grids: list, mags: list, starts, table, index) -> np.ndarray:
+    """One block of ``grids`` as text cells, (values, columns, width) bytes:
+    each value as its row of ``table`` with the sign set.  ``mags``,
+    ``starts`` and ``table`` are the columns' ``_text_table``.  All columns go
+    through each step at once, so that a small table costs few numpy calls."""
+    bits = np.stack([grid[index] for grid in grids]) \
+        .reshape(len(grids), -1).view(np.uint64)
+    magnitudes = bits & _MAGNITUDE
+    at = np.empty((len(grids), bits.shape[1]), dtype=np.intp)
+    for c, column in enumerate(mags):
+        at[c] = column.searchsorted(magnitudes[c])
+    at += starts[:, None]
+    # take copies whole rows, several times faster than fancy indexing
+    cells = np.take(table, at.T, axis=0)
+    cells[:, :, 0] = (bits >> 63).T * ord("-")
+    return cells
+
+
+def _text_of(cells: np.ndarray) -> bytes:
+    """The bytes of text cells, NULs dropped."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def write_table(out, header, columns, fmt: str) -> None:
+    """Write named float64 columns to the open text file ``out`` as CSV or
+    JSON, each value as ``repr(float(v))``.
+
+    The columns are arrays of one shape, 1-D or 2-D (a broadcast view
+    serves), each written in C order.  Each distinct magnitude of a column
+    is formatted once per file (``_text_table``), and the rows are put
+    together from those texts one block of ``_BLOCK_ROWS`` values at a time;
+    JSON writes its columns one after another, each block by block.  So the
+    memory a write takes grows with the distinct magnitudes, 33 bytes each
+    per column in CSV and 36 in JSON, and not with the rows.  JSON holds the
+    bytes of ``json.dumps(table, sort_keys=True, indent=1)``, which also
+    writes a float as its ``repr``: one sorted key per column, and ``[]``
+    for an empty one.
+    """
+    grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
+    blocks = _blocks(grids[0].shape)
+    out.flush()
+    raw = out.buffer  # the rows are ASCII bytes
+    if fmt == "json":
+        sep = b",\n  "
+        mags, starts, table = _text_table(grids, blocks, [sep] * len(grids))
+        raw.write(b"{")
+        for i, c in enumerate(sorted(range(len(header)),
+                                     key=header.__getitem__)):
+            raw.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
+                      .encode())
+            if grids[c].size:
+                raw.write(b"\n  ")
+                for k, index in enumerate(blocks):
+                    text = _text_of(_cells([grids[c]], mags[c:c + 1],
+                                           starts[c:c + 1], table, index))
+                    raw.write(text[:-len(sep)] if k == len(blocks) - 1
+                              else text)
+                raw.write(b"\n ")
+            raw.write(b"]")
+        raw.write(b"\n}\n")
+        return
+    mags, starts, table = _text_table(
+        grids, blocks, [b","] * (len(grids) - 1) + [b"\n"])
+    raw.write((",".join(header) + "\n").encode())
+    for index in blocks:
+        raw.write(_text_of(_cells(grids, mags, starts, table, index)))

@@ -11,15 +11,8 @@ A key that no run reads exits 2.  Each flag is recorded as typed
 ``--B-nt`` are scaled, from mK and nT.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
-identical bytes.  A CSV or JSON table formats each distinct magnitude of a
-column once per file and streams its rows to the file in blocks, so the
-memory a write takes grows with the distinct magnitudes (33 bytes each per
-column in CSV, 36 in JSON), not with the rows.  The texts come from
-``_shortest.shortest_repr``, Ryu's shortest round-trip digits run over 4096
-magnitudes at a time in numpy, which gives the bytes of ``repr``.  It hands
-the values Ryu's general case takes, and zero, to ``repr`` itself, and a
-chunk of fewer than ``_VECTOR_MIN`` magnitudes, such as all of a small
-table's, goes to ``repr`` whole.
+identical bytes.  A CSV or JSON table is written by ``_table.write_table``,
+whose docstring says how its memory grows.
 
 Every file is opened through ``_open_output``.  An existing output or sidecar
 is replaced by a new file, not truncated: a hard link to the old file keeps
@@ -47,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._shortest import REPR_WIDTH, shortest_repr
+from ._table import write_table
 from .figures import FIGURE_NAMES, figure_setup
 from .params import _CLASS_KEYS, ConfigError, _is_finite_number
 from .polariton import (
@@ -146,158 +139,13 @@ def _require_finite_output(values: dict) -> None:
                               "overflows the model); nothing written")
 
 
-# Values per table block: large enough that numpy's per-call cost is small,
-# small enough that one block's rows take about half a megabyte.
-_BLOCK_ROWS = 4096
-_MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
-# Magnitudes below which a chunk costs less through repr than through
-# shortest_repr, whose fixed cost is a few hundred numpy calls (break-even
-# near 550 on a 2-core host, so small tables such as stability's keep repr)
-_VECTOR_MIN = 1024
-
-
-def _blocks(shape: tuple) -> list:
-    """The index of each block of at most ``_BLOCK_ROWS`` values of a 2-D
-    array of ``shape``, in C order: whole rows, or pieces of one row when a
-    row is longer than a block.  There is always at least one block."""
-    n1, n2 = shape
-    if n2 > _BLOCK_ROWS:
-        return [(i, slice(j, j + _BLOCK_ROWS))
-                for i in range(n1) for j in range(0, n2, _BLOCK_ROWS)]
-    step = _BLOCK_ROWS // max(n2, 1)
-    return [slice(i, i + step) for i in range(0, max(n1, 1), step)]
-
-
-def _distinct(bits: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``bits``, which is sorted in place."""
-    bits.sort()
-    keep = np.empty(bits.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=keep[1:])
-    return bits[keep]
-
-
-def _magnitudes(grid: np.ndarray, blocks: list) -> np.ndarray:
-    """The sorted distinct magnitudes of a float64 column, its bits with the
-    sign cleared: found sort-based from each block's distinct magnitudes
-    (8 bytes each while they are found), then those of all blocks."""
-    parts = [_distinct(grid[index].reshape(-1).view(np.uint64) & _MAGNITUDE)
-             for index in blocks]
-    return parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
-
-
-def _text_table(grids: list, blocks: list, seps: list) -> tuple:
-    """Each column's ``_magnitudes``, the row where they start in one table
-    of texts, and that table.  A row of it is a NUL for the sign, the
-    magnitude's ``repr`` padded with NULs to ``REPR_WIDTH`` bytes, and its
-    column's separator from ``seps`` (all of one length).  The texts are
-    made ``_BLOCK_ROWS`` at a time by ``shortest_repr``, or by ``repr`` for a
-    chunk of fewer than ``_VECTOR_MIN``.
-
-    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so one text serves
-    both signs and -0.0 gets its sign like any other value.  A distinct
-    magnitude of a column takes 33 bytes with a one-byte separator.
-    """
-    mags = [_magnitudes(grid, blocks) for grid in grids]
-    starts = np.cumsum([0] + [m.size for m in mags[:-1]])
-    every = np.concatenate(mags)
-    mags = [every[a:a + m.size] for a, m in zip(starts, mags)]
-    table = np.zeros((every.size, 1 + REPR_WIDTH + len(seps[0])),
-                     dtype=np.uint8)
-    for start in range(0, every.size, _BLOCK_ROWS):
-        chunk = every[start:start + _BLOCK_ROWS]
-        if chunk.size >= _VECTOR_MIN:
-            table[start:start + chunk.size, 1:1 + REPR_WIDTH] = \
-                shortest_repr(chunk)
-            continue
-        chunk = np.array(list(map(repr, chunk.view(np.float64).tolist())),
-                         dtype="S")
-        table[start:start + chunk.size, 1:1 + chunk.itemsize] = \
-            chunk.view(np.uint8).reshape(chunk.size, -1)
-    for a, m, sep in zip(starts, mags, seps):
-        table[a:a + m.size, 1 + REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
-    return mags, starts, table
-
-
-def _cells(grids: list, mags: list, starts, table, index) -> np.ndarray:
-    """One block of ``grids`` as text cells, (values, columns, width) bytes:
-    each value as its row of ``table`` with the sign set.  ``mags``,
-    ``starts`` and ``table`` are the columns' ``_text_table``.  All columns go
-    through each step at once, so that a small table costs few numpy calls."""
-    bits = np.stack([grid[index] for grid in grids]) \
-        .reshape(len(grids), -1).view(np.uint64)
-    magnitudes = bits & _MAGNITUDE
-    at = np.empty((len(grids), bits.shape[1]), dtype=np.intp)
-    for c, column in enumerate(mags):
-        at[c] = column.searchsorted(magnitudes[c])
-    at += starts[:, None]
-    # take copies whole rows, several times faster than fancy indexing
-    cells = np.take(table, at.T, axis=0)
-    cells[:, :, 0] = (bits >> 63).T * ord("-")
-    return cells
-
-
-def _text_of(cells: np.ndarray) -> bytes:
-    """The bytes of text cells, NULs dropped."""
-    return cells.tobytes().translate(None, b"\0")
-
-
 def _table(header, columns, fmt: str):
     """A writer of named columns as CSV or JSON to an open file, once every
     value is checked finite."""
     _require_finite_output(dict(zip(header, columns)))
     columns = [np.asarray(col, dtype=np.float64) for col in columns]
-    return functools.partial(_write_table, header=header, columns=columns,
+    return functools.partial(write_table, header=header, columns=columns,
                              fmt=fmt)
-
-
-def _write_table(out, header, columns, fmt: str) -> None:
-    """Write named float64 columns to the open text file ``out`` as CSV or
-    JSON, each value as ``repr(float(v))``.
-
-    The columns are arrays of one shape, 1-D or 2-D (a broadcast view
-    serves), each written in C order.  Each distinct magnitude of a column
-    is formatted once per file (``_text_table``: by the vectorised
-    ``shortest_repr``, which leaves Ryu's general case and zero to ``repr``,
-    or by ``repr`` alone for fewer than ``_VECTOR_MIN`` magnitudes), and the
-    rows are put together from those texts one block of ``_BLOCK_ROWS``
-    values at a time; a JSON table of one block builds them once for all
-    its columns.  So the memory a write takes grows with the distinct
-    magnitudes, 33 bytes each per column in CSV and 36 in JSON, and not with
-    the rows.  JSON holds the bytes of ``json.dumps(table, sort_keys=True,
-    indent=1)``, which also writes a float as its ``repr``: one sorted key
-    per column.
-    """
-    grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
-    blocks = _blocks(grids[0].shape)
-    out.flush()
-    raw = out.buffer  # the rows are ASCII bytes
-    if fmt == "json":
-        sep = b",\n  "
-        mags, starts, table = _text_table(grids, blocks, [sep] * len(grids))
-        # a table of one block has its cells built once for every column
-        one_block = _cells(grids, mags, starts, table, blocks[0]) \
-            if len(blocks) == 1 else None
-        raw.write(b"{")
-        for i, c in enumerate(sorted(range(len(header)),
-                                     key=header.__getitem__)):
-            raw.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
-                      .encode())
-            if grids[c].size:
-                raw.write(b"\n  ")
-            for k, index in enumerate(blocks):
-                cells = one_block[:, c] if one_block is not None else _cells(
-                    [grids[c]], mags[c:c + 1], starts[c:c + 1], table, index)
-                text = _text_of(cells)
-                raw.write(text[:-len(sep)] if k == len(blocks) - 1 else text)
-            raw.write(b"\n ]")
-        raw.write(b"\n}\n")
-        return
-    mags, starts, table = _text_table(
-        grids, blocks, [b","] * (len(grids) - 1) + [b"\n"])
-    raw.write((",".join(header) + "\n").encode())
-    for index in blocks:
-        raw.write(_text_of(_cells(grids, mags, starts, table, index)))
 
 
 def _axis_to_doc(axis: SweepAxis) -> dict:
@@ -708,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "|R|=0.3 with the cavity at the insensitive detuning; "
                     "2d probe vs B in [-500, 500] uT at the pinned "
                     "9.25 MHz detuning. 2c/2d also write a *_slice file "
-                    "(the operating-point trace).",
+                    "(the operating-point trace). --power-photons-per-s "
+                    "reaches only the sidecar; no spectrum output reads it.",
     )
     sp.add_argument("--figure", choices=FIGURE_NAMES,
                     help="a reference panel; it fixes the parameters and "

@@ -43,9 +43,9 @@ def _square(x: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Fractional-frequency noise components; total is the quadrature sum."""
+    """Fractional-frequency environmental floors; floor_total is their
+    quadrature sum."""
 
-    shot_sigma: float
     thermal_floor: float
     magnetic_floor: float
     pump_floor: float
@@ -55,10 +55,6 @@ class NoiseBudget:
         return math.sqrt(_square(self.thermal_floor)
                          + _square(self.magnetic_floor)
                          + _square(self.pump_floor))
-
-    @property
-    def total(self) -> float:
-        return math.sqrt(_square(self.shot_sigma) + _square(self.floor_total))
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,6 @@ class StabilityCurve:
     @property
     def floor_total(self) -> float:
         return self.budget.floor_total
-
-    @property
-    def floor_markers(self) -> dict:
-        """Named asymptotic floors, for annotating curves."""
-        return {
-            "thermal": self.budget.thermal_floor,
-            "magnetic": self.budget.magnetic_floor,
-            "pump": self.budget.pump_floor,
-            "total": self.budget.floor_total,
-        }
 
     @property
     def crossover_tau(self) -> float:
@@ -200,7 +186,6 @@ def environmental_floors(
     pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
 
     return NoiseBudget(
-        shot_sigma=0.0,
         thermal_floor=float(thermal),
         magnetic_floor=float(magnetic),
         pump_floor=float(pump),

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinclock import __version__, cli
-from spinclock.cli import _BLOCK_ROWS, _parser, _write_table, main
+from spinclock._table import _BLOCK_ROWS, write_table
+from spinclock.cli import _parser, main
 from spinclock.params import KNOWN_CONFIG_KEYS
 
 
@@ -387,8 +388,9 @@ def _edge_columns():
         wide)
 
 
-@pytest.mark.parametrize("rows", [None, 1, _BLOCK_ROWS],
-                         ids=["blocks-plus-three", "one-row", "one-block"])
+@pytest.mark.parametrize("rows", [None, 0, 1, _BLOCK_ROWS],
+                         ids=["blocks-plus-three", "no-rows", "one-row",
+                              "one-block"])
 def test_write_table_matches_repr_of_each_value(tmp_path, rows):
     # one text per magnitude serves both signs, -0.0 included
     header, columns = _edge_columns()
@@ -396,7 +398,7 @@ def test_write_table_matches_repr_of_each_value(tmp_path, rows):
     for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
         out = tmp_path / f"t.{fmt}"
         with open(out, "w", encoding="utf-8") as f:
-            _write_table(f, header, columns, fmt)
+            write_table(f, header, columns, fmt)
         assert out.read_bytes() == expected(header, columns), fmt
 
 
@@ -416,7 +418,7 @@ def test_write_table_writes_grids_in_row_order(tmp_path, shape):
     for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
         out = tmp_path / f"t.{fmt}"
         with open(out, "w", encoding="utf-8") as f:
-            _write_table(f, header, grids, fmt)
+            write_table(f, header, grids, fmt)
         assert out.read_bytes() == expected(header, flat), fmt
 
 
@@ -437,7 +439,7 @@ def test_write_table_memory_does_not_grow_with_rows(tmp_path):
             tracemalloc.start()
             try:
                 with open(tmp_path / f"t.{fmt}", "w", encoding="utf-8") as f:
-                    _write_table(f, "abcde", columns, fmt)
+                    write_table(f, "abcde", columns, fmt)
                 fmt_peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spinclock import cli
-from spinclock._shortest import REPR_WIDTH, _digits, shortest_repr
+from spinclock import _table, cli
+from spinclock._table import REPR_WIDTH, _digits, shortest_repr
 from spinclock.figures import figure_setup
 from spinclock.transmission import spectrum_sweep
 from spinclock.units import to_hz
@@ -106,7 +106,7 @@ def test_figure_2a_magnitudes_take_the_vector_path(tmp_path, monkeypatch):
         fell_back.append(int((_digits(bits)[2] | (bits == 0)).sum()))
         return shortest_repr(bits)
 
-    monkeypatch.setattr(cli, "shortest_repr", counting)
+    monkeypatch.setattr(_table, "shortest_repr", counting)
     assert cli.main(["spectrum", "--figure", "2a", "--points", "301",
                      "--out", str(tmp_path / "a.csv")]) == 0
     setup = figure_setup("2a", points=301)

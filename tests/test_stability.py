@@ -130,7 +130,7 @@ def test_floors_vanish_without_instability():
     assert budget.thermal_floor == 0.0
     assert budget.magnetic_floor == 0.0
     assert budget.pump_floor == 0.0
-    assert budget.total == 0.0
+    assert budget.floor_total == 0.0
 
 
 def test_floors_scale_quadratically():
@@ -149,11 +149,10 @@ def test_budget_composition_and_ordering():
     op = operating_point_numeric(p.spins, p.env)
     b = environmental_floors(p.spins, p.env, op,
                              dT_stab=10e-3, dB_stab=10e-9)
-    comp_sq = (b.shot_sigma ** 2 + b.thermal_floor ** 2
-               + b.magnetic_floor ** 2 + b.pump_floor ** 2)
-    assert b.total ** 2 == pytest.approx(comp_sq, rel=1e-14)
-    assert b.total >= max(b.shot_sigma, b.thermal_floor,
-                          b.magnetic_floor, b.pump_floor)
+    comp_sq = b.thermal_floor ** 2 + b.magnetic_floor ** 2 + b.pump_floor ** 2
+    assert b.floor_total ** 2 == pytest.approx(comp_sq, rel=1e-14)
+    assert b.floor_total >= max(b.thermal_floor, b.magnetic_floor,
+                                b.pump_floor)
     assert all(x >= 0 for x in (b.thermal_floor, b.magnetic_floor, b.pump_floor))
 
 
@@ -336,9 +335,6 @@ def test_curve_flattens_at_floor():
     assert floor > 0
     assert curve.sigma_y[-1] == pytest.approx(floor, rel=1e-4)
     assert math.isfinite(curve.crossover_tau) and curve.crossover_tau > 0
-    markers = curve.floor_markers
-    assert markers["total"] == floor
-    assert set(markers) == {"thermal", "magnetic", "pump", "total"}
 
 
 def test_curve_rejects_bad_tau():
