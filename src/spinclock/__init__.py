@@ -2,7 +2,7 @@
 
 Modules
 -------
-params        parameter types, environment mapping, flat JSON configs
+params        parameter types, environment mapping, Preset and its config
 presets       reference parameter sets ('current', 'outlook')
 transmission  probe transmission, susceptibility, 2-D sweeps
 polariton     coupled-mode eigenfrequencies and insensitive operating points
@@ -19,12 +19,11 @@ from .params import (
     CavityParams,
     ConfigError,
     EnvironmentState,
+    Preset,
     ProbeParams,
     SpinClass,
     SpinEnsembleParams,
     instantaneous_frequencies,
-    params_from_config,
-    params_to_config,
 )
 from .polariton import (
     NoOperatingPointError,
@@ -39,7 +38,7 @@ from .polariton import (
     operating_point_numeric,
     polariton_energies_degenerate,
 )
-from .presets import Preset, table1_preset
+from .presets import table1_preset
 from .stability import (
     BetaBound,
     NoiseBudget,

@@ -7,16 +7,20 @@ streams its rows to the file in blocks, so the memory a write takes grows
 with the distinct magnitudes (33 bytes each per column in CSV, 36 in JSON),
 not with the rows.  The texts come from ``shortest_repr``, Ryu's shortest
 round-trip digits run over 4096 magnitudes at a time in numpy, which gives
-the bytes of ``repr``.  It hands the values Ryu's general case takes, and
-zero, to ``repr`` itself, and a chunk of fewer than ``_VECTOR_MIN``
-magnitudes, such as all of a small table's, goes to ``repr`` whole; either
-way ``_repr_rows`` packs the texts of ``repr``.
+the bytes of ``repr``.  It hands the values Ryu's general case takes, zero,
+and the values from 2^53 up to ``repr`` itself, and a chunk of fewer than
+``_VECTOR_MIN`` magnitudes, such as all of a small table's, goes to ``repr``
+whole; either way ``_repr_rows`` packs the texts of ``repr``.
 
 Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
 digits CPython's ``repr`` writes: the shortest decimal that reads back as the
 same double, and the nearest one among those.  Its common case needs only a
 64x128-bit multiply-and-shift and a loop that drops decimal digits, so it runs
-here on whole uint64 arrays, the multiply in 32-bit limbs.  One product gives
+here on whole uint64 arrays, the multiply in 32-bit limbs.  It runs only below
+2^53, where Ryu's binary exponent e2 is negative: every double in
+[2^53, 2^54) takes Ryu's general case anyway, and from 2^54 up Ryu needs a
+second table of multipliers and checks of divisibility by 5^q, for values no
+reference run writes.  One product gives
 the scaled value vr and the bits below it; the interval bounds vp and vm are
 vr plus or minus fixed steps of the exponent, with the carry those bits
 decide.  A lane that Ryu sends to its general case (a product with trailing
@@ -24,11 +28,11 @@ decimal zeros, or an interval bound that is itself a candidate), a lane
 whose carry the 64 bits kept cannot decide, and zero are formatted with
 ``repr`` instead.  The digits are then laid out as ``repr`` does: positional
 for decimal points from -3 to 16 (``0.0001``, ``1000000000000000.0``),
-scientific outside them (``1e-05``, ``1e+16``).
+scientific below them (``1e-05``); no double below 2^53 has its point past 16.
 
 Texts are built as 24-byte little-endian strings, three uint64 words per
 value, so that moving digits to their places is a shift, not a gather.  The
-tables (Ryu's 5^i and 2^k / 5^q per binary exponent, digit and layout texts)
+tables (Ryu's 5^i per binary exponent, digit and layout texts)
 are built from Python ints on first use, not at import.
 """
 
@@ -50,7 +54,9 @@ _MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
 # near 550 on a 2-core host, so small tables such as stability's keep repr)
 _VECTOR_MIN = 1024
 
-_POW5_BITS = 125  # bits kept of 5^i and of 2^k / 5^q (Ryu's table width)
+_POW5_BITS = 125  # bits kept of 5^i (Ryu's table width)
+# The biased exponent of 2^53: the kernel runs on the doubles below it
+_EXP_2_53 = 1023 + 53
 _U1 = np.uint64(1)
 _U32 = np.uint64(32)
 _M32 = np.uint64(2 ** 32 - 1)
@@ -69,29 +75,20 @@ def _pow5bits(e):
 @functools.cache
 def _tables() -> dict:
     """Every table, built on first use and read-only."""
-    # Ryu's multipliers c of 125 bits: 2^k / 5^q rounded up for e2 >= 0, by
-    # q, then 5^i for e2 < 0, by i
-    pow5 = [5 ** i for i in range(342)]
-    c = [(1 << (_pow5bits(q) - 1 + _POW5_BITS)) // pow5[q] + 1
-         for q in range(342)]
-    c += [pow5[i] << _POW5_BITS >> _pow5bits(i) for i in range(326)]
+    # Ryu's multipliers c of 125 bits for e2 < 0: 5^i, by i
+    c = [5 ** i << _POW5_BITS >> _pow5bits(i) for i in range(326)]
     limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in c),
                           dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
     # each biased exponent's row of them, shift j of vr = floor(4 m c / 2^j),
-    # q, and the decimal exponent of vr
-    e2 = np.maximum(np.arange(2047), 1) - (1023 + 52 + 2)
-    up = e2 >= 0
-    # floor(log10(2^e2)) or floor(log10(5^-e2)), less one
-    q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3),
-                 (-e2 * 732923 >> 20) - (e2 < -1))
-    row = np.where(up, q, 342 - e2 - q)
-    shift = np.where(up, q + _pow5bits(q) - 1 - e2,
-                     q - _pow5bits(-e2 - q)) + _POW5_BITS - 64
-    limbs = np.take(limbs, row, axis=1)
-    shift = shift.astype(np.uint64)
+    # q, and the decimal exponent of vr, for the exponents below 2^53
+    e2 = np.maximum(np.arange(_EXP_2_53), 1) - (1023 + 52 + 2)
+    # floor(log10(5^-e2)), less one
+    q = (-e2 * 732923 >> 20) - (e2 < -1)
+    limbs = np.take(limbs, -e2 - q, axis=1)
+    shift = (q - _pow5bits(-e2 - q) + _POW5_BITS - 64).astype(np.uint64)
     # c / 2^j and 2 c / 2^j, the steps from vr to the interval's bounds:
     # whole parts and the top 64 bits of their fractions
-    steps = [_mul_shift(np.full(2047, d, dtype=np.uint64), limbs, shift)
+    steps = [_mul_shift(np.full(e2.size, d, dtype=np.uint64), limbs, shift)
              for d in (1, 2)]
     digits = np.arange(10_000, dtype=np.uint16)[:, None] \
         // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
@@ -106,23 +103,23 @@ def _tables() -> dict:
                 text = b"\0" * count + b"0" * (point - count) + b".0"
             positional.append(text.ljust(24, b"\0"))
     tables = {
-        # by biased exponent: c as 32-bit limbs, (4, 2047); the whole and
-        # fraction parts of c / 2^j and 2 c / 2^j, (2, 2047) each; j - 64;
-        # q and the decimal exponent of vr
+        # by biased exponent: c as 32-bit limbs, (4, _EXP_2_53); the whole
+        # and fraction parts of c / 2^j and 2 c / 2^j, (2, _EXP_2_53) each;
+        # j - 64; q and the decimal exponent of vr
         "limbs": limbs,
         "whole": np.array([whole for whole, _ in steps]),
         "fraction": np.array([fraction for _, fraction in steps]),
         "shift": shift,
         "q": q,
-        "e10": np.where(up, q, q + e2),
+        "e10": q + e2,
         # the text of each number below 10^4, first digit in the low byte
         "quads": digits.astype(np.uint8).view("<u4")[:, 0].copy(),
         # the bytes around the digits of each positional layout, (3, 340) by
-        # (point + 3) * 17 + count - 1, and "e-324" ... "e+308" by exponent
+        # (point + 3) * 17 + count - 1, and "e-324" ... "e-05" by exponent
         "positional": np.frombuffer(b"".join(positional), dtype="<u8")
         .reshape(-1, 3).T.copy(),
         "exponent": np.frombuffer(b"".join(
-            (b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309)),
+            (b"e%03d" % e).ljust(8, b"\0") for e in range(-324, -4)),
             dtype="<u8").copy(),
     }
     for table in tables.values():
@@ -156,9 +153,13 @@ def _mul_shift(m: np.ndarray, limbs: np.ndarray, shift: np.ndarray):
 def _digits(bits: np.ndarray) -> tuple:
     """Ryu's common case for positive doubles given as uint64 ``bits``: each
     lane's shortest digits as an integer, its decimal exponent, and whether
-    it needs Ryu's general case instead (whose digits are then not used)."""
+    it needs Ryu's general case instead (whose digits are then not used),
+    as every double from 2^53 up does here."""
     tables = _tables()
-    exponent = (bits >> np.uint64(52)).astype(np.intp)
+    # a double from 2^53 up takes the row of [2^52, 2^53), whose q = 0 puts
+    # every lane in the general case below
+    exponent = np.minimum((bits >> np.uint64(52)).astype(np.intp),
+                          _EXP_2_53 - 1)
     mantissa = bits & _MANTISSA
     mv = np.where(exponent != 0, mantissa | np.uint64(1 << 52),
                   mantissa) << np.uint64(2)
@@ -181,22 +182,10 @@ def _digits(bits: np.ndarray) -> tuple:
     # Ryu's general case: the exact product has q trailing zeros, or an
     # interval bound is exact.  For a binary exponent e2 < 0 that is a
     # matter of 2^q dividing mv (always so for q <= 1, as 4 divides it,
-    # and never taken for q >= 63), for e2 >= 0 of 5^q dividing a bound.
+    # and never taken for q >= 63).
     q = tables["q"][exponent]
-    up = exponent >= 1023 + 52 + 2
     low = np.uint64(64) - np.clip(q, 1, 63).astype(np.uint64)
-    general = unsure | ~up & (q < 63) & (mv << low == 0)
-    lanes = np.flatnonzero(up & (q <= 21))
-    if lanes.size:
-        pow5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)[q[lanes]]
-        lmv = mv[lanes]
-        even = (lmv & np.uint64(4)) == 0
-        fives = lmv % np.uint64(5) == 0
-        general[lanes] |= np.where(
-            fives, lmv % pow5 == 0,
-            even & ((lmv - _U1 - mm_shift[lanes]) % pow5 == 0))
-        # an odd mantissa's exact upper bound is outside the interval
-        vp[lanes] -= ~fives & ~even & ((lmv + np.uint64(2)) % pow5 == 0)
+    general = unsure | (q < 63) & (mv << low == 0)
 
     # Drop the digits the interval (vm, vp] lets go.  One d wide holds a
     # multiple of each 10^k <= d, so those go at once; the loop then takes
@@ -253,7 +242,7 @@ def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     raw = np.stack([first | low << np.uint64(8),
                     low >> np.uint64(56) | high << np.uint64(8),
                     high >> np.uint64(56)])
-    scientific = (point < -3) | (point > 16)
+    scientific = point < -3
     # digits [0, split) stay and the rest move one byte on, past the point;
     # below 1 all of them move past "0.", "0.0", ...
     split = np.where(scientific, 1, np.clip(point, 0, count))
@@ -262,7 +251,7 @@ def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     text = raw & head | _shl(tail, np.where(~scientific & (point <= 0),
                                             2 - point, 1))
     text |= np.where(scientific, np.uint64(0), np.take(
-        tables["positional"], (np.clip(point, -3, 16) + 3) * 17 + count - 1,
+        tables["positional"], (np.maximum(point, -3) + 3) * 17 + count - 1,
         axis=1))
     lanes = np.flatnonzero(scientific)
     if lanes.size:

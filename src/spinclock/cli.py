@@ -42,26 +42,24 @@ import numpy as np
 from . import __version__
 from ._table import write_table
 from .figures import FIGURE_NAMES, figure_setup
-from .params import _CLASS_KEYS, ConfigError, _is_finite_number
+from .params import _CLASS_KEYS, ConfigError, Preset, _is_finite_number
 from .polariton import (
     BRANCHES,
     NoOperatingPointError,
     operating_point_closed_form,
     operating_point_numeric,
 )
-from .presets import PRESET_NAMES, Preset, table1_preset
+from .presets import PRESET_NAMES, table1_preset
 from .stability import environmental_floors, stability_curve
-from .transmission import SweepAxis, quadrature_of, spectrum_sweep
+from .transmission import (AXIS_VARIABLES, SweepAxis, quadrature_of,
+                           spectrum_sweep)
 from .units import from_hz, to_hz
 
 # Unit of each sweep variable in documents and outputs; the model holds an
 # "hz" variable in rad/s and the others as they are.
-_AXIS_UNIT = {
-    "probe_offset": "hz",
-    "cavity_offset": "hz",
-    "delta_T": "k",
-    "B_field": "t",
-}
+_AXIS_UNIT = dict(zip(AXIS_VARIABLES, ("hz", "hz", "k", "t"), strict=True))
+# The output formats of spectrum and stability
+_FORMATS = ("csv", "json")
 
 
 def _axis_out(variable: str, value):
@@ -184,7 +182,7 @@ def _one_of(*values):
     return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
 
 
-_FORMAT = _one_of("csv", "json")
+_FORMAT = _one_of(*_FORMATS)
 # The keys of each command's document besides _HEADER's
 _SIDECAR_KEYS = {
     "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
@@ -572,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="homodyne phase in degrees (90 = Im[t]); sets "
                          "quadrature_phase_rad")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--format", choices=_FORMATS, default="csv")
     _add_common(sp, stability=False)
     # None tells an omitted --preset, which --figure rejects, from a typed one
     sp.set_defaults(document=_spectrum_document, preset=None)
@@ -585,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "sidecar and the report's params echo; stability reads "
                     "both.",
     )
-    op.add_argument("--branch", choices=("lower", "middle", "upper"),
-                    default="upper")
+    op.add_argument("--branch", choices=BRANCHES, default="upper")
     op.add_argument("--out", default=None,
                     help="report path (default: stdout)")
     _add_common(op, stability=True)
@@ -599,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "tau_start_s and tau_stop_s")
     st.add_argument("--tau-points", type=int, default=81, dest="tau_points")
     st.add_argument("--out", required=True)
-    st.add_argument("--format", choices=("csv", "json"), default="csv")
+    st.add_argument("--format", choices=_FORMATS, default="csv")
     _add_common(st, stability=True)
     st.set_defaults(document=_stability_document)
 

@@ -8,9 +8,11 @@ is one delta-function class per branch, which reproduces a homogeneous line.
 All values stored here are angular (rad/s); see :mod:`spinclock.units`.
 Temperatures are kelvin, magnetic fields tesla, times seconds.
 
-The flat JSON config that presets and provenance sidecars carry is described
-by one table, ``_FIELDS``, with one row per stored field; a key absent from
-a config takes the field's dataclass default.
+A ``Preset`` gathers the four parameter objects with a name and a
+temperature stability.  Its flat JSON config, which provenance sidecars
+carry, is written by ``Preset.to_config`` and read by ``Preset.from_config``
+from one table, ``_FIELDS``, with one row per stored field; a key absent
+from a config takes the field's dataclass default.
 """
 
 from __future__ import annotations
@@ -216,13 +218,93 @@ def instantaneous_frequencies(
 
 
 # --- flat JSON config mapping -------------------------------------------------
-#
-# One row per stored field: config key -> (parameter type, attribute, whether
-# the key holds the value in Hz where the field holds rad/s).  Keys carry
-# explicit SI unit suffixes.  A key absent from a config is left out of the
-# constructor call, so its field takes the dataclass default.
 
+
+@dataclass(frozen=True)
+class Preset:
+    """One named, fully resolved parameter set; its flat JSON config is
+    read and written here and nowhere else."""
+
+    name: str = "custom"
+    spins: SpinEnsembleParams = field(default_factory=SpinEnsembleParams)
+    cavity: CavityParams = field(default_factory=CavityParams)
+    env: EnvironmentState = field(default_factory=EnvironmentState)
+    probe: ProbeParams = field(default_factory=ProbeParams)
+    dT_stab: float = 0.0  # achievable temperature stability, kelvin
+
+    def __post_init__(self):
+        _require_finite(self, "dT_stab")
+
+    def to_config(self) -> dict:
+        """The preset as one Hz-facing key-value dict."""
+        objects = {kind: getattr(self, part) for part, kind in _PARTS.items()}
+        objects[Preset] = self
+        cfg: dict = {}
+        for key, (kind, attr, hz) in _FIELDS.items():
+            value = getattr(objects[kind], attr)
+            cfg[key] = to_hz(value) if hz and value is not None else value
+        for branch, (off_key, w_key) in _CLASS_KEYS.items():
+            classes = self.spins.classes(branch)
+            cfg[off_key] = [to_hz(c.detuning_offset) for c in classes]
+            cfg[w_key] = [c.weight for c in classes]
+        return cfg
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "Preset":
+        """Rebuild a preset from a flat config dict.
+
+        Unknown keys are rejected so a typo cannot silently fall back to a
+        default value.
+        """
+        unknown = sorted(set(cfg) - KNOWN_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+        def numbers(key, default):
+            values = cfg.get(key, default)
+            if not isinstance(values, list):
+                raise ConfigError(
+                    f"{key} must be a list of numbers, got {values!r}")
+            return [_finite_number(v, key) for v in values]
+
+        classes = []
+        for branch, (off_key, w_key) in _CLASS_KEYS.items():
+            offsets = numbers(off_key, [0.0])
+            weights = numbers(w_key, [1.0])
+            if len(offsets) != len(weights):
+                raise ConfigError(f"{off_key} and {w_key} differ in length")
+            for off, w in zip(offsets, weights):
+                classes.append(SpinClass(from_hz(off), w, branch))
+
+        kwargs = {kind: {} for kind in (Preset, *_PARTS.values())}
+        kwargs[SpinEnsembleParams]["spin_classes"] = tuple(classes)
+        for key, (kind, attr, hz) in _FIELDS.items():
+            if key not in cfg:
+                continue
+            value = cfg[key]
+            if key == "preset_name":
+                if not isinstance(value, str):
+                    raise ConfigError(
+                        f"preset_name must be a string, got {value!r}")
+            # a null coupling is derived as g0 * sqrt(N)
+            elif value is not None or key != "g_collective_hz":
+                value = _finite_number(value, key)
+                value = from_hz(value) if hz else value
+            kwargs[kind][attr] = value
+        return cls(**{part: kind(**kwargs[kind])
+                      for part, kind in _PARTS.items()}, **kwargs[Preset])
+
+
+# The fields of a Preset that hold a parameter object, with its type
+_PARTS = {"spins": SpinEnsembleParams, "cavity": CavityParams,
+          "env": EnvironmentState, "probe": ProbeParams}
+# One row per stored field: config key -> (type holding it, attribute,
+# whether the key holds the value in Hz where the field holds rad/s).  Keys
+# carry explicit SI unit suffixes.  A key absent from a config is left out
+# of the constructor call, so its field takes the dataclass default.
 _FIELDS = {
+    "preset_name": (Preset, "name", False),
+    "dt_stab_k": (Preset, "dT_stab", False),
     "omega_zfs_hz": (SpinEnsembleParams, "omega_zfs", True),
     "gamma_pump_hz": (SpinEnsembleParams, "gamma_pump", True),
     "gamma_dephasing_hz": (SpinEnsembleParams, "Gamma_deph", True),
@@ -246,69 +328,8 @@ _CLASS_KEYS = {
     Branch.PLUS: ("class_offsets_plus_hz", "class_weights_plus"),
     Branch.MINUS: ("class_offsets_minus_hz", "class_weights_minus"),
 }
-_TYPES = (SpinEnsembleParams, CavityParams, EnvironmentState, ProbeParams)
 
 KNOWN_CONFIG_KEYS = frozenset(_FIELDS).union(*_CLASS_KEYS.values())
-
-
-def params_to_config(
-    spins: SpinEnsembleParams,
-    cavity: CavityParams,
-    env: EnvironmentState,
-    probe: ProbeParams,
-) -> dict:
-    """Flatten the four parameter objects into one Hz-facing key-value dict."""
-    objects = dict(zip(_TYPES, (spins, cavity, env, probe)))
-    cfg: dict = {}
-    for key, (kind, attr, hz) in _FIELDS.items():
-        value = getattr(objects[kind], attr)
-        cfg[key] = to_hz(value) if hz and value is not None else value
-    for branch, (off_key, w_key) in _CLASS_KEYS.items():
-        classes = spins.classes(branch)
-        cfg[off_key] = [to_hz(c.detuning_offset) for c in classes]
-        cfg[w_key] = [c.weight for c in classes]
-    return cfg
-
-
-def params_from_config(
-    cfg: dict,
-) -> tuple[SpinEnsembleParams, CavityParams, EnvironmentState, ProbeParams]:
-    """Rebuild parameter objects from a flat config dict.
-
-    Unknown keys are rejected so a typo cannot silently fall back to a
-    default value.
-    """
-    unknown = sorted(set(cfg) - KNOWN_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def numbers(key, default):
-        values = cfg.get(key, default)
-        if not isinstance(values, list):
-            raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-        return [_finite_number(v, key) for v in values]
-
-    classes = []
-    for branch, (off_key, w_key) in _CLASS_KEYS.items():
-        offsets = numbers(off_key, [0.0])
-        weights = numbers(w_key, [1.0])
-        if len(offsets) != len(weights):
-            raise ConfigError(f"{off_key} and {w_key} differ in length")
-        for off, w in zip(offsets, weights):
-            classes.append(SpinClass(from_hz(off), w, branch))
-
-    kwargs = {kind: {} for kind in _TYPES}
-    kwargs[SpinEnsembleParams]["spin_classes"] = tuple(classes)
-    for key, (kind, attr, hz) in _FIELDS.items():
-        if key not in cfg:
-            continue
-        value = cfg[key]
-        # a null coupling is derived as g0 * sqrt(N)
-        if value is not None or key != "g_collective_hz":
-            value = _finite_number(value, key)
-            value = from_hz(value) if hz else value
-        kwargs[kind][attr] = value
-    return tuple(kind(**kwargs[kind]) for kind in _TYPES)
 
 
 __all__ = [
@@ -320,7 +341,6 @@ __all__ = [
     "EnvironmentState",
     "ProbeParams",
     "instantaneous_frequencies",
-    "params_to_config",
-    "params_from_config",
+    "Preset",
     "KNOWN_CONFIG_KEYS",
 ]

@@ -12,53 +12,17 @@ pinned here: microsecond-scale pumping and a 10 ms ensemble lifetime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import (
     CavityParams,
     ConfigError,
     EnvironmentState,
+    Preset,
     ProbeParams,
     SpinEnsembleParams,
-    _finite_number,
-    _require_finite,
-    params_from_config,
-    params_to_config,
 )
 from .units import from_hz
 
 _T1_SECONDS = 10e-3
-
-
-@dataclass(frozen=True)
-class Preset:
-    """One named, fully resolved parameter set."""
-
-    name: str
-    spins: SpinEnsembleParams
-    cavity: CavityParams
-    env: EnvironmentState
-    probe: ProbeParams
-    dT_stab: float  # achievable temperature stability, kelvin
-
-    def __post_init__(self):
-        _require_finite(self, "dT_stab")
-
-    def to_config(self) -> dict:
-        cfg = params_to_config(self.spins, self.cavity, self.env, self.probe)
-        cfg["preset_name"] = self.name
-        cfg["dt_stab_k"] = self.dT_stab
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Preset":
-        cfg = dict(cfg)
-        name = cfg.pop("preset_name", "custom")
-        if not isinstance(name, str):
-            raise ConfigError(f"preset_name must be a string, got {name!r}")
-        dT_stab = _finite_number(cfg.pop("dt_stab_k", 0.0), "dt_stab_k")
-        spins, cavity, env, probe = params_from_config(cfg)
-        return cls(name, spins, cavity, env, probe, dT_stab)
 
 
 def _build(name, kappa_hz, Gamma_hz, g_hz, R, g0_hz, n_spins, flux, dT_stab):
@@ -109,4 +73,4 @@ def table1_preset(which: str) -> Preset:
     return _build(which, **spec)
 
 
-__all__ = ["Preset", "PRESET_NAMES", "table1_preset"]
+__all__ = ["PRESET_NAMES", "table1_preset"]

@@ -27,10 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CavityParams, EnvironmentState, ProbeParams, SpinEnsembleParams
+from .params import (CavityParams, EnvironmentState, Preset, ProbeParams,
+                     SpinEnsembleParams)
 from .polariton import (BRANCHES, OperatingPoint, _dH_dB, _dH_dg, _dH_dT,
                         _shift, _slope, operating_point_numeric)
-from .presets import Preset
+
+
+# Relative stability of the optical pump's power, behind the pump floor
+_LASER_STABILITY = 1e-6
 
 
 def _square(x: float) -> float:
@@ -162,15 +166,15 @@ def environmental_floors(
     op: OperatingPoint,
     dT_stab: float,
     dB_stab: float,
-    laser_stability: float = 1e-6,
 ) -> NoiseBudget:
     """Fractional floors for static offsets of the stabilization magnitudes.
 
     Thermal and magnetic floors are the exact branch shifts for offsets of
     dT_stab / dB_stab, taken by the Schur complement from the eigenpairs
     that ``op`` carries (so ``op`` must come from the same spins and env);
-    the pump floor converts laser power fluctuations into a coupling shift
-    via the polarization steady state (g proportional to sqrt(P)).
+    the pump floor converts laser power fluctuations of
+    ``_LASER_STABILITY`` into a coupling shift via the polarization steady
+    state (g proportional to sqrt(P)).
     """
     # Shifts are taken in the line-center frame (no carrier rounding), then
     # normalized by the absolute branch frequency.
@@ -182,7 +186,7 @@ def environmental_floors(
 
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
     dg_over_g = coupling_sensitivity_to_pump(spins)
-    dg = dg_over_g * laser_stability * spins.branch_coupling
+    dg = dg_over_g * _LASER_STABILITY * spins.branch_coupling
     pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
 
     return NoiseBudget(

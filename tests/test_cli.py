@@ -663,7 +663,9 @@ def _replayed_outputs(doc: dict, directory: Path) -> dict:
     return outputs
 
 
-@pytest.mark.parametrize("key", sorted(KNOWN_CONFIG_KEYS))
+# preset_name is the label of the parameter set: only the sidecar and the
+# operating-point report's params echo carry it
+@pytest.mark.parametrize("key", sorted(KNOWN_CONFIG_KEYS - {"preset_name"}))
 def test_every_config_key_changes_an_output(tmp_path, key):
     # a setting that no output reads would be ignored without a word: a
     # changed value of each config key must change some output of some

@@ -13,11 +13,10 @@ from spinclock.params import (
     ProbeParams,
     SpinClass,
     SpinEnsembleParams,
+    Preset,
     instantaneous_frequencies,
-    params_from_config,
-    params_to_config,
 )
-from spinclock.presets import Preset, table1_preset
+from spinclock.presets import table1_preset
 from spinclock.units import from_hz, to_hz
 
 TWO_PI = 2.0 * math.pi
@@ -167,18 +166,15 @@ def test_config_roundtrip_of_custom_params():
     cavity = CavityParams(kappa_out=from_hz(123e3), kappa_loss=from_hz(11e3))
     env = EnvironmentState(delta_T=0.25, B_field=2e-7, R_ratio=-0.21)
     probe = ProbeParams(photon_flux=3e17)
-    cfg = params_to_config(spins, cavity, env, probe)
-    s2, c2, e2, p2 = params_from_config(cfg)
-    assert (s2, c2, e2, p2) == (spins, cavity, env, probe)
+    p = Preset("custom-test", spins, cavity, env, probe, dT_stab=2.5e-3)
+    assert Preset.from_config(p.to_config()) == p
 
 
 def test_unknown_config_keys_rejected():
     cfg = table1_preset("current").to_config()
-    cfg.pop("preset_name")
-    cfg.pop("dt_stab_k")
     cfg["kappa_typo_hz"] = 1.0
     with pytest.raises(ConfigError, match="kappa_typo_hz"):
-        params_from_config(cfg)
+        Preset.from_config(cfg)
 
 
 def test_unknown_preset_name():
@@ -212,11 +208,12 @@ def test_every_config_key_is_read():
     # a key that passes the unknown-key check must reach its field: set to
     # a value unlike both the preset's and the default, it comes back
     cfg = table1_preset("current").to_config()
-    del cfg["preset_name"], cfg["dt_stab_k"]
-    default = params_to_config(*params_from_config({}))
+    default = Preset.from_config({}).to_config()
     for key in sorted(KNOWN_CONFIG_KEYS):
         changed = dict(cfg)
-        if key.startswith("class_weights_"):
+        if key == "preset_name":
+            changed[key] = "renamed"
+        elif key.startswith("class_weights_"):
             offsets = key.replace("class_weights_", "class_offsets_") + "_hz"
             changed[offsets] = [0.0, 0.0]
             changed[key] = [0.25, 0.75]
@@ -225,7 +222,7 @@ def test_every_config_key_is_read():
         else:
             changed[key] = 0.75 * cfg[key] if cfg[key] else 0.5
         assert changed[key] not in (cfg[key], default[key]), key
-        back = params_to_config(*params_from_config(changed))[key]
+        back = Preset.from_config(changed).to_config()[key]
         if "_hz" in key:  # through rad/s and back
             assert back == pytest.approx(changed[key], rel=1e-15), key
         else:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from spinclock import _table, cli
-from spinclock._table import REPR_WIDTH, _digits, shortest_repr
-from spinclock.figures import figure_setup
-from spinclock.transmission import spectrum_sweep
-from spinclock.units import to_hz
+from spinclock._table import (_BLOCK_ROWS, _VECTOR_MIN, REPR_WIDTH, _digits,
+                              shortest_repr)
 
 _TINY = 5e-324
 _HUGE = 1.7976931348623157e308
@@ -63,7 +61,7 @@ def test_powers_of_ten_and_their_neighbours():
 @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16])
 def test_positional_and_scientific_switches(switch):
     # repr writes 0.0001 and 1000000000000000.0 positionally, 1e-05 and
-    # 1e+16 in scientific form
+    # 1e+16 in scientific form; the kernel hands 1e16, past 2^53, to repr
     steps = np.arange(-200, 201)
     _assert_repr(np.concatenate([
         _neighbours([switch]),
@@ -73,8 +71,9 @@ def test_positional_and_scientific_switches(switch):
 
 
 def test_short_decimals_where_the_binary_exponent_turns_positive():
-    # from 2^54 up, a double is an even integer: Ryu's checks on 5^q
-    # dividing the bounds decide the short decimals there, such as 7e+22
+    # from 2^54 up, a double is an even integer, and its short decimals,
+    # such as 7e+22, need Ryu's checks on 5^q dividing the bounds: the
+    # kernel hands every double from 2^53 up to repr
     rng = np.random.default_rng(1404)
     digits = rng.integers(1, 18, 20_000)
     mantissa = rng.integers(10 ** (digits - 1), 10 ** digits)
@@ -96,9 +95,16 @@ def test_zero_takes_repr():
     _assert_repr([0.0, 1.0, 0.0, 0.5])
 
 
-def test_figure_2a_magnitudes_take_the_vector_path(tmp_path, monkeypatch):
-    # the speed-up must not turn off unseen: of the distinct magnitudes of
-    # the 2a table at 301 points, fewer than 1% may reach repr
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--figure", "2a", "--points", "301"],
+    # 9,000 magnitudes from 5e-18 to 1e5, most of them in scientific form
+    ["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
+     "--tau-points", "3000"],
+], ids=["figure-2a", "stability-outlook"])
+def test_table_magnitudes_take_the_vector_path(tmp_path, monkeypatch, argv):
+    # the speed-up must not turn off unseen: every chunk of the table's
+    # distinct magnitudes but a last one under _VECTOR_MIN reaches the
+    # kernel, and fewer than 1% of the magnitudes it sees fall back to repr
     seen, fell_back = [], []
 
     def counting(bits):
@@ -107,14 +113,11 @@ def test_figure_2a_magnitudes_take_the_vector_path(tmp_path, monkeypatch):
         return shortest_repr(bits)
 
     monkeypatch.setattr(_table, "shortest_repr", counting)
-    assert cli.main(["spectrum", "--figure", "2a", "--points", "301",
-                     "--out", str(tmp_path / "a.csv")]) == 0
-    setup = figure_setup("2a", points=301)
-    sweep = spectrum_sweep(setup.spins, setup.cavity, setup.env,
-                           setup.axis1, setup.axis2)
-    t = sweep.t
-    distinct = sum(np.unique(np.abs(column)).size for column in (
-        to_hz(sweep.values1), to_hz(sweep.values2), t.real, t.imag,
-        np.abs(t)))
-    assert sum(seen) > 0.99 * distinct, (sum(seen), distinct)
+    out = tmp_path / "table.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    columns = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
+    distinct = sum(np.unique(np.abs(column)).size for column in columns)
+    last = distinct % _BLOCK_ROWS
+    assert sum(seen) == distinct - (last if last < _VECTOR_MIN else 0), \
+        (sum(seen), distinct)
     assert sum(fell_back) < 0.01 * sum(seen), (sum(fell_back), sum(seen))

@@ -123,10 +123,12 @@ def test_pump_sensitivity_is_small_and_positive():
 
 
 def test_floors_vanish_without_instability():
+    # with no intrinsic relaxation dP/dgamma is 0, so the pump's power
+    # fluctuations leave the coupling, and the pump floor, exactly alone
     p = table1_preset("current")
-    op = operating_point_numeric(p.spins, p.env)
-    budget = environmental_floors(p.spins, p.env, op,
-                                  dT_stab=0.0, dB_stab=0.0, laser_stability=0.0)
+    spins = dataclasses.replace(p.spins, gamma_0=0.0)
+    op = operating_point_numeric(spins, p.env)
+    budget = environmental_floors(spins, p.env, op, dT_stab=0.0, dB_stab=0.0)
     assert budget.thermal_floor == 0.0
     assert budget.magnetic_floor == 0.0
     assert budget.pump_floor == 0.0
