@@ -6,9 +6,13 @@ replay sidecar.json --out X`` reads one and reproduces the output byte for
 byte.  Either way the document is checked in one place, ``_check_document``,
 and then computed, so a bad value fails alike from a flag or a sidecar, with
 a message that names the document key (``--B-nt inf`` names ``db_stab_t``).
-A key that no run reads exits 2.  Each flag is recorded as typed
-(``--g-hz 3.3e6`` is ``g_collective_hz: 3300000.0``); only ``--dT-mk`` and
-``--B-nt`` are scaled, from mK and nT.
+Each value's rule is a row of this module, of ``params._FIELDS`` or of
+``transmission._AXIS_KEYS``, checked by ``params._require``; so a config
+value out of range names its key too (``--kappa-hz 0`` names
+``kappa_out_hz``), as does one that overflows only in rad/s.  A key that no
+run reads exits 2.  Each flag is recorded as typed (``--g-hz 3.3e6`` is
+``g_collective_hz: 3300000.0``); only ``--dT-mk`` and ``--B-nt`` are scaled,
+from mK and nT.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
 identical bytes.  A CSV or JSON table is written by ``_table.write_table``,
@@ -42,7 +46,8 @@ import numpy as np
 from . import __version__
 from ._table import write_table
 from .figures import FIGURE_NAMES, figure_setup
-from .params import _CLASS_KEYS, ConfigError, Preset, _is_finite_number
+from .params import (_CLASS_KEYS, _COUNT, _NUMBER, _POSITIVE, ConfigError,
+                     Preset, _one_of, _or_null, _require)
 from .polariton import (
     BRANCHES,
     NoOperatingPointError,
@@ -51,8 +56,8 @@ from .polariton import (
 )
 from .presets import PRESET_NAMES, table1_preset
 from .stability import environmental_floors, stability_curve
-from .transmission import (AXIS_VARIABLES, SweepAxis, quadrature_of,
-                           spectrum_sweep)
+from .transmission import (_AXIS_KEYS, AXIS_VARIABLES, SweepAxis,
+                           quadrature_of, spectrum_sweep)
 from .units import from_hz, to_hz
 
 # Unit of each sweep variable in documents and outputs; the model holds an
@@ -165,28 +170,16 @@ def _axis_from_doc(doc: dict) -> SweepAxis:
 # --- documents ----------------------------------------------------------------
 
 
-# Each document value kind is a predicate with its description.
-_NUMBER = (_is_finite_number, "a finite number")
-_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0")
-_NUMBER_OR_NULL = (lambda v: v is None or _is_finite_number(v),
-                   "a finite number or null")
-_COUNT = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-          "an integer >= 1")
+# Each document value's rule besides those of params: a predicate with its
+# description
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _SEED = (lambda v: v is None or isinstance(v, int) and not isinstance(v, bool),
          "an integer or null")
-
-
-def _one_of(*values):
-    # membership of a tuple compares values, so an unhashable one is unequal
-    return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
-
-
 _FORMAT = _one_of(*_FORMATS)
 # The keys of each command's document besides _HEADER's
 _SIDECAR_KEYS = {
     "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
-                     axis2=_OBJECT, slice_axis1_value=_NUMBER_OR_NULL),
+                     axis2=_OBJECT, slice_axis1_value=_or_null(_NUMBER)),
     "stability": dict(format=_FORMAT, tau_start_s=_POSITIVE,
                       tau_stop_s=_POSITIVE, tau_points=_COUNT,
                       db_stab_t=_NUMBER),
@@ -196,30 +189,11 @@ _HEADER = dict(version=_one_of(__version__), command=_one_of(*_SIDECAR_KEYS),
                config=_OBJECT)
 # Keys that no computation reads, checked when present
 _OPTIONAL = dict(tool=_one_of("spinclock"), seed=_SEED)
-_AXIS_KEYS = dict(variable=_one_of(*_AXIS_UNIT), start=_NUMBER, stop=_NUMBER,
-                  points=_COUNT)
-
-
-def _require(doc: dict, where: str, kinds: dict, optional=None) -> None:
-    """ConfigError naming the first key of ``kinds`` missing or of another
-    kind.  With ``optional`` given, a key in neither table is an error, and
-    a key of ``optional`` is checked when present."""
-    if optional is not None:
-        unknown = sorted(doc.keys() - kinds.keys() - optional.keys())
-        if unknown:
-            raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
-        kinds = {**kinds, **{k: v for k, v in optional.items() if k in doc}}
-    for key, (ok, expected) in kinds.items():
-        if key not in doc:
-            raise ConfigError(f"{where} has no {key!r}")
-        if not ok(doc[key]):
-            raise ConfigError(
-                f"{where} {key!r} must be {expected}, got {doc[key]!r}")
 
 
 def _check_document(doc, where: str) -> None:
-    """ConfigError unless ``doc`` holds the keys its command reads, each of
-    its kind, and no other key; ``where`` names the document.
+    """ConfigError unless ``doc`` holds the keys its command reads, each
+    keeping its rule, and no other key; ``where`` names the document.
 
     Every run, fresh or replayed, is checked here.  Its config is then
     checked by ``Preset.from_config`` and the rules between keys by the

@@ -13,12 +13,19 @@ temperature stability.  Its flat JSON config, which provenance sidecars
 carry, is written by ``Preset.to_config`` and read by ``Preset.from_config``
 from one table, ``_FIELDS``, with one row per stored field; a key absent
 from a config takes the field's dataclass default.
+
+Each row also holds its value's rule, a predicate with its description
+such as "a finite number > 0".  ``_require`` checks a config against the
+rows before its Hz values become rad/s, and each parameter object checks
+its fields against the same rows when it is built, so a value that
+overflows in rad/s fails naming the attribute and its config key.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .units import from_hz, to_hz
@@ -35,16 +42,13 @@ class ConfigError(ValueError):
     """Raised for invalid or unknown configuration entries."""
 
 
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-
-
 def _is_finite_number(value) -> bool:
-    """True for a finite int or float that is not a bool (JSON true/false)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """True for a finite real number, numpy's scalars included, that is not
+    a bool (JSON true/false)."""
+    # float and int first: the abstract class's check costs several times
+    # more, and a parameter set makes dozens of these checks
+    if isinstance(value, bool) \
+            or not isinstance(value, (float, int, numbers.Real)):
         return False
     try:
         return math.isfinite(value)
@@ -52,11 +56,54 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _finite_number(value, name: str):
-    """``value`` if it is a finite number, else a ConfigError naming ``name``."""
-    if not _is_finite_number(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
+# Each rule is a predicate on one value with its description.
+_NUMBER = (_is_finite_number, "a finite number")
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number > 0")
+_NON_NEGATIVE = (lambda v: _is_finite_number(v) and v >= 0,
+                 "a finite number >= 0")
+_AT_LEAST_ONE = (lambda v: _is_finite_number(v) and v >= 1,
+                 "a finite number >= 1")
+_COUNT = (lambda v: isinstance(v, numbers.Integral)
+          and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+            "a list of finite numbers")
+
+
+def _one_of(*values):
+    # membership of a tuple compares values, so an unhashable one is unequal
+    return (lambda v: v in values), "one of " + ", ".join(map(repr, values))
+
+
+def _or_null(rule):
+    ok, expected = rule
+    return (lambda v: v is None or ok(v)), expected + " or null"
+
+
+def _require(doc: dict, where: str, rules: dict, optional=None) -> None:
+    """ConfigError naming the first key of ``rules`` missing from ``doc`` or
+    breaking its rule.  With ``optional`` given, a key in neither table is
+    an error, and a key of ``optional`` is checked when present."""
+    if optional is not None:
+        unknown = sorted(doc.keys() - rules.keys() - optional.keys())
+        if unknown:
+            raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
+        rules = {**rules, **{k: v for k, v in optional.items() if k in doc}}
+    for key, (ok, expected) in rules.items():
+        if key not in doc:
+            raise ConfigError(f"{where} has no {key!r}")
+        if not ok(doc[key]):
+            raise ConfigError(
+                f"{where} {key!r} must be {expected}, got {doc[key]!r}")
+
+
+def _check_fields(obj) -> None:
+    """ConfigError naming the attribute and config key of the first field
+    of ``obj`` that breaks its ``_FIELDS`` rule."""
+    for key, (kind, attr, _, (ok, expected)) in _FIELDS.items():
+        if kind is type(obj) and not ok(value := getattr(obj, attr)):
+            raise ConfigError(f"{attr} must be {expected}, got {value!r} "
+                              f"(config key {key!r})")
 
 
 @dataclass(frozen=True)
@@ -73,9 +120,11 @@ class SpinClass:
 
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
-            raise ConfigError(f"class weight must be in [0, 1], got {self.weight}")
+            raise ConfigError(f"{_CLASS_KEYS[self.branch][1]}: class weight "
+                              f"must be in [0, 1], got {self.weight}")
         if not math.isfinite(self.detuning_offset):
-            raise ConfigError("class detuning_offset must be finite")
+            raise ConfigError(f"{_CLASS_KEYS[self.branch][0]}: class "
+                              "detuning_offset must be finite")
 
 
 def _default_classes() -> tuple[SpinClass, ...]:
@@ -102,27 +151,15 @@ class SpinEnsembleParams:
     g_collective: float | None = None
 
     def __post_init__(self):
-        _require_finite(self, "omega_zfs", "n_spins", "gamma_pump", "Gamma_deph",
-                        "gamma_0", "g0_single")
-        if not self.omega_zfs > 0:
-            raise ConfigError("omega_zfs must be > 0")
-        if not self.n_spins >= 1:
-            raise ConfigError("n_spins must be >= 1")
-        for name in ("gamma_pump", "Gamma_deph", "gamma_0", "g0_single"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.g_collective is not None:
-            _require_finite(self, "g_collective")
-            if not self.g_collective >= 0:
-                raise ConfigError("g_collective must be >= 0")
+        _check_fields(self)
         if not isinstance(self.spin_classes, tuple):
             object.__setattr__(self, "spin_classes", tuple(self.spin_classes))
         for br in Branch:
             weights = [c.weight for c in self.spin_classes if c.branch is br]
             if weights and abs(sum(weights) - 1.0) > _REL_TOL:
                 raise ConfigError(
-                    f"weights of branch {br.value!r} sum to {sum(weights)}, expected 1"
-                )
+                    f"{_CLASS_KEYS[br][1]}: weights of branch {br.value!r} "
+                    f"sum to {sum(weights)}, expected 1")
 
     @property
     def branch_coupling(self) -> float:
@@ -157,11 +194,7 @@ class CavityParams:
     kappa_loss: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "omega_c_ref", "kappa_out", "kappa_loss")
-        if not self.kappa_out > 0:
-            raise ConfigError("kappa_out must be > 0")
-        if not self.kappa_loss >= 0:
-            raise ConfigError("kappa_loss must be >= 0")
+        _check_fields(self)
 
     @property
     def loss_ratio(self) -> float:
@@ -185,8 +218,7 @@ class EnvironmentState:
     gyromagnetic: float = from_hz(28e9)
 
     def __post_init__(self):
-        _require_finite(self, "delta_T", "B_field", "dwa_dT", "R_ratio",
-                        "gyromagnetic")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -196,9 +228,7 @@ class ProbeParams:
     photon_flux: float = 1e18
 
     def __post_init__(self):
-        _require_finite(self, "photon_flux")
-        if not self.photon_flux > 0:
-            raise ConfigError(f"photon_flux must be > 0, got {self.photon_flux}")
+        _check_fields(self)
 
 
 def instantaneous_frequencies(
@@ -233,14 +263,14 @@ class Preset:
     dT_stab: float = 0.0  # achievable temperature stability, kelvin
 
     def __post_init__(self):
-        _require_finite(self, "dT_stab")
+        _check_fields(self)
 
     def to_config(self) -> dict:
         """The preset as one Hz-facing key-value dict."""
         objects = {kind: getattr(self, part) for part, kind in _PARTS.items()}
         objects[Preset] = self
         cfg: dict = {}
-        for key, (kind, attr, hz) in _FIELDS.items():
+        for key, (kind, attr, hz, _) in _FIELDS.items():
             value = getattr(objects[kind], attr)
             cfg[key] = to_hz(value) if hz and value is not None else value
         for branch, (off_key, w_key) in _CLASS_KEYS.items():
@@ -251,26 +281,17 @@ class Preset:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Preset":
-        """Rebuild a preset from a flat config dict.
+        """Rebuild a preset from a flat config dict whose every value keeps
+        its key's rule.
 
         Unknown keys are rejected so a typo cannot silently fall back to a
         default value.
         """
-        unknown = sorted(set(cfg) - KNOWN_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-        def numbers(key, default):
-            values = cfg.get(key, default)
-            if not isinstance(values, list):
-                raise ConfigError(
-                    f"{key} must be a list of numbers, got {values!r}")
-            return [_finite_number(v, key) for v in values]
-
+        _require(cfg, "config", {}, _CONFIG_RULES)
         classes = []
         for branch, (off_key, w_key) in _CLASS_KEYS.items():
-            offsets = numbers(off_key, [0.0])
-            weights = numbers(w_key, [1.0])
+            offsets = cfg.get(off_key, [0.0])
+            weights = cfg.get(w_key, [1.0])
             if len(offsets) != len(weights):
                 raise ConfigError(f"{off_key} and {w_key} differ in length")
             for off, w in zip(offsets, weights):
@@ -278,19 +299,12 @@ class Preset:
 
         kwargs = {kind: {} for kind in (Preset, *_PARTS.values())}
         kwargs[SpinEnsembleParams]["spin_classes"] = tuple(classes)
-        for key, (kind, attr, hz) in _FIELDS.items():
-            if key not in cfg:
-                continue
-            value = cfg[key]
-            if key == "preset_name":
-                if not isinstance(value, str):
-                    raise ConfigError(
-                        f"preset_name must be a string, got {value!r}")
-            # a null coupling is derived as g0 * sqrt(N)
-            elif value is not None or key != "g_collective_hz":
-                value = _finite_number(value, key)
-                value = from_hz(value) if hz else value
-            kwargs[kind][attr] = value
+        for key, (kind, attr, hz, _) in _FIELDS.items():
+            if key in cfg:
+                value = cfg[key]
+                # a null coupling is derived as g0 * sqrt(N)
+                kwargs[kind][attr] = from_hz(value) \
+                    if hz and value is not None else value
         return cls(**{part: kind(**kwargs[kind])
                       for part, kind in _PARTS.items()}, **kwargs[Preset])
 
@@ -299,28 +313,31 @@ class Preset:
 _PARTS = {"spins": SpinEnsembleParams, "cavity": CavityParams,
           "env": EnvironmentState, "probe": ProbeParams}
 # One row per stored field: config key -> (type holding it, attribute,
-# whether the key holds the value in Hz where the field holds rad/s).  Keys
-# carry explicit SI unit suffixes.  A key absent from a config is left out
-# of the constructor call, so its field takes the dataclass default.
+# whether the key holds the value in Hz where the field holds rad/s, rule of
+# the value).  Keys carry explicit SI unit suffixes.  A key absent from a
+# config is left out of the constructor call, so its field takes the
+# dataclass default.
 _FIELDS = {
-    "preset_name": (Preset, "name", False),
-    "dt_stab_k": (Preset, "dT_stab", False),
-    "omega_zfs_hz": (SpinEnsembleParams, "omega_zfs", True),
-    "gamma_pump_hz": (SpinEnsembleParams, "gamma_pump", True),
-    "gamma_dephasing_hz": (SpinEnsembleParams, "Gamma_deph", True),
-    "gamma_relax_hz": (SpinEnsembleParams, "gamma_0", True),
-    "g0_single_hz": (SpinEnsembleParams, "g0_single", True),
-    "g_collective_hz": (SpinEnsembleParams, "g_collective", True),
-    "n_spins": (SpinEnsembleParams, "n_spins", False),
-    "omega_c_ref_hz": (CavityParams, "omega_c_ref", True),
-    "kappa_out_hz": (CavityParams, "kappa_out", True),
-    "kappa_loss_hz": (CavityParams, "kappa_loss", True),
-    "dwa_dt_hz_per_k": (EnvironmentState, "dwa_dT", True),
-    "gyromagnetic_hz_per_t": (EnvironmentState, "gyromagnetic", True),
-    "delta_t_k": (EnvironmentState, "delta_T", False),
-    "b_field_t": (EnvironmentState, "B_field", False),
-    "r_ratio": (EnvironmentState, "R_ratio", False),
-    "photon_flux_per_s": (ProbeParams, "photon_flux", False),
+    "preset_name": (Preset, "name", False, _STRING),
+    "dt_stab_k": (Preset, "dT_stab", False, _NUMBER),
+    "omega_zfs_hz": (SpinEnsembleParams, "omega_zfs", True, _POSITIVE),
+    "gamma_pump_hz": (SpinEnsembleParams, "gamma_pump", True, _NON_NEGATIVE),
+    "gamma_dephasing_hz": (SpinEnsembleParams, "Gamma_deph", True,
+                           _NON_NEGATIVE),
+    "gamma_relax_hz": (SpinEnsembleParams, "gamma_0", True, _NON_NEGATIVE),
+    "g0_single_hz": (SpinEnsembleParams, "g0_single", True, _NON_NEGATIVE),
+    "g_collective_hz": (SpinEnsembleParams, "g_collective", True,
+                        _or_null(_NON_NEGATIVE)),
+    "n_spins": (SpinEnsembleParams, "n_spins", False, _AT_LEAST_ONE),
+    "omega_c_ref_hz": (CavityParams, "omega_c_ref", True, _NUMBER),
+    "kappa_out_hz": (CavityParams, "kappa_out", True, _POSITIVE),
+    "kappa_loss_hz": (CavityParams, "kappa_loss", True, _NON_NEGATIVE),
+    "dwa_dt_hz_per_k": (EnvironmentState, "dwa_dT", True, _NUMBER),
+    "gyromagnetic_hz_per_t": (EnvironmentState, "gyromagnetic", True, _NUMBER),
+    "delta_t_k": (EnvironmentState, "delta_T", False, _NUMBER),
+    "b_field_t": (EnvironmentState, "B_field", False, _NUMBER),
+    "r_ratio": (EnvironmentState, "R_ratio", False, _NUMBER),
+    "photon_flux_per_s": (ProbeParams, "photon_flux", False, _POSITIVE),
 }
 # The spin classes of each branch as two lists, offsets (Hz) and weights.
 # An absent list is the default single class: offset 0, weight 1.
@@ -328,8 +345,13 @@ _CLASS_KEYS = {
     Branch.PLUS: ("class_offsets_plus_hz", "class_weights_plus"),
     Branch.MINUS: ("class_offsets_minus_hz", "class_weights_minus"),
 }
+# The rule of each config key
+_CONFIG_RULES = {
+    **{key: rule for key, (*_, rule) in _FIELDS.items()},
+    **{key: _NUMBERS for keys in _CLASS_KEYS.values() for key in keys},
+}
 
-KNOWN_CONFIG_KEYS = frozenset(_FIELDS).union(*_CLASS_KEYS.values())
+KNOWN_CONFIG_KEYS = frozenset(_CONFIG_RULES)
 
 
 __all__ = [

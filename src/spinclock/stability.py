@@ -210,8 +210,8 @@ def stability_curve(
     if taus is None:
         taus = np.logspace(-1, 4, 81)
     taus = np.asarray(taus, dtype=np.float64)
-    if np.any(taus <= 0):
-        raise ValueError("integration times must be > 0")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("integration times must be finite and > 0")
 
     op = operating_point_numeric(preset.spins, preset.env)
     budget = environmental_floors(

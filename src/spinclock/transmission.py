@@ -15,21 +15,28 @@ most phase-sensitive choice and the default everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import (
+    _COUNT,
+    _NUMBER,
     Branch,
     CavityParams,
     ConfigError,
     EnvironmentState,
     SpinEnsembleParams,
+    _one_of,
+    _require,
     instantaneous_frequencies,
 )
 
 AXIS_VARIABLES = ("probe_offset", "cavity_offset", "delta_T", "B_field")
+# The rule of each field of a sweep axis, in the model's units or in an axis
+# document's
+_AXIS_KEYS = dict(variable=_one_of(*AXIS_VARIABLES), start=_NUMBER,
+                  stop=_NUMBER, points=_COUNT)
 
 
 @dataclass(frozen=True)
@@ -46,15 +53,7 @@ class SweepAxis:
     points: int
 
     def __post_init__(self):
-        if self.variable not in AXIS_VARIABLES:
-            raise ConfigError(
-                f"unknown axis variable {self.variable!r}; "
-                f"choose from {', '.join(AXIS_VARIABLES)}"
-            )
-        if self.points < 1:
-            raise ConfigError("axis needs at least one point")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(f"{self.variable} axis range must be finite")
+        _require(vars(self), f"{self.variable} axis", _AXIS_KEYS)
         if not (self.stop >= self.start):
             raise ConfigError("axis range must be monotone (stop >= start)")
 

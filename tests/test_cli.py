@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from spinclock import __version__, cli
 from spinclock._table import _BLOCK_ROWS, write_table
 from spinclock.cli import _parser, main
-from spinclock.params import KNOWN_CONFIG_KEYS
+from spinclock.params import _CLASS_KEYS, _FIELDS, KNOWN_CONFIG_KEYS
 
 
 def _run(*argv):
@@ -705,7 +705,7 @@ def test_sidecar_with_a_removed_probe_key_is_config_error(tmp_path, key):
         out = tmp_path / name / "out.csv"
         rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
         assert rc == 2, (name, err)
-        assert f"unknown config key(s): {key}" in err, err
+        assert f"config has unknown key(s): {key}" in err, err
         assert "Traceback" not in err and not out.parent.exists()
 
 
@@ -750,6 +750,42 @@ def test_replay_without_tool_seed_and_units(tmp_path, name):
         for key in ("tool", "seed", "unit"):
             target.pop(key, None)
     assert _replayed_outputs(doc, tmp_path / "bare") == full
+
+
+# A value out of its key's range for every config key whose rule bounds it,
+# and for the class lists
+_OUT_OF_RANGE = {
+    "omega_zfs_hz": 0.0, "gamma_pump_hz": -1.0, "gamma_dephasing_hz": -1.0,
+    "gamma_relax_hz": -5.0, "g0_single_hz": -1.0, "g_collective_hz": -1.0,
+    "n_spins": 0.5, "kappa_out_hz": 0.0, "kappa_loss_hz": -1.0,
+    "photon_flux_per_s": 0.0, "class_offsets_plus_hz": [math.nan],
+    "class_offsets_minus_hz": [math.inf], "class_weights_plus": [1.5],
+    "class_weights_minus": [-0.5],
+}
+# An Hz value of 1e308 is finite, and infinite in rad/s
+_OVERFLOWING = {**{key: 1e308 for key, (_, _, hz, _) in _FIELDS.items() if hz},
+                **{offsets: [1e308] for offsets, _ in _CLASS_KEYS.values()}}
+
+
+def test_every_bounded_config_key_has_an_out_of_range_case():
+    unbounded = {key for key, (*_, (_, expected)) in _FIELDS.items()
+                 if expected in ("a finite number", "a string")}
+    assert set(_OUT_OF_RANGE) == KNOWN_CONFIG_KEYS - unbounded
+
+
+@pytest.mark.parametrize("key,value", [*_OUT_OF_RANGE.items(),
+                                       *_OVERFLOWING.items()])
+def test_replay_out_of_range_config_value_names_its_key(tmp_path, key, value):
+    # a value that breaks its key's rule, read from a sidecar or overflowing
+    # when turned into rad/s, exits 2 naming the key and writes nothing
+    doc = copy.deepcopy(_valid_sidecars()["stability"])
+    doc["config"][key] = value
+    sidecar = _write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out" / "out.csv"
+    rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    assert rc == 2, err
+    assert err.startswith("error: ") and key in err, err
+    assert "Traceback" not in err and not out.parent.exists()
 
 
 _THIRD = [1 / 3] * 3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from spinclock.params import (
+    _CONFIG_RULES,
+    _FIELDS,
     Branch,
     CavityParams,
     KNOWN_CONFIG_KEYS,
@@ -17,6 +20,7 @@ from spinclock.params import (
     instantaneous_frequencies,
 )
 from spinclock.presets import table1_preset
+from spinclock.transmission import SweepAxis
 from spinclock.units import from_hz, to_hz
 
 TWO_PI = 2.0 * math.pi
@@ -115,11 +119,46 @@ def test_cavity_and_probe_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ConfigError, match=field):
                 cls(**{field: value})
-    with pytest.raises(ConfigError, match="photon_flux must be > 0"):
+    with pytest.raises(ConfigError, match=r"photon_flux must be a finite "
+                       r"number > 0, got 0\.0 \(config key 'photon_flux_per_s'\)"):
         ProbeParams(photon_flux=0.0)
     p = table1_preset("current")
     with pytest.raises(ConfigError, match="dT_stab"):
         Preset(p.name, p.spins, p.cavity, p.env, p.probe, math.nan)
+
+
+def test_numpy_scalars_construct():
+    # a numpy scalar keeps the rule that its Python number keeps
+    p = table1_preset("current")
+    for obj in (p.spins, p.cavity, p.env, p.probe, p):
+        scalars = {f.name: np.float64(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj)
+                   if isinstance(getattr(obj, f.name), float)}
+        if obj is p.spins:
+            scalars["n_spins"] = np.int64(obj.n_spins)
+        assert dataclasses.replace(obj, **scalars) == obj
+    axis = SweepAxis("delta_T", np.float64(-1.0), np.float64(1.0),
+                     np.int64(5))
+    assert axis.grid().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_every_config_key_has_a_rule():
+    # each row of the table holds a rule, a predicate with its description;
+    # it takes the preset's value and no NaN, infinity or bool, nor a
+    # string unless it is the name's
+    assert all(len(row) == 4 for row in _FIELDS.values())
+    assert set(_CONFIG_RULES) == KNOWN_CONFIG_KEYS
+    cfg = table1_preset("current").to_config()
+    for key, (ok, expected) in _CONFIG_RULES.items():
+        assert callable(ok) and isinstance(expected, str), key
+        assert ok(cfg[key]), key
+        bad = [math.nan, math.inf, -math.inf, True, np.float64(math.nan)]
+        if key != "preset_name":
+            bad.append("1.0")
+        if key.startswith("class_"):
+            bad += [[value] for value in bad]
+        for value in bad:
+            assert not ok(value), (key, value)
 
 
 def test_table1_current_values():

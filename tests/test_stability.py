@@ -343,3 +343,11 @@ def test_curve_rejects_bad_tau():
     p = table1_preset("current")
     with pytest.raises(ValueError):
         stability_curve(p, taus=np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_curve_rejects_non_finite_tau(tau):
+    # a NaN passes a "<= 0" test, and an infinite time gives a point that
+    # is the floor alone
+    with pytest.raises(ValueError, match="finite and > 0"):
+        stability_curve(table1_preset("current"), taus=[tau, 1.0])
