@@ -2,25 +2,28 @@
 bytes of its ``repr``.  How a float becomes text in an output table is
 decided here and nowhere else; ``write_table`` is the one public name.
 
-A table formats each distinct magnitude of a column once per file and
-streams its rows to the file in blocks, so the memory a write takes grows
-with the distinct magnitudes (33 bytes each per column in CSV, 36 in JSON),
-not with the rows.  The texts come from ``shortest_repr``, Ryu's shortest
-round-trip digits run over 4096 magnitudes at a time in numpy, which gives
-the bytes of ``repr``.  It hands the values Ryu's general case takes, zero,
-and the values from 2^53 up to ``repr`` itself, and a chunk of fewer than
-``_VECTOR_MIN`` magnitudes, such as all of a small table's, goes to ``repr``
-whole; either way ``_repr_rows`` packs the texts of ``repr``.
+A table is written one block of ``_BLOCK_ROWS`` values per column at a
+time, each block's values formatted where they stand, so the memory a write
+takes is one block's, a few megabytes, at any row count.  A column that is
+a broadcast view, such as a sweep's axis column, is formatted once along
+the axes it varies on (24 bytes per value there).  The texts come from
+``shortest_repr``, Ryu's shortest round-trip digits run over up to 4096
+values at a time in numpy, which gives the bytes of ``repr``.  It hands the
+values Ryu's general case takes, zero, and the values from 2^49 up to
+``repr`` itself, and a block of fewer than ``_VECTOR_MIN`` values, such as
+all of a small table's, goes to ``repr`` whole; either way ``_repr_rows``
+packs the texts of ``repr``.
 
 Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
 digits CPython's ``repr`` writes: the shortest decimal that reads back as the
 same double, and the nearest one among those.  Its common case needs only a
 64x128-bit multiply-and-shift and a loop that drops decimal digits, so it runs
 here on whole uint64 arrays, the multiply in 32-bit limbs.  It runs only below
-2^53, where Ryu's binary exponent e2 is negative: every double in
-[2^53, 2^54) takes Ryu's general case anyway, and from 2^54 up Ryu needs a
-second table of multipliers and checks of divisibility by 5^q, for values no
-reference run writes.  One product gives
+2^49, where Ryu's binary exponent e2 is below -5: every double in
+[2^49, 2^54) takes Ryu's general case anyway (its q <= 2, and 2^q divides
+the 4 m that Ryu scales), and from 2^54 up Ryu needs a second table of
+multipliers and checks of divisibility by 5^q, for values no reference run
+writes.  One product gives
 the scaled value vr and the bits below it; the interval bounds vp and vm are
 vr plus or minus fixed steps of the exponent, with the carry those bits
 decide.  A lane that Ryu sends to its general case (a product with trailing
@@ -28,7 +31,7 @@ decimal zeros, or an interval bound that is itself a candidate), a lane
 whose carry the 64 bits kept cannot decide, and zero are formatted with
 ``repr`` instead.  The digits are then laid out as ``repr`` does: positional
 for decimal points from -3 to 16 (``0.0001``, ``1000000000000000.0``),
-scientific below them (``1e-05``); no double below 2^53 has its point past 16.
+scientific below them (``1e-05``); no double below 2^49 has its point past 15.
 
 Texts are built as 24-byte little-endian strings, three uint64 words per
 value, so that moving digits to their places is a shift, not a gather.  The
@@ -45,18 +48,20 @@ import numpy as np
 
 # The longest repr of a float's magnitude, as 2.2250738585072014e-308's
 REPR_WIDTH = 23
-# Values per table block: large enough that numpy's per-call cost is small,
-# small enough that one block's rows take about half a megabyte.
+# Values per column in a table block, and at most per shortest_repr call:
+# large enough that numpy's per-call cost is small, small enough that the
+# kernel's temporaries (about 300 bytes a value) take about a megabyte.
 _BLOCK_ROWS = 4096
 _MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
-# Magnitudes below which a chunk costs less through repr than through
+# Values below which a block costs less through repr than through
 # shortest_repr, whose fixed cost is a few hundred numpy calls (break-even
 # near 550 on a 2-core host, so small tables such as stability's keep repr)
 _VECTOR_MIN = 1024
 
 _POW5_BITS = 125  # bits kept of 5^i (Ryu's table width)
-# The biased exponent of 2^53: the kernel runs on the doubles below it
-_EXP_2_53 = 1023 + 53
+# The biased exponent of 2^49: the kernel runs on the doubles below it
+_EXP_2_49 = 1023 + 49
+_BITS_2_49 = np.uint64(_EXP_2_49 << 52)
 _U1 = np.uint64(1)
 _U32 = np.uint64(32)
 _M32 = np.uint64(2 ** 32 - 1)
@@ -80,8 +85,8 @@ def _tables() -> dict:
     limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in c),
                           dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
     # each biased exponent's row of them, shift j of vr = floor(4 m c / 2^j),
-    # q, and the decimal exponent of vr, for the exponents below 2^53
-    e2 = np.maximum(np.arange(_EXP_2_53), 1) - (1023 + 52 + 2)
+    # q, and the decimal exponent of vr, for the exponents below 2^49
+    e2 = np.maximum(np.arange(_EXP_2_49), 1) - (1023 + 52 + 2)
     # floor(log10(5^-e2)), less one
     q = (-e2 * 732923 >> 20) - (e2 < -1)
     limbs = np.take(limbs, -e2 - q, axis=1)
@@ -103,8 +108,8 @@ def _tables() -> dict:
                 text = b"\0" * count + b"0" * (point - count) + b".0"
             positional.append(text.ljust(24, b"\0"))
     tables = {
-        # by biased exponent: c as 32-bit limbs, (4, _EXP_2_53); the whole
-        # and fraction parts of c / 2^j and 2 c / 2^j, (2, _EXP_2_53) each;
+        # by biased exponent: c as 32-bit limbs, (4, _EXP_2_49); the whole
+        # and fraction parts of c / 2^j and 2 c / 2^j, (2, _EXP_2_49) each;
         # j - 64; q and the decimal exponent of vr
         "limbs": limbs,
         "whole": np.array([whole for whole, _ in steps]),
@@ -150,16 +155,21 @@ def _mul_shift(m: np.ndarray, limbs: np.ndarray, shift: np.ndarray):
             low >> shift | (middle << _U1) << left)
 
 
+def _divmod(x: np.ndarray, c: int) -> tuple:
+    """``divmod`` of uint64 ``x`` by the constant ``c``: numpy divides an
+    array by a scalar with a multiply, but its remainder by a scalar takes
+    a divide per value, several times slower."""
+    q = x // np.uint64(c)
+    return q, x - q * np.uint64(c)
+
+
 def _digits(bits: np.ndarray) -> tuple:
-    """Ryu's common case for positive doubles given as uint64 ``bits``: each
-    lane's shortest digits as an integer, its decimal exponent, and whether
-    it needs Ryu's general case instead (whose digits are then not used),
-    as every double from 2^53 up does here."""
+    """Ryu's common case for positive doubles below 2^49 given as uint64
+    ``bits``: each lane's shortest digits as an integer, its decimal
+    exponent, and whether it needs Ryu's general case instead (whose digits
+    are then not used)."""
     tables = _tables()
-    # a double from 2^53 up takes the row of [2^52, 2^53), whose q = 0 puts
-    # every lane in the general case below
-    exponent = np.minimum((bits >> np.uint64(52)).astype(np.intp),
-                          _EXP_2_53 - 1)
+    exponent = (bits >> np.uint64(52)).astype(np.intp)
     mantissa = bits & _MANTISSA
     mv = np.where(exponent != 0, mantissa | np.uint64(1 << 52),
                   mantissa) << np.uint64(2)
@@ -200,22 +210,21 @@ def _digits(bits: np.ndarray) -> tuple:
         more = p > m
         lanes, p, m = lanes[more], p[more], m[more]
         removed[lanes] += 1
-    head = vr // _POW10[np.maximum(removed - 1, 0)]
-    digits = np.where(removed > 0, head // np.uint64(10), vr)
+    head, last = _divmod(vr // _POW10[np.maximum(removed - 1, 0)], 10)
+    digits = np.where(removed > 0, head, vr)
     # round half up on the last digit dropped, or up off an excluded vm
-    digits += (removed > 0) & (head % np.uint64(10) >= 5) \
-        | (digits == vm // _POW10[removed])
+    digits += (removed > 0) & (last >= 5) | (digits == vm // _POW10[removed])
     return digits, tables["e10"][exponent] + removed, general
 
 
 def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
     """24-byte little-endian strings, (3, n) words, each moved ``nbytes``
     (0 to 23) toward its end; what passes the end is lost."""
-    bits = (nbytes % 8 * 8).astype(np.uint64)
+    bits = ((nbytes & 7) << 3).astype(np.uint64)
     moved = words << bits
     # what each word passes to the next, in two steps, as in _mul_shift
     moved[1:] |= (words[:-1] >> _U1) >> (np.uint64(63) - bits)
-    skip = nbytes // 8  # whole words
+    skip = nbytes >> 3  # whole words
     if not skip.any():
         return moved
     zero = np.uint64(0)
@@ -232,13 +241,11 @@ def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     tables = _tables()
     quads = tables["quads"]
     # the digits left-aligned in 17 places, as text from byte 0 on
-    digits = digits * _POW10[17 - count]
-    rest = digits % np.uint64(10 ** 16)
-    first = digits // np.uint64(10 ** 16) + np.uint64(ord("0"))
-    low = quads[rest // np.uint64(10 ** 12)] \
-        | quads[rest // np.uint64(10 ** 8) % np.uint64(10 ** 4)] << _U32
-    high = quads[rest // np.uint64(10 ** 4) % np.uint64(10 ** 4)] \
-        | quads[rest % np.uint64(10 ** 4)] << _U32
+    first, rest = _divmod(digits * _POW10[17 - count], 10 ** 16)
+    first += np.uint64(ord("0"))
+    top, bottom = _divmod(rest, 10 ** 8)
+    low, high = (quads[q] | quads[r] << _U32
+                 for q, r in (_divmod(top, 10 ** 4), _divmod(bottom, 10 ** 4)))
     raw = np.stack([first | low << np.uint64(8),
                     low >> np.uint64(56) | high << np.uint64(8),
                     high >> np.uint64(56)])
@@ -275,14 +282,18 @@ def _repr_rows(bits: np.ndarray) -> np.ndarray:
 def shortest_repr(bits: np.ndarray) -> np.ndarray:
     """``repr`` of non-negative finite float64 magnitudes given as their
     uint64 ``bits``, as NUL-padded bytes shaped (n, REPR_WIDTH)."""
-    digits, exponent, general = _digits(bits)
-    general |= bits == 0
-    digits[general], exponent[general] = 1, 0  # any value in range
+    # zero and the doubles from 2^49 up go to repr without the kernel
+    slow = (bits == 0) | (bits >= _BITS_2_49)
+    fast = ~slow
+    digits = np.empty_like(bits)
+    exponent = np.empty(bits.size, dtype=np.intp)
+    digits[fast], exponent[fast], slow[fast] = _digits(bits[fast])
+    digits[slow], exponent[slow] = 1, 0  # any value in range
     count = np.searchsorted(_POW10, digits, side="right")
     words = _text(digits, count, exponent + count)
     text = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[
         :, :REPR_WIDTH]
-    lanes = np.flatnonzero(general)
+    lanes = np.flatnonzero(slow)
     if lanes.size:
         text[lanes] = _repr_rows(bits[lanes])
     return text
@@ -300,72 +311,60 @@ def _blocks(shape: tuple) -> list:
     return [slice(i, i + step) for i in range(0, max(n1, 1), step)]
 
 
-def _distinct(bits: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``bits``, which is sorted in place."""
-    bits.sort()
-    keep = np.empty(bits.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=keep[1:])
-    return bits[keep]
-
-
-def _magnitudes(grid: np.ndarray, blocks: list) -> np.ndarray:
-    """The sorted distinct magnitudes of a float64 column, its bits with the
-    sign cleared: found sort-based from each block's distinct magnitudes
-    (8 bytes each while they are found), then those of all blocks."""
-    parts = [_distinct(grid[index].reshape(-1).view(np.uint64) & _MAGNITUDE)
-             for index in blocks]
-    return parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
-
-
-def _text_table(grids: list, blocks: list, seps: list) -> tuple:
-    """Each column's ``_magnitudes``, the row where they start in one table
-    of texts, and that table.  A row of it is a NUL for the sign, the
-    magnitude's ``repr`` padded with NULs to ``REPR_WIDTH`` bytes, and its
-    column's separator from ``seps`` (all of one length).  The texts are
-    made ``_BLOCK_ROWS`` at a time by ``shortest_repr``, or by ``repr`` for a
-    chunk of fewer than ``_VECTOR_MIN``.
-
-    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so one text serves
-    both signs and -0.0 gets its sign like any other value.  A distinct
-    magnitude of a column takes 33 bytes with a one-byte separator.
-    """
-    mags = [_magnitudes(grid, blocks) for grid in grids]
-    starts = np.cumsum([0] + [m.size for m in mags[:-1]])
-    every = np.concatenate(mags)
-    mags = [every[a:a + m.size] for a, m in zip(starts, mags)]
-    table = np.zeros((every.size, 1 + REPR_WIDTH + len(seps[0])),
-                     dtype=np.uint8)
-    for start in range(0, every.size, _BLOCK_ROWS):
-        chunk = every[start:start + _BLOCK_ROWS]
-        table[start:start + chunk.size, 1:1 + REPR_WIDTH] = \
-            shortest_repr(chunk) if chunk.size >= _VECTOR_MIN \
-            else _repr_rows(chunk)
-    for a, m, sep in zip(starts, mags, seps):
-        table[a:a + m.size, 1 + REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
-    return mags, starts, table
-
-
-def _cells(grids: list, mags: list, starts, table, index) -> np.ndarray:
-    """One block of ``grids`` as text cells, (values, columns, width) bytes:
-    each value as its row of ``table`` with the sign set.  ``mags``,
-    ``starts`` and ``table`` are the columns' ``_text_table``.  All columns go
-    through each step at once, so that a small table costs few numpy calls."""
-    bits = np.stack([grid[index] for grid in grids]) \
-        .reshape(len(grids), -1).view(np.uint64)
+def _texts(values: np.ndarray) -> np.ndarray:
+    """Float64 ``values`` as text cells, (n, 1 + REPR_WIDTH) bytes: a NUL or
+    ``-`` for the sign, then the magnitude's ``repr`` padded with NULs.
+    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so -0.0 gets its
+    sign like any other value.  Fewer than ``_VECTOR_MIN`` values go to
+    ``repr`` at once, and more to ``shortest_repr`` in equal chunks of at
+    most ``_BLOCK_ROWS``, so that no chunk is smaller than ``_VECTOR_MIN``."""
+    bits = values.reshape(-1).view(np.uint64)
+    cells = np.empty((bits.size, 1 + REPR_WIDTH), dtype=np.uint8)
+    cells[:, 0] = (bits >> 63) * ord("-")
     magnitudes = bits & _MAGNITUDE
-    at = np.empty((len(grids), bits.shape[1]), dtype=np.intp)
-    for c, column in enumerate(mags):
-        at[c] = column.searchsorted(magnitudes[c])
-    at += starts[:, None]
-    # take copies whole rows, several times faster than fancy indexing
-    cells = np.take(table, at.T, axis=0)
-    cells[:, :, 0] = (bits >> 63).T * ord("-")
+    if bits.size < _VECTOR_MIN:
+        cells[:, 1:] = _repr_rows(magnitudes)
+        return cells
+    chunks = -(-bits.size // _BLOCK_ROWS)
+    step = -(-bits.size // chunks)
+    for start in range(0, bits.size, step):
+        cells[start:start + step, 1:] = \
+            shortest_repr(magnitudes[start:start + step])
     return cells
 
 
-def _text_of(cells: np.ndarray) -> bytes:
-    """The bytes of text cells, NULs dropped."""
+def _broadcast_texts(grid: np.ndarray):
+    """The text cells of a 2-D ``grid`` that is a broadcast view, shaped
+    (n1, n2, 1 + REPR_WIDTH) and formatted once along the axes where its
+    stride is not zero; None for any other grid."""
+    varying = grid[tuple(slice(None) if stride else slice(0, 1)
+                         for stride in grid.strides)]
+    if varying.size == grid.size:
+        return None
+    return np.broadcast_to(
+        _texts(varying).reshape(varying.shape + (1 + REPR_WIDTH,)),
+        grid.shape + (1 + REPR_WIDTH,))
+
+
+def _block_text(grids: list, fixed: list, seps: np.ndarray, index) -> bytes:
+    """One block of ``grids`` as text: each value's cell, then its column's
+    separator from ``seps`` (one row of bytes per column), NULs dropped.
+    A column with ``fixed`` texts (``_broadcast_texts``) takes them; the
+    others' values are formatted in one ``_texts`` call, so that a small
+    table costs few numpy calls."""
+    own = [c for c, texts in enumerate(fixed) if texts is None]
+    n = grids[0][index].size
+    cells = np.empty((n, len(grids), 1 + REPR_WIDTH + seps.shape[1]),
+                     dtype=np.uint8)
+    cells[:, :, 1 + REPR_WIDTH:] = seps
+    if own:
+        values = np.stack([grids[c][index] for c in own]).reshape(-1)
+        cells[:, own, :1 + REPR_WIDTH] = _texts(values) \
+            .reshape(len(own), n, 1 + REPR_WIDTH).transpose(1, 0, 2)
+    for c, texts in enumerate(fixed):
+        if texts is not None:
+            cells[:, c, :1 + REPR_WIDTH] = \
+                texts[index].reshape(n, 1 + REPR_WIDTH)
     return cells.tobytes().translate(None, b"\0")
 
 
@@ -374,23 +373,24 @@ def write_table(out, header, columns, fmt: str) -> None:
     JSON, each value as ``repr(float(v))``.
 
     The columns are arrays of one shape, 1-D or 2-D (a broadcast view
-    serves), each written in C order.  Each distinct magnitude of a column
-    is formatted once per file (``_text_table``), and the rows are put
-    together from those texts one block of ``_BLOCK_ROWS`` values at a time;
-    JSON writes its columns one after another, each block by block.  So the
-    memory a write takes grows with the distinct magnitudes, 33 bytes each
-    per column in CSV and 36 in JSON, and not with the rows.  JSON holds the
-    bytes of ``json.dumps(table, sort_keys=True, indent=1)``, which also
-    writes a float as its ``repr``: one sorted key per column, and ``[]``
-    for an empty one.
+    serves), each written in C order.  The rows are formatted and written
+    one block of ``_BLOCK_ROWS`` values per column at a time (``_blocks``);
+    JSON writes its columns one after another, each block by block.  A
+    broadcast column is formatted once along the axes it varies on, 24
+    bytes per value there (``_broadcast_texts``).  So the memory a write
+    takes is one block's, under 3 MB for five columns, and does not grow
+    with the rows.  JSON holds the bytes of ``json.dumps(table,
+    sort_keys=True, indent=1)``, which also writes a float as its ``repr``:
+    one sorted key per column, and ``[]`` for an empty one.
     """
     grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
     blocks = _blocks(grids[0].shape)
+    fixed = [_broadcast_texts(grid) for grid in grids]
     out.flush()
     raw = out.buffer  # the rows are ASCII bytes
     if fmt == "json":
         sep = b",\n  "
-        mags, starts, table = _text_table(grids, blocks, [sep] * len(grids))
+        seps = np.frombuffer(sep, np.uint8)[None]
         raw.write(b"{")
         for i, c in enumerate(sorted(range(len(header)),
                                      key=header.__getitem__)):
@@ -399,16 +399,15 @@ def write_table(out, header, columns, fmt: str) -> None:
             if grids[c].size:
                 raw.write(b"\n  ")
                 for k, index in enumerate(blocks):
-                    text = _text_of(_cells([grids[c]], mags[c:c + 1],
-                                           starts[c:c + 1], table, index))
+                    text = _block_text(grids[c:c + 1], fixed[c:c + 1],
+                                       seps, index)
                     raw.write(text[:-len(sep)] if k == len(blocks) - 1
                               else text)
                 raw.write(b"\n ")
             raw.write(b"]")
         raw.write(b"\n}\n")
         return
-    mags, starts, table = _text_table(
-        grids, blocks, [b","] * (len(grids) - 1) + [b"\n"])
+    seps = np.frombuffer(b"," * (len(grids) - 1) + b"\n", np.uint8)[:, None]
     raw.write((",".join(header) + "\n").encode())
     for index in blocks:
-        raw.write(_text_of(_cells(grids, mags, starts, table, index)))
+        raw.write(_block_text(grids, fixed, seps, index))

@@ -161,10 +161,17 @@ def _axis_to_doc(axis: SweepAxis) -> dict:
     }
 
 
-def _axis_from_doc(doc: dict) -> SweepAxis:
+def _axis_from_doc(doc: dict, name: str) -> SweepAxis:
+    """The sweep axis of document key ``name``, or a ConfigError naming the
+    key of an end that overflows in the model's unit, as typed."""
     variable = doc["variable"]
-    return SweepAxis(variable, float(_axis_in(variable, doc["start"])),
-                     float(_axis_in(variable, doc["stop"])), doc["points"])
+    ends = {}
+    for key in ("start", "stop"):
+        ends[key] = float(_axis_in(variable, doc[key]))
+        if not math.isfinite(ends[key]):
+            raise ConfigError(f"{name} {key!r} = {doc[key]!r} {doc['unit']} "
+                              "overflows in rad/s")
+    return SweepAxis(variable, ends["start"], ends["stop"], doc["points"])
 
 
 # --- documents ----------------------------------------------------------------
@@ -218,8 +225,8 @@ def _check_document(doc, where: str) -> None:
 
 def _spectrum_from_doc(doc: dict, out: Path) -> dict:
     preset = Preset.from_config(doc["config"])
-    axis1 = _axis_from_doc(doc["axis1"])
-    axis2 = _axis_from_doc(doc["axis2"])
+    axis1 = _axis_from_doc(doc["axis1"], "axis1")
+    axis2 = _axis_from_doc(doc["axis2"], "axis2")
     result = spectrum_sweep(preset.spins, preset.cavity, preset.env,
                             axis1, axis2)
 
@@ -325,6 +332,7 @@ def _stability_from_doc(doc: dict, out: Path) -> dict:
                           "in memory") from None
     curve = stability_curve(preset, taus=taus, dB_stab=doc["db_stab_t"])
     n = curve.taus.size
+    # the floors as broadcast views, which the writer formats once
     return {out: _table(
         ("tau_s", "sigma_total", "sigma_shot",
          "floor_thermal", "floor_magnetic", "floor_pump"),
@@ -332,9 +340,9 @@ def _stability_from_doc(doc: dict, out: Path) -> dict:
             curve.taus,
             curve.sigma_y,
             curve.sigma_shot,
-            np.full(n, curve.budget.thermal_floor),
-            np.full(n, curve.budget.magnetic_floor),
-            np.full(n, curve.budget.pump_floor),
+            np.broadcast_to(curve.budget.thermal_floor, n),
+            np.broadcast_to(curve.budget.magnetic_floor, n),
+            np.broadcast_to(curve.budget.pump_floor, n),
         ),
         doc["format"],
     )}

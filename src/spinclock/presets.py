@@ -12,6 +12,8 @@ pinned here: microsecond-scale pumping and a 10 ms ensemble lifetime.
 
 from __future__ import annotations
 
+import functools
+
 from .params import (
     CavityParams,
     ConfigError,
@@ -62,8 +64,11 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
+@functools.cache
 def table1_preset(which: str) -> Preset:
-    """Return the named reference parameter set ('current' or 'outlook')."""
+    """Return the named reference parameter set ('current' or 'outlook'),
+    built and checked once per process: every part of a Preset is frozen,
+    so its callers can share it."""
     try:
         spec = _PRESETS[which]
     except KeyError:

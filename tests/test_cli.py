@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinclock import __version__, cli
+from spinclock import __version__, cli, params
 from spinclock._table import _BLOCK_ROWS, write_table
 from spinclock.cli import _parser, main
 from spinclock.params import _CLASS_KEYS, _FIELDS, KNOWN_CONFIG_KEYS
+from spinclock.presets import table1_preset
 
 
 def _run(*argv):
@@ -303,9 +304,15 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     (["stability", "--B-nt", "inf"], 2, "db_stab_t"),
     (["stability", "--tau", "0.1..inf"], 2, "tau_stop_s"),
     (["stability", "--tau-points", "0"], 2, "tau_points"),
+    # an axis end finite in Hz but not in rad/s, named as typed
+    (["spectrum", "--axis1", "delta_T:0:1e308:3",
+      "--axis2", "probe_offset:-1e308:1e308:3"], 2,
+     "axis2 'start' = -1e+308 hz"),
+    (["spectrum", "--axis1", "cavity_offset:0:1e308:3",
+      "--axis2", "B_field:0:1e-6:3"], 2, "axis1 'stop' = 1e+308 hz"),
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
         "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
-        "tau-points-zero"])
+        "tau-points-zero", "axis2-start-overflow", "axis1-stop-overflow"])
 def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):
     assert _run(*argv, "--out", str(tmp_path / "out.csv")) == code
     assert field in capsys.readouterr().err
@@ -338,6 +345,23 @@ def test_non_finite_output_is_not_written(tmp_path, capsys, argv, column):
     assert repr(column) in err
     assert "Warning" not in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fresh_runs_build_each_preset_once(monkeypatch):
+    # a fresh run's preset is built and checked once per process; after
+    # that, each run builds only the one parameter set its config gives
+    checked = []
+    check = params._check_fields
+    monkeypatch.setattr(params, "_check_fields",
+                        lambda obj: checked.append(type(obj)) or check(obj))
+    table1_preset.cache_clear()
+    counts = []
+    for _ in range(2):
+        checked.clear()
+        assert _quiet_main(["operating-point", "--preset", "outlook"])[0] == 0
+        counts.append(len(checked))
+    one_set = 5  # the four parameter objects and the Preset
+    assert counts == [2 * one_set, one_set], counts
 
 
 def test_huge_coupling_shows_no_traceback(capsys):
@@ -422,28 +446,41 @@ def test_write_table_writes_grids_in_row_order(tmp_path, shape):
         assert out.read_bytes() == expected(header, flat), fmt
 
 
-def test_write_table_memory_does_not_grow_with_rows(tmp_path):
-    # A sweep-shaped table: two repeating axis columns and three data
-    # columns.  The data are drawn from a pool of 256 values so that the
-    # traced run stays short; all-distinct blocks raise the peak by about
-    # 1 MB, the same at every row count.
-    rng = np.random.default_rng(9)
-    pool = rng.standard_normal(256)
-    peaks = {"csv": [], "json": []}
+def _write_table_peaks(tmp_path, data) -> list:
+    """The tracemalloc peaks of writing a sweep-shaped table as CSV and as
+    JSON at 20,000 and 400,000 rows: two repeating axis columns and three
+    data columns of ``data(n)``."""
+    peaks = []
     for n in (20_000, 400_000):
         columns = [np.repeat(np.linspace(-1.0, 1.0, n // 100), 100),
                    np.tile(np.linspace(0.0, 3.0, 100), n // 100),
-                   rng.choice(pool, n), rng.choice(pool, n),
-                   rng.choice(pool, n)]
-        for fmt, fmt_peaks in peaks.items():
+                   data(n), data(n), data(n)]
+        for fmt in ("csv", "json"):
             tracemalloc.start()
             try:
                 with open(tmp_path / f"t.{fmt}", "w", encoding="utf-8") as f:
                     write_table(f, "abcde", columns, fmt)
-                fmt_peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append((n, fmt, tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
-    assert max(map(max, peaks.values())) < 4e6, peaks
+    return peaks
+
+
+def test_write_table_memory_does_not_grow_with_rows(tmp_path):
+    # the data are drawn from a pool of 256 values
+    rng = np.random.default_rng(9)
+    pool = rng.standard_normal(256)
+    peaks = _write_table_peaks(tmp_path, lambda n: rng.choice(pool, n))
+    assert max(peak for *_, peak in peaks) < 4e6, peaks
+
+
+def test_write_table_memory_of_distinct_values_does_not_grow_with_rows(
+        tmp_path):
+    # every data value distinct: each block is formatted where it stands,
+    # so the peak is one block's at any row count
+    rng = np.random.default_rng(10)
+    peaks = _write_table_peaks(tmp_path, rng.standard_normal)
+    assert max(peak for *_, peak in peaks) < 4e6, peaks
 
 
 # Flag values a user can type: ordinary ones, both signs of zero, the

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spinclock import _table, cli
-from spinclock._table import (_BLOCK_ROWS, _VECTOR_MIN, REPR_WIDTH, _digits,
-                              shortest_repr)
+from spinclock._table import _VECTOR_MIN, REPR_WIDTH, shortest_repr
 
 _TINY = 5e-324
 _HUGE = 1.7976931348623157e308
@@ -87,7 +86,7 @@ def test_integers_up_to_two_to_the_53():
     _assert_repr(np.concatenate([
         np.arange(1.0, 100_001.0),
         rng.integers(1, 2 ** 53, 50_000).astype(np.float64),
-        _neighbours([2.0 ** 53, 1e15, 999999999999999.0]),
+        _neighbours([2.0 ** 49, 2.0 ** 53, 1e15, 999999999999999.0]),
     ]))
 
 
@@ -95,29 +94,57 @@ def test_zero_takes_repr():
     _assert_repr([0.0, 1.0, 0.0, 0.5])
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--figure", "2a", "--points", "301"],
-    # 9,000 magnitudes from 5e-18 to 1e5, most of them in scientific form
-    ["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
-     "--tau-points", "3000"],
+@pytest.mark.parametrize("argv,own,broadcast", [
+    # three data columns of 301 x 301 values; the axis columns' 301 + 301
+    (["spectrum", "--figure", "2a", "--points", "301"], 3 * 301 * 301,
+     301 + 301),
+    # 9,000 values from 5e-18 to 1e5, most of them in scientific form; one
+    # value for each of the three floor columns
+    (["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
+      "--tau-points", "3000"], 3 * 3000, 3),
 ], ids=["figure-2a", "stability-outlook"])
-def test_table_magnitudes_take_the_vector_path(tmp_path, monkeypatch, argv):
-    # the speed-up must not turn off unseen: every chunk of the table's
-    # distinct magnitudes but a last one under _VECTOR_MIN reaches the
-    # kernel, and fewer than 1% of the magnitudes it sees fall back to repr
-    seen, fell_back = [], []
+def test_table_magnitudes_take_the_vector_path(tmp_path, monkeypatch, argv,
+                                               own, broadcast):
+    # the speed-up must not turn off unseen: the kernel sees exactly the
+    # values of the columns that are not broadcast views, in chunks of at
+    # least _VECTOR_MIN, and fewer than 1% of them fall back to repr; a
+    # broadcast column's values go to repr once each
+    seen, fell_back, direct = [], [], []
+    inside = []
+    kernel, rows = _table.shortest_repr, _table._repr_rows
 
     def counting(bits):
         seen.append(bits.size)
-        fell_back.append(int((_digits(bits)[2] | (bits == 0)).sum()))
-        return shortest_repr(bits)
+        inside.append(True)
+        try:
+            return kernel(bits)
+        finally:
+            inside.pop()
+
+    def counting_rows(bits):
+        (fell_back if inside else direct).append(bits.size)
+        return rows(bits)
 
     monkeypatch.setattr(_table, "shortest_repr", counting)
-    out = tmp_path / "table.csv"
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    columns = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).T
-    distinct = sum(np.unique(np.abs(column)).size for column in columns)
-    last = distinct % _BLOCK_ROWS
-    assert sum(seen) == distinct - (last if last < _VECTOR_MIN else 0), \
-        (sum(seen), distinct)
+    monkeypatch.setattr(_table, "_repr_rows", counting_rows)
+    assert cli.main([*argv, "--out", str(tmp_path / "table.csv")]) == 0
+    assert sum(seen) == own and min(seen) >= _VECTOR_MIN, seen
+    assert sum(direct) == broadcast, direct
     assert sum(fell_back) < 0.01 * sum(seen), (sum(fell_back), sum(seen))
+
+
+def test_kernel_stops_below_two_to_the_49(monkeypatch):
+    # from 2^49 up every double takes Ryu's general case, so such lanes go
+    # to repr without reaching the kernel
+    reached = []
+    digits = _table._digits
+
+    def recording(bits):
+        reached.append(bits.copy())
+        return digits(bits)
+
+    monkeypatch.setattr(_table, "_digits", recording)
+    values = _neighbours([2.0 ** 49, 2.0 ** 50, 2.0 ** 53, 1e300])
+    _assert_repr(values)
+    assert np.concatenate(reached).view(np.float64).tolist() \
+        == values[values < 2.0 ** 49].tolist()
