@@ -46,8 +46,8 @@ import numpy as np
 from . import __version__
 from ._table import write_table
 from .figures import FIGURE_NAMES, figure_setup
-from .params import (_CLASS_KEYS, _COUNT, _NUMBER, _POSITIVE, ConfigError,
-                     Preset, _one_of, _or_null, _require)
+from .params import (_COUNT, _NUMBER, _POSITIVE, ConfigError, Preset, _one_of,
+                     _or_null, _require)
 from .polariton import (
     BRANCHES,
     NoOperatingPointError,
@@ -171,6 +171,9 @@ def _axis_from_doc(doc: dict, name: str) -> SweepAxis:
         if not math.isfinite(ends[key]):
             raise ConfigError(f"{name} {key!r} = {doc[key]!r} {doc['unit']} "
                               "overflows in rad/s")
+    if not doc["start"] <= doc["stop"]:
+        raise ConfigError(f"{name} 'start' must be <= 'stop', got "
+                          f"{doc['start']!r} and {doc['stop']!r}")
     return SweepAxis(variable, ends["start"], ends["stop"], doc["points"])
 
 
@@ -225,6 +228,9 @@ def _check_document(doc, where: str) -> None:
 
 def _spectrum_from_doc(doc: dict, out: Path) -> dict:
     preset = Preset.from_config(doc["config"])
+    if doc["axis1"]["variable"] == doc["axis2"]["variable"]:
+        raise ConfigError("axis1 and axis2 must sweep different variables, "
+                          f"got {doc['axis1']['variable']!r} twice")
     axis1 = _axis_from_doc(doc["axis1"], "axis1")
     axis2 = _axis_from_doc(doc["axis2"], "axis2")
     result = spectrum_sweep(preset.spins, preset.cavity, preset.env,
@@ -264,29 +270,9 @@ def _slice_path(out: Path) -> Path:
 # --- operating point ---------------------------------------------------------
 
 
-def _one_line_preset(doc: dict) -> Preset:
-    """The preset of ``doc``, or a ConfigError naming the class offsets of a
-    branch with more than one spin class or a class off its line center.
-
-    The eigen solve folds each branch into one line at its center
-    (``polariton._coupling_pattern``), while the transmission sums every
-    class; so it would give the operating point and floors of an ensemble
-    other than the one the spectrum sees.
-    """
-    preset = Preset.from_config(doc["config"])
-    for branch, (key, _) in _CLASS_KEYS.items():
-        classes = preset.spins.classes(branch)
-        if len(classes) > 1 or any(c.detuning_offset for c in classes):
-            raise ConfigError(
-                f"{key} = {doc['config'][key]!r}: {doc['command']} solves "
-                "each branch as one line at its center, so it takes one "
-                "class per branch, at offset 0")
-    return preset
-
-
 def _operating_point_report(doc: dict) -> str:
     """The operating-point report of ``doc`` as JSON text."""
-    preset = _one_line_preset(doc)
+    preset = Preset.from_config(doc["config"])
     op = operating_point_numeric(preset.spins, preset.env, branch=doc["branch"])
     budget = environmental_floors(
         preset.spins, preset.env, op,
@@ -320,7 +306,7 @@ def _operating_point_report(doc: dict) -> str:
 
 
 def _stability_from_doc(doc: dict, out: Path) -> dict:
-    preset = _one_line_preset(doc)
+    preset = Preset.from_config(doc["config"])
     lo, hi = doc["tau_start_s"], doc["tau_stop_s"]
     if not lo < hi:
         raise ConfigError(f"tau_start_s must be < tau_stop_s, got {lo!r} "
@@ -401,10 +387,12 @@ def _spectrum_document(args) -> dict:
         for flag in ("--preset", "--axis1", "--axis2"):
             if getattr(args, flag.lstrip("-")) is not None:
                 raise ConfigError(f"{flag} cannot be combined with --figure")
-        setup = figure_setup(args.figure, points=args.points)
+        # --points goes into the axis documents, checked like a sidecar's
+        setup = figure_setup(args.figure)
         preset = Preset("figure-" + args.figure, setup.spins, setup.cavity,
                         setup.env, table1_preset("current").probe, 0.0)
-        axes = [_axis_to_doc(setup.axis1), _axis_to_doc(setup.axis2)]
+        axes = [{**_axis_to_doc(axis), "points": args.points}
+                for axis in (setup.axis1, setup.axis2)]
         slice_value = setup.slice_axis1_value
         if slice_value is not None:
             slice_value = _axis_out(setup.axis1.variable, slice_value)
@@ -612,13 +600,10 @@ def main(argv=None) -> int:
         # the column; numpy's warnings about it would only precede that line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoOperatingPointError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,10 @@ own; the cavity pair has its root at L = w_k + s g/sqrt(r), s = +/-1,
 
 on branch (s > 0) + (L > w_d) of the three ascending ones.  At B = 0,
 dT = 0 the bright roots are D_pm again, and D = 0 exactly at R = -1.
+
+Only this module knows the eigen model, which folds each spin branch into
+one line at its center: every entry point refuses a branch with more than
+one spin class, or an offset one, with a ConfigError before any solver error.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import CavityParams, EnvironmentState, SpinEnsembleParams
+from .params import (_CLASS_KEYS, Branch, CavityParams, ConfigError,
+                     EnvironmentState, SpinEnsembleParams)
 
 BRANCHES = ("lower", "middle", "upper")
 
@@ -113,11 +118,19 @@ def mode_matrix(omega_c, omega_plus, omega_minus, g_plus, g_minus) -> np.ndarray
 
 
 def _coupling_pattern(spins: SpinEnsembleParams) -> tuple[float, float]:
-    """(dg+/dg, dg-/dg): 1 for a branch that has spin classes, else 0."""
-    # The eigenproblem keeps one aggregate line per branch; multi-class
-    # structure is a transmission-module concern.
-    present = {c.branch.value for c in spins.spin_classes}
-    return float("plus" in present), float("minus" in present)
+    """(dg+/dg, dg-/dg): 1 for a branch that has a spin class, else 0.
+
+    The ConfigError of a branch with more than one class, or one off its
+    center, names its class-offsets key: the transmission sees every class."""
+    pattern = [0.0, 0.0]  # plus, minus: an Enum key would hash in Python
+    for c in spins.spin_classes:
+        if pattern[c.branch is Branch.MINUS] or c.detuning_offset:
+            raise ConfigError(
+                f"{_CLASS_KEYS[c.branch][0]}: the eigen model solves each "
+                "branch as one line at its center, so it takes one spin "
+                "class per branch, at offset 0")
+        pattern[c.branch is Branch.MINUS] = 1.0
+    return pattern[0], pattern[1]
 
 
 def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
@@ -151,10 +164,6 @@ def _dH_dT(env: EnvironmentState) -> np.ndarray:
 
 def _dH_dB(env: EnvironmentState) -> np.ndarray:
     return mode_matrix(0.0, env.gyromagnetic, -env.gyromagnetic, 0.0, 0.0)
-
-
-def _dH_dg(spins: SpinEnsembleParams) -> np.ndarray:
-    return mode_matrix(0.0, 0.0, 0.0, *_coupling_pattern(spins))
 
 
 def _slope(vecs: np.ndarray, idx: int, dh: np.ndarray):
@@ -384,6 +393,7 @@ def operating_point_numeric(
     a (R v_c^2 + 1 - v_c^2) keeps the sign of a.
     """
     idx = _branch_index(branch)
+    _coupling_pattern(spins)  # a folded ensemble fails before a solver error
     g = spins.branch_coupling
     if not g > 0:
         raise NoOperatingPointError(
@@ -420,6 +430,20 @@ def operating_point_numeric(
         lambdas_rel=lam,
         eigvecs=vec,
     )
+
+
+def branch_shifts(spins, env, op: OperatingPoint, dT: float, dB: float):
+    """(nu0, dL_T, dL_B, dL/dg) of the branch of ``op``, rad/s: its absolute
+    frequency, its exact shifts (``_shift``) for static offsets dT (K) and
+    dB (T), and its Hellmann-Feynman slope in g, from the eigenpairs that
+    ``op`` carries; so ``op`` must come from the same spins and env."""
+    idx = _branch_index(op.branch)
+    dh_dg = mode_matrix(0.0, 0.0, 0.0, *_coupling_pattern(spins))
+    lam, vec = op.lambdas_rel, op.eigvecs
+    return (spins.omega_zfs + lam[idx],
+            _shift(lam, vec, idx, _dH_dT(env), dT),
+            _shift(lam, vec, idx, _dH_dB(env), dB),
+            _slope(vec, idx, dh_dg))
 
 
 def curvature_T_degenerate(detuning, g, R, dwa_dT) -> float:
@@ -468,6 +492,7 @@ __all__ = [
     "dnu_dT_degenerate",
     "operating_point_closed_form",
     "operating_point_numeric",
+    "branch_shifts",
     "curvature_T_degenerate",
     "magnetic_response",
 ]

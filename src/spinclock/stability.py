@@ -12,12 +12,11 @@ the carrier (the zero-field line center).
 The probe amplitude must stay low enough that the ensemble remains
 polarized; per spin, beta << sqrt(kappa * gamma * (gamma + Gamma)) / (4 g0 |t|).
 
-Environmental floors are evaluated as the actual polariton shift for a
-static offset of the stabilization magnitude from the operating point.  The
-shift is the Schur-complement root in the eigenbasis of the operating
-point's own solve (``polariton._shift``), so it is exact to rounding of its
-own size at any offset, and the floors combine with shot noise in
-quadrature.
+Environmental floors are the actual polariton shifts for static offsets of
+the stabilization magnitudes, which ``polariton.branch_shifts`` takes from
+the operating point's own eigenpairs, exact to rounding of their own size;
+they combine with shot noise in quadrature.  Like every eigen entry point,
+they refuse a spin ensemble that the eigen model would fold.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import numpy as np
 
 from .params import (CavityParams, EnvironmentState, Preset, ProbeParams,
                      SpinEnsembleParams)
-from .polariton import (BRANCHES, OperatingPoint, _dH_dB, _dH_dg, _dH_dT,
-                        _shift, _slope, operating_point_numeric)
+from .polariton import OperatingPoint, branch_shifts, operating_point_numeric
 
 
 # Relative stability of the optical pump's power, behind the pump floor
@@ -170,24 +168,22 @@ def environmental_floors(
     """Fractional floors for static offsets of the stabilization magnitudes.
 
     Thermal and magnetic floors are the exact branch shifts for offsets of
-    dT_stab / dB_stab, taken by the Schur complement from the eigenpairs
-    that ``op`` carries (so ``op`` must come from the same spins and env);
-    the pump floor converts laser power fluctuations of
-    ``_LASER_STABILITY`` into a coupling shift via the polarization steady
-    state (g proportional to sqrt(P)).
+    dT_stab / dB_stab from ``polariton.branch_shifts`` (so ``op`` must come
+    from the same spins and env); the pump floor converts laser power
+    fluctuations of ``_LASER_STABILITY`` into a coupling shift via the
+    polarization steady state (g proportional to sqrt(P)).
     """
     # Shifts are taken in the line-center frame (no carrier rounding), then
     # normalized by the absolute branch frequency.
-    idx = BRANCHES.index(op.branch)
-    lam, vec = op.lambdas_rel, op.eigvecs
-    nu0 = spins.omega_zfs + lam[idx]
-    thermal = abs(_shift(lam, vec, idx, _dH_dT(env), dT_stab)) / nu0
-    magnetic = abs(_shift(lam, vec, idx, _dH_dB(env), dB_stab)) / nu0
+    nu0, d_thermal, d_magnetic, dnu_dg = branch_shifts(
+        spins, env, op, dT_stab, dB_stab)
+    thermal = abs(d_thermal) / nu0
+    magnetic = abs(d_magnetic) / nu0
 
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
     dg_over_g = coupling_sensitivity_to_pump(spins)
     dg = dg_over_g * _LASER_STABILITY * spins.branch_coupling
-    pump = abs(_slope(vec, idx, _dH_dg(spins))) * dg / nu0
+    pump = abs(dnu_dg) * dg / nu0
 
     return NoiseBudget(
         thermal_floor=float(thermal),

@@ -161,14 +161,12 @@ def spectrum_sweep(
     env: EnvironmentState,
     axis1: SweepAxis,
     axis2: SweepAxis,
-    omega_probe_fixed: float | None = None,
 ) -> SweepResult:
     """Evaluate the transmission over a 2-D grid of swept variables.
 
     Sweep variables override the corresponding entry of ``env`` (or the
     cavity/probe offset); everything not swept is held at its ``env`` value.
-    When the probe is not a sweep axis it sits at ``omega_probe_fixed``
-    (default: the line center).
+    When the probe is not a sweep axis it sits at the line center.
 
     Each swept quantity is a broadcast axis, ``(rows, 1)`` for a block of
     axis1 rows and ``(1, n2)`` for axis2, and everything held fixed stays a
@@ -196,11 +194,7 @@ def spectrum_sweep(
 
         thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
         zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
-        if "probe_offset" in swept:
-            omega_probe = spins.omega_zfs + swept["probe_offset"]
-        else:
-            omega_probe = float(spins.omega_zfs if omega_probe_fixed is None
-                                else omega_probe_fixed)
+        omega_probe = spins.omega_zfs + swept.get("probe_offset", 0.0)
         if "cavity_offset" in swept:
             omega_c = (spins.omega_zfs + swept["cavity_offset"]
                        + env.R_ratio * thermal_shift)

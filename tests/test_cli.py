@@ -448,10 +448,10 @@ def test_write_table_writes_grids_in_row_order(tmp_path, shape):
 
 def _write_table_peaks(tmp_path, data) -> list:
     """The tracemalloc peaks of writing a sweep-shaped table as CSV and as
-    JSON at 20,000 and 400,000 rows: two repeating axis columns and three
-    data columns of ``data(n)``."""
+    JSON at 20,000 and 100,000 rows (25 blocks): two repeating axis columns
+    and three data columns of ``data(n)``."""
     peaks = []
-    for n in (20_000, 400_000):
+    for n in (20_000, 100_000):
         columns = [np.repeat(np.linspace(-1.0, 1.0, n // 100), 100),
                    np.tile(np.linspace(0.0, 3.0, 100), n // 100),
                    data(n), data(n), data(n)]
@@ -586,14 +586,18 @@ def test_oversized_point_count_is_config_error(tmp_path, argv, sidecar,
         assert not out.parent.exists()
 
 
+# The custom-axes run of _valid_sidecars
+_AXES_RUN = ["spectrum", "--axis1", "B_field:-1e-6:1e-6", "--axis2",
+             "cavity_offset:-1e6:1e6", "--points", "3", "--format", "json",
+             "--seed", "4"]
+
+
 @functools.cache
 def _valid_sidecars() -> dict:
     """A valid sidecar document of each command, written by a fresh run."""
     runs = {
         "spectrum-figure": ["spectrum", "--figure", "2c", "--points", "3"],
-        "spectrum-axes": ["spectrum", "--axis1", "B_field:-1e-6:1e-6",
-                          "--axis2", "cavity_offset:-1e6:1e6", "--points",
-                          "3", "--format", "json", "--seed", "4"],
+        "spectrum-axes": _AXES_RUN,
         "stability": ["stability", "--tau-points", "3", "--B-nt", "5"],
         "operating-point": ["operating-point", "--branch", "lower"],
     }
@@ -853,7 +857,9 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
         assert rc == 0, err
         return
     assert rc == 2, err
-    assert err.startswith(f"error: {named} = ") and name in err, err
+    assert err == (f"error: {named}: the eigen model solves each branch as "
+                   "one line at its center, so it takes one spin class per "
+                   "branch, at offset 0\n"), err
     assert not out.parent.exists()
 
 
@@ -867,13 +873,22 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
       "--power-photons-per-s", "0"], "spectrum-figure", {},
      {"photon_flux_per_s": 0.0}),
     (["stability", "--B-nt", "inf"], "stability", {"db_stab_t": math.inf}, {}),
+    (["spectrum", "--figure", "2c", "--points", "0"], "spectrum-figure",
+     {"axis1": {"points": 0}, "axis2": {"points": 0}}, {}),
+    ([*_AXES_RUN[:4], "cavity_offset:1e6:-1e6", *_AXES_RUN[5:]],
+     "spectrum-axes", {"axis2": {"start": 1e6, "stop": -1e6}}, {}),
+    ([*_AXES_RUN[:4], "B_field:-1e-6:1e-6", *_AXES_RUN[5:]], "spectrum-axes",
+     {"axis2": {"variable": "B_field", "start": -1e-6, "stop": 1e-6,
+                "unit": "t"}}, {}),
 ], ids=["reversed-tau", "empty-tau", "no-tau-points", "spectrum-zero-power",
-        "infinite-field-noise"])
+        "infinite-field-noise", "figure-zero-points", "reversed-axis",
+        "one-variable-twice"])
 def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config):
     # a value given by a flag and the same value in a valid sidecar exit 2
     # with the same message after the name of the document, writing nothing
     doc = copy.deepcopy(_valid_sidecars()[name])
-    doc.update(top)
+    for key, value in top.items():  # an axis takes the fields given
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
     doc["config"].update(config)
     sidecar = _write_doc(tmp_path / "in.json", doc)
     out = tmp_path / "out" / "out.csv"
@@ -884,6 +899,25 @@ def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config):
         == replay[1].removeprefix(f"error: sidecar {sidecar} "), \
         (fresh, replay)
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("axes,message", [
+    (["probe_offset:1e6:-1e6", "cavity_offset:-1e6:1e6"],
+     "axis1 'start' must be <= 'stop', got 1000000.0 and -1000000.0"),
+    (["delta_T:-1:1", "probe_offset:5e6:-5e6"],
+     "axis2 'start' must be <= 'stop', got 5000000.0 and -5000000.0"),
+    (["probe_offset:-1e6:1e6", "probe_offset:-2e6:2e6"],
+     "axis1 and axis2 must sweep different variables, got 'probe_offset' "
+     "twice"),
+], ids=["axis1-reversed", "axis2-reversed", "one-variable-twice"])
+def test_spectrum_axis_errors_name_their_keys(tmp_path, axes, message):
+    # a rule between the fields of the axes names the document keys and
+    # gives the values as typed, in Hz, not as the model holds them
+    out = tmp_path / "x.csv"
+    rc, err = _quiet_main(["spectrum", "--axis1", axes[0], "--axis2", axes[1],
+                           "--points", "3", "--out", str(out)])
+    assert (rc, err) == (2, f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_hz_flag_is_recorded_as_typed(tmp_path):

@@ -16,7 +16,9 @@ import spinclock
 from spinclock.params import (
     Branch,
     CavityParams,
+    ConfigError,
     EnvironmentState,
+    Preset,
     SpinClass,
     SpinEnsembleParams,
 )
@@ -28,6 +30,8 @@ from spinclock.polariton import (
     _slope,
     _solve,
     branch_frequency_at,
+    branch_frequency_rel,
+    branch_shifts,
     curvature_T_degenerate,
     dnu_dT,
     dnu_dT_central_difference,
@@ -40,6 +44,7 @@ from spinclock.polariton import (
     polariton_energies_degenerate,
 )
 from spinclock.presets import table1_preset
+from spinclock.stability import environmental_floors, stability_curve
 from spinclock.units import from_hz, to_hz
 from test_stability import _exact_eigenvalue
 
@@ -398,6 +403,50 @@ def test_one_line_ensemble_operating_point(branch_classes, branch, want):
     op = operating_point_numeric(spins, env, branch)
     assert op.detuning_D == pytest.approx(want, rel=1e-6)
     assert abs(op.dnudT_residual) <= 1e-6 * env.dwa_dT
+
+
+_TRIPLET = [-2.16e6, 0.0, 2.16e6]  # the 14N hyperfine lines, Hz
+
+
+@pytest.mark.parametrize("r", [-0.1, 0.0, 0.3])
+@pytest.mark.parametrize("classes,key", [
+    (dict(class_offsets_plus_hz=_TRIPLET, class_weights_plus=[1 / 3] * 3,
+          class_offsets_minus_hz=_TRIPLET, class_weights_minus=[1 / 3] * 3),
+     "class_offsets_plus_hz"),
+    (dict(class_offsets_minus_hz=[1e3]), "class_offsets_minus_hz"),
+    (dict(class_offsets_plus_hz=[0.0, 0.0], class_weights_plus=[0.5, 0.5]),
+     "class_offsets_plus_hz"),
+], ids=["hyperfine-triplet", "off-center", "two-at-center"])
+def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
+    # the solve folds each branch into one line at its center: with the
+    # triplet resolved it gave the unresolved D (4024922.36 Hz) and
+    # sigma_y(1 s) = 4.194e-12.  Each entry point refuses such a branch,
+    # before the solver errors of R >= 0 and of zero coupling
+    base = table1_preset("current")
+    preset = Preset.from_config({**base.to_config(), **classes,
+                                 "r_ratio": r})
+    spins, cavity, env = preset.spins, preset.cavity, preset.env
+    one_line = operating_point_numeric(base.spins, base.env)
+    no_coupling = dataclasses.replace(spins, g_collective=0.0)
+    calls = [
+        lambda: operating_point_numeric(spins, env),
+        lambda: operating_point_numeric(no_coupling, env, "middle"),
+        lambda: environmental_floors(spins, env, one_line, 1e-3, 1e-9),
+        lambda: branch_shifts(spins, env, one_line, 1e-3, 1e-9),
+        lambda: stability_curve(preset),
+        lambda: eigenfrequencies(spins, cavity, env),
+        lambda: dnu_dT(spins, cavity, env, "upper"),
+        lambda: magnetic_response(spins, cavity, env, "lower"),
+        lambda: branch_frequency_rel(spins, env, 1e6, "upper"),
+        lambda: branch_frequency_at(spins, env, np.zeros(3), "middle"),
+    ]
+    message = (f"{key}: the eigen model solves each branch as one line at "
+               "its center, so it takes one spin class per branch, at "
+               "offset 0")
+    for call in calls:
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_zero_coupling_has_no_operating_point():

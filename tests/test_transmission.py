@@ -249,13 +249,13 @@ def test_sweep_rejects_empty_axis_and_duplicates():
 
 
 def test_non_probe_sweep_axes():
-    # temperature vs field grid at fixed probe
+    # temperature vs field grid with the probe at the line center
     spins = SpinEnsembleParams(g_collective=from_hz(1e6), gamma_pump=0.0)
     cavity = CavityParams(omega_c_ref=ZFS + from_hz(5e6), kappa_out=from_hz(500e3))
     ax1 = SweepAxis("delta_T", -10.0, 10.0, 5)
     ax2 = SweepAxis("B_field", -1e-4, 1e-4, 7)
     res = spectrum_sweep(spins, cavity, EnvironmentState(R_ratio=-0.3),
-                         ax1, ax2, omega_probe_fixed=ZFS + from_hz(6e6))
+                         ax1, ax2)
     assert res.t.shape == (5, 7)
     assert np.all(np.abs(res.t) <= 1.0)
 
@@ -336,9 +336,9 @@ def test_sweep_matches_scalar_path(spins, var1, var2):
     cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
                           kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
     env = EnvironmentState(delta_T=3.5, B_field=40e-6, R_ratio=-0.3)
-    probe = ZFS + from_hz(2.5e6)
+    probe = ZFS  # where the sweep holds the probe when it is not an axis
     ax1, ax2 = _random_axis(rng, var1), _random_axis(rng, var2)
-    res = spectrum_sweep(spins, cavity, env, ax1, ax2, omega_probe_fixed=probe)
+    res = spectrum_sweep(spins, cavity, env, ax1, ax2)
     assert res.t.shape == (ax1.points, ax2.points)
     ref = np.array([
         [_scalar_t(spins, cavity, env, probe, ((var1, v1), (var2, v2)))
@@ -364,15 +364,13 @@ def test_sweep_rows_do_not_depend_on_blocks(spins, var1, var2):
     cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
                           kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
     env = EnvironmentState(delta_T=3.5, B_field=40e-6, R_ratio=-0.3)
-    probe = ZFS + from_hz(2.5e6)
     for n1, n2 in _block_shapes():
         ax1 = SweepAxis(var1, *_AXIS_RANGES[var1], n1)
         ax2 = SweepAxis(var2, *_AXIS_RANGES[var2], n2)
-        res = spectrum_sweep(spins, cavity, env, ax1, ax2,
-                             omega_probe_fixed=probe)
+        res = spectrum_sweep(spins, cavity, env, ax1, ax2)
         for v1, row in zip(res.values1, res.t):
             one = spectrum_sweep(spins, cavity, env, SweepAxis(var1, v1, v1, 1),
-                                 ax2, omega_probe_fixed=probe)
+                                 ax2)
             assert np.array_equal(one.t[0].view(np.int64), row.view(np.int64))
 
 
