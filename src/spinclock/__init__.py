@@ -5,7 +5,7 @@ Modules
 params        parameter types, environment mapping, Preset and its config
 presets       reference parameter sets ('current', 'outlook')
 transmission  probe transmission, susceptibility, 2-D sweeps
-polariton     coupled-mode eigenfrequencies and insensitive operating points
+polariton     coupled-mode branch frequencies and insensitive operating points
 stability     shot-noise precision, probe bounds, noise floors, sigma_y(tau)
 figures       pinned sweep setups for the reference spectrum panels
 cli           command-line interface (spectrum / operating-point / stability)
@@ -28,15 +28,8 @@ from .params import (
 from .polariton import (
     NoOperatingPointError,
     OperatingPoint,
-    PolaritonSolution,
-    branch_frequency_at,
-    dnu_dT,
-    dnu_dT_degenerate,
-    eigenfrequencies,
-    magnetic_response,
     operating_point_closed_form,
     operating_point_numeric,
-    polariton_energies_degenerate,
 )
 from .presets import table1_preset
 from .stability import (
@@ -48,7 +41,6 @@ from .stability import (
     low_excitation_bound,
     polarization_steady_state,
     shot_noise_fractional,
-    shot_noise_precision,
     stability_curve,
 )
 from .transmission import (
@@ -56,6 +48,5 @@ from .transmission import (
     SweepResult,
     spectrum_sweep,
     susceptibility,
-    transmission_spectrum,
 )
 from .units import from_hz, to_hz

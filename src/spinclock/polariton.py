@@ -1,4 +1,4 @@
-"""Polariton eigenfrequencies, thermal sensitivity, and insensitive operating points.
+"""Polariton branch frequencies, thermal sensitivity, and insensitive operating points.
 
 The lossless coupled-mode matrix in the (cavity, spin+, spin-) basis is
 
@@ -56,8 +56,11 @@ on branch (s > 0) + (L > w_d) of the three ascending ones.  At B = 0,
 dT = 0 the bright roots are D_pm again, and D = 0 exactly at R = -1.
 
 Only this module knows the eigen model, which folds each spin branch into
-one line at its center: every entry point refuses a branch with more than
-one spin class, or an offset one, with a ConfigError before any solver error.
+one line at its center.  A run reads it through ``operating_point_numeric``
+and ``branch_shifts``; both refuse a branch with more than one spin class,
+or an offset one, with a ConfigError before any solver error.  The
+bright-mode closed forms above, a central difference and per-point readers
+of ``_solve`` are the tests' references, in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import (_CLASS_KEYS, Branch, CavityParams, ConfigError,
-                     EnvironmentState, SpinEnsembleParams)
+from .params import (_CLASS_KEYS, Branch, ConfigError, EnvironmentState,
+                     SpinEnsembleParams)
 
 BRANCHES = ("lower", "middle", "upper")
 
@@ -77,17 +80,6 @@ _SHIFT_MAXITER = 100  # hard cap on the Newton steps of _shift
 
 class NoOperatingPointError(RuntimeError):
     """No zero of dnu/dT exists within +/-20 g of detuning."""
-
-
-@dataclass(frozen=True)
-class PolaritonSolution:
-    """Eigen solution: frequencies ascending, eigenvectors as columns."""
-
-    lambdas: np.ndarray        # (3,) rad/s, ascending
-    eigvecs: np.ndarray        # (3, 3), column j belongs to lambdas[j]
-
-    def branch(self, name: str) -> float:
-        return float(self.lambdas[_branch_index(name)])
 
 
 @dataclass(frozen=True)
@@ -240,48 +232,10 @@ def _shift(lams: np.ndarray, vecs: np.ndarray, idx: int, dh: np.ndarray,
     return s
 
 
-def eigenfrequencies(
-    spins: SpinEnsembleParams, cavity: CavityParams, env: EnvironmentState
-) -> PolaritonSolution:
-    """Polariton branch frequencies under the given environment."""
-    lam, vec = _solve(spins, env, cavity.omega_c_ref - spins.omega_zfs,
-                      env.delta_T, env.B_field)
-    return PolaritonSolution(lambdas=spins.omega_zfs + lam, eigvecs=vec)
-
-
-def polariton_energies_degenerate(omega_c, omega_a, g_plus, g_minus):
-    """Bright-mode closed form for degenerate spin branches (B = 0)."""
-    mean = 0.5 * (omega_c + omega_a)
-    split = math.sqrt(0.25 * (omega_c - omega_a) ** 2 + g_plus ** 2 + g_minus ** 2)
-    return mean + split, mean - split
-
-
 def _branch_index(name: str) -> int:
     if name not in BRANCHES:
         raise ValueError(f"unknown branch {name!r}; choose from {BRANCHES}")
     return BRANCHES.index(name)
-
-
-def dnu_dT(
-    spins: SpinEnsembleParams,
-    cavity: CavityParams,
-    env: EnvironmentState,
-    branch: str,
-) -> float:
-    """Thermal slope of one polariton branch via Hellmann-Feynman."""
-    vecs = eigenfrequencies(spins, cavity, env).eigvecs
-    return float(_slope(vecs, _branch_index(branch), _dH_dT(env)))
-
-
-def dnu_dT_degenerate(omega_c, omega_a, g, R, dwa_dT, branch: str) -> float:
-    """Closed-form thermal slope of the bright modes (equal couplings, B = 0)."""
-    if branch not in ("upper", "lower"):
-        raise ValueError("closed form covers the bright branches 'upper'/'lower'")
-    sign = 1.0 if branch == "upper" else -1.0
-    delta = omega_c - omega_a
-    root = math.sqrt(delta ** 2 + 8.0 * g ** 2)
-    a = dwa_dT
-    return 0.5 * (a + R * a + sign * a * (R - 1.0) * delta / root)
 
 
 def operating_point_closed_form(g: float, R: float) -> tuple[float, float]:
@@ -302,43 +256,6 @@ def operating_point_closed_form(g: float, R: float) -> tuple[float, float]:
     r = math.sqrt(abs(R))
     d = math.sqrt(2.0) * g * (r - 1.0 / r)
     return d, -d
-
-
-def branch_frequency_rel(spins, env, detuning, branch, delta_T=0.0, b_field=0.0):
-    """One branch frequency relative to the line center.
-
-    Array ``detuning``, ``delta_T`` or ``b_field`` broadcast and give an
-    array of frequencies from one stacked solve; scalars give a float.
-    """
-    lam, _ = _solve(spins, env, detuning, delta_T, b_field)
-    rel = lam[..., _branch_index(branch)]
-    return rel if rel.ndim else float(rel)
-
-
-def branch_frequency_at(spins, env, detuning, branch, delta_T=0.0, b_field=0.0):
-    """Absolute branch frequency at a reference spin-cavity detuning."""
-    return spins.omega_zfs + branch_frequency_rel(
-        spins, env, detuning, branch, delta_T=delta_T, b_field=b_field
-    )
-
-
-def dnu_dT_central_difference(
-    spins: SpinEnsembleParams,
-    env: EnvironmentState,
-    detuning: float,
-    branch: str,
-    step: float,
-) -> float:
-    """Central difference of one branch frequency w.r.t. temperature.
-
-    Both displaced solves happen in the line-center frame so the GHz carrier
-    cancels before rounding; the difference is then accurate at the detuning
-    scale, not the carrier scale.
-    """
-    up, dn = branch_frequency_rel(spins, env, detuning, branch,
-                                  delta_T=env.delta_T + np.array([step, -step]),
-                                  b_field=env.B_field)
-    return float((up - dn) / (2.0 * step))
 
 
 def _insensitive_detunings(spins: SpinEnsembleParams, env: EnvironmentState,
@@ -446,53 +363,12 @@ def branch_shifts(spins, env, op: OperatingPoint, dT: float, dB: float):
             _slope(vec, idx, dh_dg))
 
 
-def curvature_T_degenerate(detuning, g, R, dwa_dT) -> float:
-    """Analytic d2nu/dT2 of the bright modes at fixed detuning.
-
-    With f(d) = sqrt(d^2/4 + 2 g^2), f'' = g^2 / (2 f^3) and the chain rule
-    over d(T) = D + (R - 1) a T gives |d2nu/dT2| = a^2 (1-R)^2 g^2 / (2 f^3).
-    """
-    f = math.sqrt(0.25 * detuning ** 2 + 2.0 * g ** 2)
-    return (dwa_dT ** 2) * (1.0 - R) ** 2 * g ** 2 / (2.0 * f ** 3)
-
-
-def magnetic_response(
-    spins: SpinEnsembleParams,
-    cavity: CavityParams,
-    env: EnvironmentState,
-    branch: str,
-) -> tuple[float, float]:
-    """(dnu/dB, d2nu/dB2) of one branch at the ``env`` field point.
-
-    Both come from one eigen solve with dH/dB = gyro*diag(0, 1, -1): the
-    slope is the Hellmann-Feynman expectation, exactly zero at B = 0 for
-    symmetric couplings (spin-1 protection), the curvature the exact
-    second-order sum.
-    """
-    idx = _branch_index(branch)
-    lam, vec = _solve(spins, env, cavity.omega_c_ref - spins.omega_zfs,
-                      env.delta_T, env.B_field)
-    dh_db = _dH_dB(env)
-    return (float(_slope(vec, idx, dh_db)),
-            float(_curvature(lam, vec, idx, dh_db)))
-
-
 __all__ = [
     "BRANCHES",
     "NoOperatingPointError",
-    "PolaritonSolution",
     "OperatingPoint",
     "mode_matrix",
-    "eigenfrequencies",
-    "polariton_energies_degenerate",
-    "branch_frequency_at",
-    "branch_frequency_rel",
-    "dnu_dT",
-    "dnu_dT_central_difference",
-    "dnu_dT_degenerate",
     "operating_point_closed_form",
     "operating_point_numeric",
     "branch_shifts",
-    "curvature_T_degenerate",
-    "magnetic_response",
 ]

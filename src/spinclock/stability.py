@@ -5,9 +5,9 @@ Shot-noise-limited precision of a homodyne frequency measurement:
     dnu = (kappa / sqrt(tau * I)) * sqrt(1 + xi^2 / 2),   xi = kappa_l / kappa
 
 with I the source power in photons/s and tau the integration time.
-``shot_noise_precision`` gives the 1 s value; ``stability_curve`` scales it
-by 1/sqrt(tau) over its integration times.  The fractional form divides by
-the carrier (the zero-field line center).
+``shot_noise_fractional`` gives the 1 s value divided by the carrier (the
+zero-field line center); ``stability_curve`` scales it by 1/sqrt(tau) over
+its integration times.
 
 The probe amplitude must stay low enough that the ensemble remains
 polarized; per spin, beta << sqrt(kappa * gamma * (gamma + Gamma)) / (4 g0 |t|).
@@ -99,20 +99,14 @@ class StabilityCurve:
         return float((self.sigma_shot[0] * math.sqrt(self.taus[0]) / floor) ** 2)
 
 
-def shot_noise_precision(cavity: CavityParams, probe: ProbeParams) -> float:
-    """Frequency precision dnu (rad/s) after integrating for 1 s:
-    kappa / sqrt(I) * sqrt(1 + xi^2 / 2)."""
-    xi = cavity.loss_ratio
-    return (cavity.kappa_out / math.sqrt(probe.photon_flux)) \
-        * math.sqrt(1.0 + 0.5 * _square(xi))
-
-
 def shot_noise_fractional(
     cavity: CavityParams, probe: ProbeParams, carrier: float
 ) -> float:
     """dnu / nu after integrating for 1 s, against the given carrier
-    frequency (rad/s)."""
-    return shot_noise_precision(cavity, probe) / carrier
+    frequency (rad/s), with dnu = kappa / sqrt(I) * sqrt(1 + xi^2 / 2)."""
+    xi = cavity.loss_ratio
+    return (cavity.kappa_out / math.sqrt(probe.photon_flux)) \
+        * math.sqrt(1.0 + 0.5 * _square(xi)) / carrier
 
 
 def low_excitation_bound(
@@ -229,7 +223,6 @@ __all__ = [
     "PolarizationState",
     "BetaBound",
     "StabilityCurve",
-    "shot_noise_precision",
     "shot_noise_fractional",
     "low_excitation_bound",
     "polarization_steady_state",

@@ -29,7 +29,6 @@ from .params import (
     SpinEnsembleParams,
     _one_of,
     _require,
-    instantaneous_frequencies,
 )
 
 AXIS_VARIABLES = ("probe_offset", "cavity_offset", "delta_T", "B_field")
@@ -111,18 +110,6 @@ def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c):
         cavity.kappa_out + cavity.kappa_loss
         + 1j * (np.asarray(omega_c) - np.asarray(omega_probe)) + c_value
     )
-
-
-def transmission_spectrum(
-    spins: SpinEnsembleParams,
-    cavity: CavityParams,
-    env: EnvironmentState,
-    omega_probe,
-):
-    """Complex t over an array of probe frequencies (convenience 1-D path)."""
-    _, _, omega_c = instantaneous_frequencies(spins, cavity, env)
-    c = susceptibility(spins, env, omega_probe)
-    return transmission_amplitude(cavity, c, omega_probe, omega_c)
 
 
 @dataclass(frozen=True)
@@ -213,6 +200,5 @@ __all__ = [
     "quadrature_of",
     "susceptibility",
     "transmission_amplitude",
-    "transmission_spectrum",
     "spectrum_sweep",
 ]

@@ -20,15 +20,9 @@ from spinclock.params import (
 )
 from spinclock.figures import figure_setup
 from spinclock.polariton import (
-    branch_frequency_at,
-    dnu_dT,
-    dnu_dT_central_difference,
-    eigenfrequencies,
-    magnetic_response,
     mode_matrix,
     operating_point_closed_form,
     operating_point_numeric,
-    polariton_energies_degenerate,
 )
 from spinclock.presets import table1_preset
 from spinclock.stability import (
@@ -38,6 +32,15 @@ from spinclock.stability import (
 )
 from spinclock.transmission import spectrum_sweep
 from spinclock.units import from_hz, to_hz
+
+from _oracles import (
+    branch_frequency_at,
+    dnu_dT,
+    dnu_dT_central_difference,
+    eigenfrequencies,
+    magnetic_response,
+    polariton_energies_degenerate,
+)
 
 ZFS = from_hz(2.87e9)
 

@@ -863,29 +863,34 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("argv,name,top,config", [
+@pytest.mark.parametrize("argv,name,top,config,named", [
     (["stability", "--tau", "5..1"], "stability",
-     {"tau_start_s": 5.0, "tau_stop_s": 1.0}, {}),
+     {"tau_start_s": 5.0, "tau_stop_s": 1.0}, {}, "tau_start_s"),
     (["stability", "--tau", "5..5"], "stability",
-     {"tau_start_s": 5.0, "tau_stop_s": 5.0}, {}),
-    (["stability", "--tau-points", "0"], "stability", {"tau_points": 0}, {}),
+     {"tau_start_s": 5.0, "tau_stop_s": 5.0}, {}, "tau_start_s"),
+    (["stability", "--tau-points", "0"], "stability", {"tau_points": 0}, {},
+     "tau_points"),
     (["spectrum", "--figure", "2c", "--points", "3",
       "--power-photons-per-s", "0"], "spectrum-figure", {},
-     {"photon_flux_per_s": 0.0}),
-    (["stability", "--B-nt", "inf"], "stability", {"db_stab_t": math.inf}, {}),
+     {"photon_flux_per_s": 0.0}, "photon_flux_per_s"),
+    (["stability", "--B-nt", "inf"], "stability", {"db_stab_t": math.inf}, {},
+     "db_stab_t"),
     (["spectrum", "--figure", "2c", "--points", "0"], "spectrum-figure",
-     {"axis1": {"points": 0}, "axis2": {"points": 0}}, {}),
+     {"axis1": {"points": 0}, "axis2": {"points": 0}}, {}, "axis1 'points'"),
     ([*_AXES_RUN[:4], "cavity_offset:1e6:-1e6", *_AXES_RUN[5:]],
-     "spectrum-axes", {"axis2": {"start": 1e6, "stop": -1e6}}, {}),
+     "spectrum-axes", {"axis2": {"start": 1e6, "stop": -1e6}}, {},
+     "axis2 'start'"),
     ([*_AXES_RUN[:4], "B_field:-1e-6:1e-6", *_AXES_RUN[5:]], "spectrum-axes",
      {"axis2": {"variable": "B_field", "start": -1e-6, "stop": 1e-6,
-                "unit": "t"}}, {}),
+                "unit": "t"}}, {}, "axis1 and axis2"),
 ], ids=["reversed-tau", "empty-tau", "no-tau-points", "spectrum-zero-power",
         "infinite-field-noise", "figure-zero-points", "reversed-axis",
         "one-variable-twice"])
-def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config):
+def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config,
+                                      named):
     # a value given by a flag and the same value in a valid sidecar exit 2
-    # with the same message after the name of the document, writing nothing
+    # with the same message after the name of the document, which names the
+    # document key, writing nothing
     doc = copy.deepcopy(_valid_sidecars()[name])
     for key, value in top.items():  # an axis takes the fields given
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
@@ -898,6 +903,7 @@ def test_flags_and_sidecar_fail_alike(tmp_path, argv, name, top, config):
     assert fresh[1].removeprefix(f"error: {argv[0]} ") \
         == replay[1].removeprefix(f"error: sidecar {sidecar} "), \
         (fresh, replay)
+    assert named in fresh[1] and named in replay[1], (named, fresh, replay)
     assert not out.parent.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,24 +30,26 @@ from spinclock.polariton import (
     _dH_dT,
     _slope,
     _solve,
-    branch_frequency_at,
-    branch_frequency_rel,
     branch_shifts,
+    mode_matrix,
+    operating_point_closed_form,
+    operating_point_numeric,
+)
+from spinclock.presets import table1_preset
+from spinclock.stability import environmental_floors, stability_curve
+from spinclock.units import from_hz, to_hz
+
+from _oracles import (
+    branch_frequency_at,
     curvature_T_degenerate,
     dnu_dT,
     dnu_dT_central_difference,
     dnu_dT_degenerate,
     eigenfrequencies,
+    exact_eigenvalue,
     magnetic_response,
-    mode_matrix,
-    operating_point_closed_form,
-    operating_point_numeric,
     polariton_energies_degenerate,
 )
-from spinclock.presets import table1_preset
-from spinclock.stability import environmental_floors, stability_curve
-from spinclock.units import from_hz, to_hz
-from test_stability import _exact_eigenvalue
 
 ZFS = from_hz(2.87e9)
 
@@ -338,7 +341,7 @@ def _exact_cavity_weight_excess(spins, env, idx, detuning):
          [coupling[1], 0, diag[2]]]
     lams = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in h]))
     width = 1e-3 * min(abs(lams[idx] - lams[j]) for j in range(3) if j != idx)
-    lam = _exact_eigenvalue(h, lams[idx], width)
+    lam = exact_eigenvalue(h, lams[idx], width)
     s = sum(c * c / (lam - w) ** 2 for c, w in zip(coupling, diag[1:]) if c)
     return 1 / (1 + s) - 1 / (1 - r_ratio)
 
@@ -420,12 +423,13 @@ _TRIPLET = [-2.16e6, 0.0, 2.16e6]  # the 14N hyperfine lines, Hz
 def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
     # the solve folds each branch into one line at its center: with the
     # triplet resolved it gave the unresolved D (4024922.36 Hz) and
-    # sigma_y(1 s) = 4.194e-12.  Each entry point refuses such a branch,
-    # before the solver errors of R >= 0 and of zero coupling
+    # sigma_y(1 s) = 4.194e-12.  Each entry point, and the solve the tests'
+    # readers share, refuses such a branch, before the solver errors of
+    # R >= 0 and of zero coupling
     base = table1_preset("current")
     preset = Preset.from_config({**base.to_config(), **classes,
                                  "r_ratio": r})
-    spins, cavity, env = preset.spins, preset.cavity, preset.env
+    spins, env = preset.spins, preset.env
     one_line = operating_point_numeric(base.spins, base.env)
     no_coupling = dataclasses.replace(spins, g_collective=0.0)
     calls = [
@@ -434,11 +438,7 @@ def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
         lambda: environmental_floors(spins, env, one_line, 1e-3, 1e-9),
         lambda: branch_shifts(spins, env, one_line, 1e-3, 1e-9),
         lambda: stability_curve(preset),
-        lambda: eigenfrequencies(spins, cavity, env),
-        lambda: dnu_dT(spins, cavity, env, "upper"),
-        lambda: magnetic_response(spins, cavity, env, "lower"),
-        lambda: branch_frequency_rel(spins, env, 1e6, "upper"),
-        lambda: branch_frequency_at(spins, env, np.zeros(3), "middle"),
+        lambda: _solve(spins, env, np.zeros(3), 0.0, 0.0),
     ]
     message = (f"{key}: the eigen model solves each branch as one line at "
                "its center, so it takes one spin class per branch, at "
@@ -558,3 +558,23 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, spinclock; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=60)
+
+
+def test_package_public_surface_is_pinned():
+    # every public name of the package, modules aside; a new one is a
+    # deliberate edit of this set
+    surface = {name for name, value in vars(spinclock).items()
+               if not name.startswith("_")
+               and not isinstance(value, types.ModuleType)}
+    assert surface == {
+        "BetaBound", "Branch", "CavityParams", "ConfigError",
+        "EnvironmentState", "NoOperatingPointError", "NoiseBudget",
+        "OperatingPoint", "PolarizationState", "Preset", "ProbeParams",
+        "SpinClass", "SpinEnsembleParams", "StabilityCurve", "SweepAxis",
+        "SweepResult", "environmental_floors", "from_hz",
+        "instantaneous_frequencies", "low_excitation_bound",
+        "operating_point_closed_form", "operating_point_numeric",
+        "polarization_steady_state", "shot_noise_fractional",
+        "spectrum_sweep", "stability_curve", "susceptibility",
+        "table1_preset", "to_hz",
+    }

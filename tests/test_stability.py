@@ -21,17 +21,18 @@ from spinclock.stability import (
     low_excitation_bound,
     polarization_steady_state,
     shot_noise_fractional,
-    shot_noise_precision,
     stability_curve,
 )
 from spinclock.units import from_hz, to_hz
+
+from _oracles import exact_eigenvalue
 
 
 def test_shot_noise_current_parameters():
     # kappa = 200 kHz, I = 1e18 /s, tau = 1 s, lossless cavity
     cavity = CavityParams(kappa_out=from_hz(200e3))
     probe = ProbeParams(photon_flux=1e18)
-    dnu = shot_noise_precision(cavity, probe)
+    dnu = shot_noise_fractional(cavity, probe, 1.0)  # rad/s on a unit carrier
     assert dnu == pytest.approx(from_hz(200e3) / 1e9, rel=1e-12)
     frac = shot_noise_fractional(cavity, probe, from_hz(2.87e9))
     assert frac == pytest.approx(7.0e-14, rel=0.01)
@@ -41,7 +42,8 @@ def test_shot_noise_matched_loss_factor():
     cavity_0 = CavityParams(kappa_out=from_hz(200e3))
     cavity_1 = CavityParams(kappa_out=from_hz(200e3), kappa_loss=from_hz(200e3))
     probe = ProbeParams(photon_flux=1e18)
-    ratio = shot_noise_precision(cavity_1, probe) / shot_noise_precision(cavity_0, probe)
+    ratio = (shot_noise_fractional(cavity_1, probe, 1.0)
+             / shot_noise_fractional(cavity_0, probe, 1.0))
     assert ratio == pytest.approx(math.sqrt(1.5), rel=1e-12)
 
 
@@ -50,12 +52,6 @@ def test_shot_noise_outlook_level():
     probe = ProbeParams(photon_flux=1e20)
     frac = shot_noise_fractional(cavity, probe, from_hz(2.87e9))
     assert frac == pytest.approx(1.7e-15, rel=0.03)
-
-
-def test_shot_noise_rejects_degenerate_inputs():
-    cavity = CavityParams()
-    with pytest.raises(ValueError):
-        shot_noise_precision(cavity, ProbeParams(photon_flux=0.0))
 
 
 def test_beta_bound_unbounded_cases():
@@ -158,29 +154,6 @@ def test_budget_composition_and_ordering():
     assert all(x >= 0 for x in (b.thermal_floor, b.magnetic_floor, b.pump_floor))
 
 
-def _exact_eigenvalue(h, guess, width):
-    """Eigenvalue of the rational 3x3 matrix ``h`` in guess +/- width, by
-    bisecting its characteristic polynomial in exact arithmetic to ~1e-30."""
-    def charpoly(lam):
-        m = [[(lam if i == j else 0) - h[i][j] for j in range(3)]
-             for i in range(3)]
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-    lo, hi = Fraction(guess) - Fraction(width), Fraction(guess) + Fraction(width)
-    f_lo = charpoly(lo)
-    assert f_lo * charpoly(hi) < 0  # exactly one eigenvalue inside
-    for _ in range(120):
-        mid = (lo + hi) / 2
-        f_mid = charpoly(mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def _exact_floor(spins, env, op, dh, offset):
     """|L(H0 + offset dH) - L(H0)| / nu0, H0 the float matrix of the solve at
     the operating point taken as exact rationals, the offset added exactly
@@ -197,8 +170,8 @@ def _exact_floor(spins, env, op, dh, offset):
                for j in range(3)] for i in range(3)]
     lams = np.linalg.eigvalsh(h0)
     width = 1e-3 * min(abs(lams[idx] - lams[j]) for j in range(3) if j != idx)
-    l0 = _exact_eigenvalue(exact0, lams[idx], width)
-    l1 = _exact_eigenvalue(exact1, lams[idx], width)
+    l0 = exact_eigenvalue(exact0, lams[idx], width)
+    l1 = exact_eigenvalue(exact1, lams[idx], width)
     return float(abs(l1 - l0) / (Fraction(spins.omega_zfs) + l0))
 
 
