@@ -18,25 +18,32 @@ Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
 digits CPython's ``repr`` writes: the shortest decimal that reads back as the
 same double, and the nearest one among those.  Its common case needs only a
 64x128-bit multiply-and-shift and a loop that drops decimal digits, so it runs
-here on whole uint64 arrays, the multiply in 32-bit limbs.  It runs only below
-2^49, where Ryu's binary exponent e2 is below -5: every double in
-[2^49, 2^54) takes Ryu's general case anyway (its q <= 2, and 2^q divides
-the 4 m that Ryu scales), and from 2^54 up Ryu needs a second table of
-multipliers and checks of divisibility by 5^q, for values no reference run
-writes.  One product gives
-the scaled value vr and the bits below it; the interval bounds vp and vm are
-vr plus or minus fixed steps of the exponent, with the carry those bits
-decide.  A lane that Ryu sends to its general case (a product with trailing
-decimal zeros, or an interval bound that is itself a candidate), a lane
-whose carry the 64 bits kept cannot decide, and zero are formatted with
-``repr`` instead.  The digits are then laid out as ``repr`` does: positional
-for decimal points from -3 to 16 (``0.0001``, ``1000000000000000.0``),
-scientific below them (``1e-05``); no double below 2^49 has its point past 15.
+here on whole uint64 arrays, the multiply's high words summed from 32-bit
+halves.  It runs only below 2^49, where Ryu's binary exponent e2 is below
+-5: every double in [2^49, 2^54) takes Ryu's general case anyway (its
+q <= 2, and 2^q divides the 4 m that Ryu scales), and from 2^54 up Ryu
+needs a second table of multipliers and checks of divisibility by 5^q, for
+values no reference run writes.  One product gives the scaled value vr and
+the bits below it; the interval bounds vp and vm are vr plus or minus fixed
+steps of the exponent, with the carry those bits decide.  A lane that Ryu
+sends to its general case (a product with trailing decimal zeros, or an
+interval bound that is itself a candidate), a lane whose carry the 64 bits
+kept cannot decide, and zero are formatted with ``repr`` instead.  The
+digits are then laid out as ``repr`` does: positional for decimal points
+from -3 to 16 (``0.0001``, ``1000000000000000.0``), scientific below them
+(``1e-05``); no double below 2^49 has its point past 15.
 
-Texts are built as 24-byte little-endian strings, three uint64 words per
-value, so that moving digits to their places is a shift, not a gather.  The
-tables (Ryu's 5^i per binary exponent, digit and layout texts)
-are built from Python ints on first use, not at import.
+Each lane reads what depends only on its binary exponent or on its text's
+layout with one gather from a table.  The exponent table has a row per
+biased exponent below 2^49: Ryu's multiplier and shift, the steps from vr to
+the bounds, the bits whose zeros send a lane to the general case, and the
+decimal exponent.  The layout table has a row per layout class, a decimal
+point's place and a digit count: which bytes stay and which move past the
+point, how far, the bytes around the digits, and the scale that left-aligns
+the digits.  Texts are built as 24-byte little-endian strings, three uint64
+words per value, so that moving digits to their places is a shift, not a
+gather.  The two tables, and the texts of the numbers below 10^4 and of the
+exponents, are built from Python ints on first use, not at import.
 """
 
 from __future__ import annotations
@@ -53,23 +60,39 @@ REPR_WIDTH = 23
 # kernel's temporaries (about 300 bytes a value) take about a megabyte.
 _BLOCK_ROWS = 4096
 _MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
-# Values below which a block costs less through repr than through
-# shortest_repr, whose fixed cost is a few hundred numpy calls (break-even
-# near 550 on a 2-core host, so small tables such as stability's keep repr)
+# Values below which a block goes to repr rather than to shortest_repr,
+# whose fixed cost is about a hundred numpy calls.  The measured break-even
+# is near 250 values on a 2-core host, but lowering the constant would move
+# stability's 123-483-value tables onto the kernel: a change of its own, to
+# be made with paired benchmark runs.
 _VECTOR_MIN = 1024
 
 _POW5_BITS = 125  # bits kept of 5^i (Ryu's table width)
 # The biased exponent of 2^49: the kernel runs on the doubles below it
 _EXP_2_49 = 1023 + 49
 _BITS_2_49 = np.uint64(_EXP_2_49 << 52)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 _U1 = np.uint64(1)
 _U32 = np.uint64(32)
 _M32 = np.uint64(2 ** 32 - 1)
 _MANTISSA = np.uint64(2 ** 52 - 1)
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-# Bytes [0, k) of a 24-byte string, as three little-endian words per k
-_BELOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1
-                    for k in range(25)] for w in range(3)], dtype=np.uint64)
+_HIDDEN = np.uint64(1 << 52)
+# The exponent table has a row per biased exponent below 2^49: the hidden
+# bit; 2^52 where the exponent is above 1, so that a power of two's
+# mantissa | it is 2^52; the mask of the q bits whose zeros send a lane to
+# Ryu's general case; the decimal exponent of vr; the shift j - 64 of
+# vr = floor(4 m c / 2^j), 54 to 57, and 64 less it; c as four 32-bit limbs
+# and as two 64-bit words (_mul_shift); and the whole part and the top 64
+# bits of the fraction of c / 2^j and of 2 c / 2^j, the steps from vr to
+# its bounds.
+# The layout table has a row per layout class, (point + 4) * 17 + count - 1
+# for a decimal point after ``point`` of ``count`` digits, from -4 to 16,
+# where -4 stands for every scientific text: the bytes the first digits keep
+# and the bytes the rest move from, three words each; the bytes around the
+# digits ("0.00", "." or "0.0"), three words; the move in bits, and 64 less
+# it; and 10^(17 - count), which left-aligns the digits in 17 places.
+_LAYOUT_COLUMNS = 12
 
 
 def _pow5bits(e):
@@ -77,53 +100,67 @@ def _pow5bits(e):
     return ((e * 1217359) >> 19) + 1
 
 
+def _layouts() -> bytes:
+    """The layout table's rows, as little-endian bytes."""
+    rows = []
+    for point in range(-4, 17):
+        for count in range(1, 18):
+            if point < -3:  # the first digit, a point if more follow
+                split, move, text = 1, 1, b"\0." if count > 1 else b""
+            elif point <= 0:
+                split, move, text = 0, 2 - point, b"0." + b"0" * -point
+            elif point < count:
+                split, move, text = point, 1, b"\0" * point + b"."
+            else:
+                split, move = count, 1
+                text = b"\0" * count + b"0" * (point - count) + b".0"
+            head = (1 << 8 * split) - 1
+            rows += [head.to_bytes(24, "little"),
+                     ((1 << 8 * count) - 1 - head).to_bytes(24, "little"),
+                     text.ljust(24, b"\0")]
+            rows += [v.to_bytes(8, "little")
+                     for v in (8 * move, 64 - 8 * move, 10 ** (17 - count))]
+    return b"".join(rows)
+
+
 @functools.cache
 def _tables() -> dict:
     """Every table, built on first use and read-only."""
-    # Ryu's multipliers c of 125 bits for e2 < 0: 5^i, by i
-    c = [5 ** i << _POW5_BITS >> _pow5bits(i) for i in range(326)]
-    limbs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in c),
-                          dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
-    # each biased exponent's row of them, shift j of vr = floor(4 m c / 2^j),
-    # q, and the decimal exponent of vr, for the exponents below 2^49
-    e2 = np.maximum(np.arange(_EXP_2_49), 1) - (1023 + 52 + 2)
-    # floor(log10(5^-e2)), less one
+    # Ryu's multipliers c of 125 bits for e2 < 0: 5^i, by i, as two words
+    pow5 = [5 ** i << _POW5_BITS >> _pow5bits(i) for i in range(326)]
+    words = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in pow5),
+                          dtype="<u8").reshape(-1, 2)
+    exponent = np.arange(_EXP_2_49)
+    e2 = np.maximum(exponent, 1) - (1023 + 52 + 2)
+    # floor(log10(5^-e2)), less one; at least 3 here
     q = (-e2 * 732923 >> 20) - (e2 < -1)
-    limbs = np.take(limbs, -e2 - q, axis=1)
+    # each biased exponent's c, as _mul_shift takes it
+    words = words[-e2 - q]
+    c = np.stack([words[:, 0] & _M32, words[:, 0] >> _U32,
+                  words[:, 1] & _M32, words[:, 1] >> _U32,
+                  words[:, 0], words[:, 1]])
     shift = (q - _pow5bits(-e2 - q) + _POW5_BITS - 64).astype(np.uint64)
-    # c / 2^j and 2 c / 2^j, the steps from vr to the interval's bounds:
-    # whole parts and the top 64 bits of their fractions
-    steps = [_mul_shift(np.full(e2.size, d, dtype=np.uint64), limbs, shift)
-             for d in (1, 2)]
+    steps = [_mul_shift(np.full(e2.size, d, dtype=np.uint64), c, shift,
+                        np.uint64(64) - shift) for d in (1, 2)]
+    zero = np.uint64(0)
+    # the low q bits of mv, which Ryu tests for zeros only for q < 63
+    trailing = np.where(q < 63, (_U1 << np.minimum(q, 63).astype(np.uint64))
+                        - _U1, ~zero)
+    exponents = np.stack([np.where(exponent > 0, _HIDDEN, zero),
+                          np.where(exponent > 1, _HIDDEN, zero), trailing,
+                          (q + e2).astype(np.uint64), shift,
+                          np.uint64(64) - shift, *c,
+                          *steps[0], *steps[1]], axis=1)
     digits = np.arange(10_000, dtype=np.uint16)[:, None] \
         // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
-    positional = []
-    for point in range(-3, 17):
-        for count in range(1, 18):
-            if point <= 0:
-                text = b"0." + b"0" * -point + b"\0" * count
-            elif point < count:
-                text = b"\0" * point + b"." + b"\0" * (count - point)
-            else:
-                text = b"\0" * count + b"0" * (point - count) + b".0"
-            positional.append(text.ljust(24, b"\0"))
     tables = {
-        # by biased exponent: c as 32-bit limbs, (4, _EXP_2_49); the whole
-        # and fraction parts of c / 2^j and 2 c / 2^j, (2, _EXP_2_49) each;
-        # j - 64; q and the decimal exponent of vr
-        "limbs": limbs,
-        "whole": np.array([whole for whole, _ in steps]),
-        "fraction": np.array([fraction for _, fraction in steps]),
-        "shift": shift,
-        "q": q,
-        "e10": q + e2,
+        "exponent": exponents,
+        "layout": np.frombuffer(_layouts(), dtype="<u8")
+        .reshape(-1, _LAYOUT_COLUMNS).copy(),
         # the text of each number below 10^4, first digit in the low byte
         "quads": digits.astype(np.uint8).view("<u4")[:, 0].copy(),
-        # the bytes around the digits of each positional layout, (3, 340) by
-        # (point + 3) * 17 + count - 1, and "e-324" ... "e-05" by exponent
-        "positional": np.frombuffer(b"".join(positional), dtype="<u8")
-        .reshape(-1, 3).T.copy(),
-        "exponent": np.frombuffer(b"".join(
+        # "e-324" ... "e-05" by exponent
+        "suffix": np.frombuffer(b"".join(
             (b"e%03d" % e).ljust(8, b"\0") for e in range(-324, -4)),
             dtype="<u8").copy(),
     }
@@ -132,27 +169,32 @@ def _tables() -> dict:
     return tables
 
 
-def _mul_shift(m: np.ndarray, limbs: np.ndarray, shift: np.ndarray):
+def _mul_shift(m: np.ndarray, c: np.ndarray, shift: np.ndarray,
+               left: np.ndarray):
     """floor(m c / 2^(64 + shift)) and the 64 bits of m c below it, for
-    m < 2^56 and c < 2^126 given as ``limbs`` (4, n) of 32 bits, with
-    shift < 64 and a quotient below 2^64."""
-    product = np.zeros((6,) + m.shape, dtype=np.uint64)  # 32-bit limbs
-    t = np.empty_like(m)
-    for a, m_limb in enumerate((m & _M32, m >> _U32)):
-        for b, c_limb in enumerate(limbs):
-            # below (2^32 - 1)^2 + 2^33 - 1 = 2^64: a limb holds at most
-            # its own 32 bits and the carry into it
-            np.multiply(m_limb, c_limb, out=t)
-            t += product[a + b]
-            np.bitwise_and(t, _M32, out=product[a + b])
-            t >>= _U32
-            product[a + b + 1] += t
-    low, middle, high = (product[k] | product[k + 1] << _U32
-                         for k in (0, 2, 4))
-    # x << (64 - shift) in two steps: a uint64 shift by 64 is undefined
-    left = np.uint64(63) - shift
-    return (middle >> shift | (high << _U1) << left,
-            low >> shift | (middle << _U1) << left)
+    m < 2^56 and c < 2^126 given as rows c0, c1, c2, c3 of 32 bits and
+    c0 + 2^32 c1, c2 + 2^32 c3, with 0 < shift < 64, ``left`` 64 - shift
+    and a quotient below 2^64.
+    The products' low 64 bits are uint64 products, which wrap; their high
+    ones are summed from 32-bit halves, no sum reaching 2^64."""
+    m0, m1 = m & _M32, m >> _U32
+
+    def high(y0, y1):
+        """floor(m y / 2^64) for y = y0 + 2^32 y1"""
+        t = m0 * y0 >> _U32
+        t += m0 * y1
+        u = m1 * y0
+        u += t & _M32
+        u >>= _U32
+        u += m1 * y1
+        u += t >> _U32
+        return u
+
+    spill = high(c[0], c[1])
+    middle = spill + m * c[5]
+    top = high(c[2], c[3]) + (middle < spill)
+    low = m * c[4]
+    return middle >> shift | top << left, low >> shift | middle << left
 
 
 def _divmod(x: np.ndarray, c: int) -> tuple:
@@ -168,53 +210,56 @@ def _digits(bits: np.ndarray) -> tuple:
     ``bits``: each lane's shortest digits as an integer, its decimal
     exponent, and whether it needs Ryu's general case instead (whose digits
     are then not used)."""
-    tables = _tables()
-    exponent = (bits >> np.uint64(52)).astype(np.intp)
+    (hidden, power, trailing, e10, shift, left, *c, whole1, fraction1, whole2,
+     fraction2) = np.take(_tables()["exponent"], bits >> np.uint64(52),
+                          axis=0).T
     mantissa = bits & _MANTISSA
-    mv = np.where(exponent != 0, mantissa | np.uint64(1 << 52),
-                  mantissa) << np.uint64(2)
-    # the lower bound is nearer for a power of two: 1/4 ulp below, not 1/2
-    mm_shift = ((mantissa != 0) | (exponent <= 1)).astype(np.uint64)
-    vr, below = _mul_shift(mv, np.take(tables["limbs"], exponent, axis=1),
-                           tables["shift"][exponent])
-    # The bounds (mv + 2) c and (mv - 1 - mm_shift) c over 2^j, as vr plus
-    # or minus the whole part of 2 c / 2^j (c / 2^j), and one more where the
-    # fractions carry.  Of the j bits below vr only the top 64 are kept, so
-    # a sum of 2^64 - 1, or equal words, leaves the carry to the bits below:
-    # such a lane goes to the general case.
-    whole, fraction = tables["whole"], tables["fraction"]
-    upper = below + fraction[1, exponent]
-    vp = vr + whole[1, exponent] + (upper < below)
-    lower = fraction[mm_shift, exponent]
-    vm = vr - whole[mm_shift, exponent] - (below < lower)
-    unsure = (upper == np.uint64(2 ** 64 - 1)) | (below == lower)
-
+    mv = (mantissa | hidden) << np.uint64(2)
+    vr, below = _mul_shift(mv, c, shift, left)
+    # The bounds (mv + 2) c and (mv - 2) c over 2^j, as vr plus or minus the
+    # whole part of 2 c / 2^j, and one more where the fractions carry; for a
+    # power of two the lower bound is nearer, (mv - 1) c / 2^j.  Of the j
+    # bits below vr only the top 64 are kept, so a sum of 2^64 - 1, or equal
+    # words, leaves the carry to the bits below: such a lane goes to the
+    # general case.
+    upper = below + fraction2
+    vp = vr + whole2 + (upper < below)
+    nearer = (mantissa | power) == _HIDDEN
+    whole = np.where(nearer, whole1, whole2)
+    lower = np.where(nearer, fraction1, fraction2)
+    vm = vr - whole - (below < lower)
     # Ryu's general case: the exact product has q trailing zeros, or an
     # interval bound is exact.  For a binary exponent e2 < 0 that is a
-    # matter of 2^q dividing mv (always so for q <= 1, as 4 divides it,
-    # and never taken for q >= 63).
-    q = tables["q"][exponent]
-    low = np.uint64(64) - np.clip(q, 1, 63).astype(np.uint64)
-    general = unsure | (q < 63) & (mv << low == 0)
+    # matter of 2^q dividing mv (never so for q >= 63).
+    general = (upper == np.uint64(2 ** 64 - 1)) | (below == lower) \
+        | (mv & trailing == 0)
 
-    # Drop the digits the interval (vm, vp] lets go.  One d wide holds a
-    # multiple of each 10^k <= d, so those go at once; the loop then takes
-    # the lanes whose interval holds a rounder number.
-    removed = np.searchsorted(_POW10, vp - vm, side="right") - 1
-    cut = _POW10[removed]
-    p, m = vp // cut, vm // cut
-    lanes = np.arange(bits.size)
+    # Drop the digits the interval (vm, vp] lets go: the k-th goes where it
+    # holds a multiple of 10^k.  It is 30 to 400 wide (the steps' whole
+    # parts are 10 to 199), so the first always goes.  Once one does not go,
+    # no later one does, so the next steps run on every lane, and the loop
+    # takes the few whose interval holds rounder numbers still.
+    p, m = vp // np.uint64(10), vm // np.uint64(10)
+    removed = np.ones(bits.size, dtype=np.int64)
+    for _ in range(2):
+        p //= np.uint64(10)
+        m //= np.uint64(10)
+        removed += p > m
+    lanes = np.flatnonzero(p > m)
+    p, m = p[lanes], m[lanes]
     while lanes.size:
         p //= np.uint64(10)
         m //= np.uint64(10)
         more = p > m
         lanes, p, m = lanes[more], p[more], m[more]
         removed[lanes] += 1
-    head, last = _divmod(vr // _POW10[np.maximum(removed - 1, 0)], 10)
-    digits = np.where(removed > 0, head, vr)
-    # round half up on the last digit dropped, or up off an excluded vm
-    digits += (removed > 0) & (last >= 5) | (digits == vm // _POW10[removed])
-    return digits, tables["e10"][exponent] + removed, general
+    cut = _POW10[removed]
+    digits = vr // cut
+    floor = digits * cut
+    dropped = vr - floor
+    # round half up on the digits dropped, or up off an excluded vm
+    digits += (dropped >= cut - dropped) | (vm >= floor)
+    return digits, e10.view(np.int64) + removed, general
 
 
 def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
@@ -222,7 +267,8 @@ def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
     (0 to 23) toward its end; what passes the end is lost."""
     bits = ((nbytes & 7) << 3).astype(np.uint64)
     moved = words << bits
-    # what each word passes to the next, in two steps, as in _mul_shift
+    # what each word passes to the next, in two steps: a uint64 shift by 64
+    # is undefined
     moved[1:] |= (words[:-1] >> _U1) >> (np.uint64(63) - bits)
     skip = nbytes >> 3  # whole words
     if not skip.any():
@@ -237,36 +283,43 @@ def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
 
 def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     """The repr of ``digits``, ``count`` of them, with the decimal point
-    after ``point`` of them, as (3, n) little-endian words."""
+    after ``point`` of them, as (n, 3) little-endian words."""
     tables = _tables()
     quads = tables["quads"]
+    layout = np.take(tables["layout"],
+                     np.maximum(point, -4) * 17 + (4 * 17 - 1) + count,
+                     axis=0).T
+    head, tail, around = layout[0:3], layout[3:6], layout[6:9]
+    bits, right, scale = layout[9:]
     # the digits left-aligned in 17 places, as text from byte 0 on
-    first, rest = _divmod(digits * _POW10[17 - count], 10 ** 16)
+    first, rest = _divmod(digits * scale, 10 ** 16)
     first += np.uint64(ord("0"))
     top, bottom = _divmod(rest, 10 ** 8)
-    low, high = (quads[q] | quads[r] << _U32
+    low, high = (np.take(quads, q) | np.take(quads, r) << _U32
                  for q, r in (_divmod(top, 10 ** 4), _divmod(bottom, 10 ** 4)))
-    raw = np.stack([first | low << np.uint64(8),
-                    low >> np.uint64(56) | high << np.uint64(8),
-                    high >> np.uint64(56)])
-    scientific = point < -3
-    # digits [0, split) stay and the rest move one byte on, past the point;
-    # below 1 all of them move past "0.", "0.0", ...
-    split = np.where(scientific, 1, np.clip(point, 0, count))
-    head = np.take(_BELOW, split, axis=1)
-    tail = raw & ~head & np.take(_BELOW, count, axis=1)
-    text = raw & head | _shl(tail, np.where(~scientific & (point <= 0),
-                                            2 - point, 1))
-    text |= np.where(scientific, np.uint64(0), np.take(
-        tables["positional"], (np.maximum(point, -3) + 3) * 17 + count - 1,
-        axis=1))
-    lanes = np.flatnonzero(scientific)
+    raw = (first | low << np.uint64(8),
+           low >> np.uint64(56) | high << np.uint64(8),
+           high >> np.uint64(56))
+    # the first digits stay and the rest move past the point: one byte, or
+    # below 1 past "0.", "0.0", ...; no move passes a word.  The words are
+    # taken one at a time: numpy runs a (n, 3) operand three values a call.
+    text = np.empty((digits.size, 3), dtype=np.uint64)
+    for w in range(3):
+        moving = raw[w] & tail[w]
+        word = raw[w] & head[w]
+        word |= around[w]
+        word |= moving << bits
+        if w:  # what the word before passes on
+            word |= carry >> right
+        text[:, w] = word
+        carry = moving
+    lanes = np.flatnonzero(point < -3)  # scientific
     if lanes.size:
-        several = count[lanes] > 1
-        text[0, lanes] |= several * np.uint64(ord(".") << 8)
-        exponent = np.zeros((3, lanes.size), dtype=np.uint64)
-        exponent[0] = tables["exponent"][point[lanes] + 323]
-        text[:, lanes] |= _shl(exponent, count[lanes] + several)
+        suffix = np.zeros((3, lanes.size), dtype=np.uint64)
+        suffix[0] = tables["suffix"][point[lanes] + 323]
+        suffix = _shl(suffix, count[lanes] + (count[lanes] > 1))
+        for w in range(3):
+            text[lanes, w] |= suffix[w]
     return text
 
 
@@ -282,17 +335,14 @@ def _repr_rows(bits: np.ndarray) -> np.ndarray:
 def shortest_repr(bits: np.ndarray) -> np.ndarray:
     """``repr`` of non-negative finite float64 magnitudes given as their
     uint64 ``bits``, as NUL-padded bytes shaped (n, REPR_WIDTH)."""
-    # zero and the doubles from 2^49 up go to repr without the kernel
+    # zero and the doubles from 2^49 up go to repr; the kernel reads 1.0 in
+    # their place, whose text repr then overwrites
     slow = (bits == 0) | (bits >= _BITS_2_49)
-    fast = ~slow
-    digits = np.empty_like(bits)
-    exponent = np.empty(bits.size, dtype=np.intp)
-    digits[fast], exponent[fast], slow[fast] = _digits(bits[fast])
-    digits[slow], exponent[slow] = 1, 0  # any value in range
+    digits, exponent, general = _digits(np.where(slow, _ONE_BITS, bits))
+    slow |= general
     count = np.searchsorted(_POW10, digits, side="right")
-    words = _text(digits, count, exponent + count)
-    text = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)[
-        :, :REPR_WIDTH]
+    text = _text(digits, count, exponent + count).astype(
+        "<u8", copy=False).view(np.uint8)[:, :REPR_WIDTH]
     lanes = np.flatnonzero(slow)
     if lanes.size:
         text[lanes] = _repr_rows(bits[lanes])

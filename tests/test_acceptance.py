@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 and the recorded (non-asserted) comparisons.
 """
 
-import json
 import math
 import time
 
@@ -15,7 +14,6 @@ from spinclock.cli import main as cli_main
 from spinclock.params import (
     CavityParams,
     EnvironmentState,
-    ProbeParams,
     SpinEnsembleParams,
 )
 from spinclock.figures import figure_setup

@@ -1,5 +1,8 @@
 """The vectorised shortest round-trip formatter against ``repr``."""
 
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,37 @@ def _assert_repr(values) -> None:
     wrong = [(repr(v), g) for v, g in zip(values.tolist(), got)
              if repr(v).encode() != g]
     assert not wrong, (len(wrong), wrong[:5])
+
+
+def _layout(value: float) -> tuple:
+    """The decimal point and digit count of ``repr(value)``: the point after
+    ``point`` digits, with -4 for every scientific text below 1e-04."""
+    _, digits, exponent = Decimal(repr(value)).normalize().as_tuple()
+    point = exponent + len(digits)
+    return (-4 if "e-" in repr(value) else point), len(digits)
+
+
+# The layout classes the kernel writes: -4 for scientific, and a point from
+# -3 to 15 after fewer digits than there are.  A double whose repr is a whole
+# number (point >= count) takes Ryu's general case, and one from 1e15 up
+# (point 16) is past 2^49, so those classes meet repr's own text, not the
+# kernel's, and are left out.
+@pytest.mark.parametrize("point,count", [
+    (point, count) for point in range(-4, 16) for count in range(1, 18)
+    if point < count])
+def test_every_layout_class(point, count):
+    # a decimal of `count` digits ending in a non-zero one, then the doubles
+    # beside it until one's repr has the layout asked for
+    digits = ("123456789" * 2)[:count]
+    value = float(f"0.{digits}e{point if point > -4 else -6}")
+    for _ in range(400):
+        if _layout(value) == (point, count):
+            break
+        value = math.nextafter(value, math.inf)
+    else:
+        pytest.fail("no double near the decimal has the layout")
+    assert value < 2.0 ** 53
+    _assert_repr([value])
 
 
 def test_random_bit_patterns_of_every_exponent():
@@ -135,7 +169,7 @@ def test_table_magnitudes_take_the_vector_path(tmp_path, monkeypatch, argv,
 
 def test_kernel_stops_below_two_to_the_49(monkeypatch):
     # from 2^49 up every double takes Ryu's general case, so such lanes go
-    # to repr without reaching the kernel
+    # to repr, and the kernel reads 1.0 in their place
     reached = []
     digits = _table._digits
 
@@ -147,4 +181,4 @@ def test_kernel_stops_below_two_to_the_49(monkeypatch):
     values = _neighbours([2.0 ** 49, 2.0 ** 50, 2.0 ** 53, 1e300])
     _assert_repr(values)
     assert np.concatenate(reached).view(np.float64).tolist() \
-        == values[values < 2.0 ** 49].tolist()
+        == np.where(values < 2.0 ** 49, values, 1.0).tolist()

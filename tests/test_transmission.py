@@ -31,7 +31,7 @@ from spinclock.transmission import (
     susceptibility,
     transmission_amplitude,
 )
-from spinclock.units import from_hz, to_hz
+from spinclock.units import from_hz
 
 ZFS = from_hz(2.87e9)
 
