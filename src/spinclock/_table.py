@@ -88,7 +88,9 @@ _HIDDEN = np.uint64(1 << 52)
 # its bounds.
 # The layout table has a row per layout class, (point + 4) * 17 + count - 1
 # for a decimal point after ``point`` of ``count`` digits, from -4 to 16,
-# where -4 stands for every scientific text: the bytes the first digits keep
+# where -4 stands for every scientific text; a whole number's row (point >=
+# count) is zeros, as every integer-valued double takes Ryu's general case
+# and gets repr's text.  A row holds the bytes the first digits keep
 # and the bytes the rest move from, three words each; the bytes around the
 # digits ("0.00", "." or "0.0"), three words; the move in bits, and 64 less
 # it; and 10^(17 - count), which left-aligns the digits in 17 places.
@@ -111,9 +113,9 @@ def _layouts() -> bytes:
                 split, move, text = 0, 2 - point, b"0." + b"0" * -point
             elif point < count:
                 split, move, text = point, 1, b"\0" * point + b"."
-            else:
-                split, move = count, 1
-                text = b"\0" * count + b"0" * (point - count) + b".0"
+            else:  # a whole number: Ryu's general case, so repr writes it
+                rows.append(bytes(8 * _LAYOUT_COLUMNS))
+                continue
             head = (1 << 8 * split) - 1
             rows += [head.to_bytes(24, "little"),
                      ((1 << 8 * count) - 1 - head).to_bytes(24, "little"),

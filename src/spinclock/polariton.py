@@ -126,8 +126,9 @@ def _coupling_pattern(spins: SpinEnsembleParams) -> tuple[float, float]:
 
 
 def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
-           detuning, delta_T, b_field):
-    """Eigen solve of the mode matrix in the line-center frame.
+           detuning, delta_T, b_field, pattern: tuple[float, float]):
+    """Eigen solve of the mode matrix in the line-center frame, with the
+    branch couplings g * ``pattern``, the ensemble's ``_coupling_pattern``.
 
     Every frequency is taken relative to omega_zfs (an exact constant
     shift), so differences across small temperature or field offsets never
@@ -137,7 +138,7 @@ def _solve(spins: SpinEnsembleParams, env: EnvironmentState,
     eigenvectors (..., 3, 3) as columns.
     """
     g = spins.branch_coupling
-    p, m = _coupling_pattern(spins)
+    p, m = pattern
     thermal = env.dwa_dT * delta_T
     zeeman = env.gyromagnetic * b_field
     h = mode_matrix(
@@ -259,16 +260,18 @@ def operating_point_closed_form(g: float, R: float) -> tuple[float, float]:
 
 
 def _insensitive_detunings(spins: SpinEnsembleParams, env: EnvironmentState,
-                           idx: int) -> list[float]:
+                           idx: int,
+                           pattern: tuple[float, float]) -> list[float]:
     """Every detuning at which branch ``idx`` has zero thermal slope, R < 0.
 
     The closed forms of the module docstring, at the field and temperature
-    of ``env``.  None squares g or cubes a detuning, so each stays finite
-    wherever the root is a float.
+    of ``env``, for the ensemble's ``_coupling_pattern`` ``pattern``.  None
+    squares g or cubes a detuning, so each stays finite wherever the root
+    is a float.
     """
     # Python floats: no numpy overflow warnings, and bools that add as ints
     g = float(spins.branch_coupling)
-    p, m = _coupling_pattern(spins)
+    p, m = pattern
     r = -float(env.R_ratio)
     thermal = float(env.dwa_dT * env.delta_T)
     zeeman = float(env.gyromagnetic * env.B_field)
@@ -310,7 +313,8 @@ def operating_point_numeric(
     a (R v_c^2 + 1 - v_c^2) keeps the sign of a.
     """
     idx = _branch_index(branch)
-    _coupling_pattern(spins)  # a folded ensemble fails before a solver error
+    # read once, so a folded ensemble fails before a solver error
+    pattern = _coupling_pattern(spins)
     g = spins.branch_coupling
     if not g > 0:
         raise NoOperatingPointError(
@@ -324,7 +328,8 @@ def operating_point_numeric(
             "response, dnu/dT keeps its sign or vanishes on every branch"
         )
     lo, hi = -20.0 * g, 20.0 * g
-    roots = [d for d in _insensitive_detunings(spins, env, idx) if lo <= d <= hi]
+    roots = [d for d in _insensitive_detunings(spins, env, idx, pattern)
+             if lo <= d <= hi]
     if not roots:
         raise NoOperatingPointError(
             f"dnu/dT has no sign change on branch {branch!r} in "
@@ -332,7 +337,7 @@ def operating_point_numeric(
         )
     root = min(roots)
     dh_dt = _dH_dT(env)
-    lam, vec = _solve(spins, env, root, env.delta_T, env.B_field)
+    lam, vec = _solve(spins, env, root, env.delta_T, env.B_field, pattern)
     residual = float(_slope(vec, idx, dh_dt))
     if abs(residual) > 1e-6 * abs(env.dwa_dT):
         raise NoOperatingPointError(

@@ -79,17 +79,37 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     omega_j = omega_zfs + offset_j + thermal +/- zeeman.  Classes are summed
     one at a time, so C only spans the axes its inputs span and no
     temporary grows past their broadcast shape.
+
+    A term reads only its class's offset, coupling and, where the field is
+    non-zero, Zeeman sign, so classes that agree on those share one line:
+    at zero field the m_s = +/-1 lines coincide.  Each distinct line's
+    division runs once, and its term is added back for every class that
+    shares it, in class order, so C is bit for bit the class-by-class sum.
+    A term is kept only until its last class has read it.
     """
     hw = spins.halfwidth
     if hw <= 0:
         raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
+    # with the field at (signed) zero, +/- zeeman add the same bits to the
+    # positive omega_zfs sum, so the sign is no part of a line's key
+    signed = bool(np.any(zeeman))
+    lines = [(cls.detuning_offset, spins.class_coupling(cls),
+              1.0 if cls.branch is Branch.PLUS or not signed else -1.0)
+             for cls in spins.spin_classes]
+    last = {line: j for j, line in enumerate(lines)}
+    terms = {}
     c_value = 0.0  # no classes: bare cavity
-    for cls in spins.spin_classes:
-        sign = 1.0 if cls.branch is Branch.PLUS else -1.0
-        center = spins.omega_zfs + cls.detuning_offset + thermal + sign * zeeman
-        g_j = spins.class_coupling(cls)
-        # g_j * g_j overflows to inf where a float's ** 2 raises OverflowError
-        c_value = c_value + g_j * g_j / (hw + 1j * (center - omega))
+    for j, line in enumerate(lines):
+        term = terms.pop(line, None)
+        if term is None:
+            offset, g_j, sign = line
+            center = spins.omega_zfs + offset + thermal + sign * zeeman
+            # g_j * g_j overflows to inf where a float's ** 2 raises
+            # OverflowError
+            term = g_j * g_j / (hw + 1j * (center - omega))
+        if last[line] > j:
+            terms[line] = term
+        c_value = c_value + term
     return c_value
 
 
@@ -103,13 +123,17 @@ def susceptibility(
     return c if omega.ndim else complex(c)
 
 
-def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c):
-    """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly."""
+def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c,
+                           out=None):
+    """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly.
+
+    ``out`` is numpy's: the division writes t into it, which the inputs
+    broadcast to, and it is returned."""
     # one expression, so numpy reuses the grid-sized temporaries in place
-    return cavity.kappa_out / (
+    return np.divide(cavity.kappa_out, (
         cavity.kappa_out + cavity.kappa_loss
         + 1j * (np.asarray(omega_c) - np.asarray(omega_probe)) + c_value
-    )
+    ), out=out)
 
 
 @dataclass(frozen=True)
@@ -160,7 +184,10 @@ def spectrum_sweep(
     scalar, so C(omega) only spans the axes it depends on (the probe axis
     alone in a probe-vs-cavity sweep).  The grid is filled one block of about
     ``_BLOCK_POINTS`` points at a time, so no temporary grows past one block
-    and the preallocated ``(n1, n2)`` result is the only grid-sized array.
+    and the preallocated ``(n1, n2)`` result is the only grid-sized array:
+    each block's division writes straight into its rows (numpy's ``out=``
+    of ``transmission_amplitude``), with no block-sized copy.  At zero field
+    ``_class_sum`` divides once per distinct spin line, not once per class.
     Every step is elementwise, so the block size changes no value.  A grid
     too large to allocate is a ConfigError, raised before any block runs.
     """
@@ -189,7 +216,8 @@ def spectrum_sweep(
             omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
 
         c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
-        t[block] = transmission_amplitude(cavity, c_value, omega_probe, omega_c)
+        transmission_amplitude(cavity, c_value, omega_probe, omega_c,
+                               out=t[block])
     return SweepResult(axis1=axis1, axis2=axis2, values1=v1, values2=v2, t=t)
 
 

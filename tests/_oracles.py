@@ -1,10 +1,11 @@
 """References the tests check the library against.
 
 The bright-mode closed forms (B = 0) import nothing from spinclock, and
-``exact_eigenvalue`` works in exact rationals.  The per-point readers and
-the central difference read ``polariton._solve``, the solve every run uses,
-with ``_slope`` and ``_curvature``: a criterion checked through them checks
-that solve, not a copy of it.
+``exact_eigenvalue`` works in exact rationals.  ``class_sum_per_class`` is
+the susceptibility with one division per spin class and no line shared.
+The per-point readers and the central difference read ``polariton._solve``,
+the solve every run uses, with ``_slope`` and ``_curvature``: a criterion
+checked through them checks that solve, not a copy of it.
 """
 
 import math
@@ -13,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from spinclock.polariton import (BRANCHES, _curvature, _dH_dB, _dH_dT, _slope,
-                                 _solve)
+from spinclock.params import Branch
+from spinclock.polariton import (BRANCHES, _coupling_pattern, _curvature,
+                                 _dH_dB, _dH_dT, _slope, _solve)
 
 
 # Closed forms of the bright modes (degenerate spin branches, B = 0)
@@ -45,6 +47,22 @@ def curvature_T_degenerate(detuning, g, R, dwa_dT) -> float:
     """
     f = math.sqrt(0.25 * detuning ** 2 + 2.0 * g ** 2)
     return (dwa_dT ** 2) * (1.0 - R) ** 2 * g ** 2 / (2.0 * f ** 3)
+
+
+# The susceptibility class by class
+
+def class_sum_per_class(spins, thermal, zeeman, omega):
+    """C(omega) = sum_j g_j^2 / (hw + i(omega_j - omega)), one division per
+    class, in class order, whether or not two classes sit on one line."""
+    c_value = 0.0
+    for cls in spins.spin_classes:
+        sign = 1.0 if cls.branch is Branch.PLUS else -1.0
+        center = (spins.omega_zfs + cls.detuning_offset + thermal
+                  + sign * zeeman)
+        g_j = spins.class_coupling(cls)
+        c_value = c_value + g_j * g_j / (spins.halfwidth
+                                         + 1j * (center - omega))
+    return c_value
 
 
 # Exact arithmetic
@@ -87,7 +105,7 @@ class Solution:
 def _solve_at(spins, cavity, env):
     """The solve at the cavity's reference frequency and ``env``'s point."""
     return _solve(spins, env, cavity.omega_c_ref - spins.omega_zfs,
-                  env.delta_T, env.B_field)
+                  env.delta_T, env.B_field, _coupling_pattern(spins))
 
 
 def eigenfrequencies(spins, cavity, env) -> Solution:
@@ -119,7 +137,8 @@ def magnetic_response(spins, cavity, env, branch: str) -> tuple[float, float]:
 def _branch_rel(spins, env, detuning, branch, delta_T, b_field):
     """One branch frequency relative to the line center; array arguments
     broadcast into one stacked solve."""
-    lam, _ = _solve(spins, env, detuning, delta_T, b_field)
+    lam, _ = _solve(spins, env, detuning, delta_T, b_field,
+                    _coupling_pattern(spins))
     rel = lam[..., BRANCHES.index(branch)]
     return rel if rel.ndim else float(rel)
 

@@ -263,9 +263,10 @@ def _scan_root(spins, env, branch):
     +/-20 g, bisected in its bracket; None if the grid shows none."""
     idx = BRANCHES.index(branch)
     dh = _dH_dT(env)
+    pattern = _coupling_pattern(spins)
 
     def slope(d):
-        _, vec = _solve(spins, env, d, env.delta_T, env.B_field)
+        _, vec = _solve(spins, env, d, env.delta_T, env.B_field, pattern)
         return _slope(vec, idx, dh)
 
     g = spins.branch_coupling
@@ -423,9 +424,9 @@ _TRIPLET = [-2.16e6, 0.0, 2.16e6]  # the 14N hyperfine lines, Hz
 def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
     # the solve folds each branch into one line at its center: with the
     # triplet resolved it gave the unresolved D (4024922.36 Hz) and
-    # sigma_y(1 s) = 4.194e-12.  Each entry point, and the solve the tests'
-    # readers share, refuses such a branch, before the solver errors of
-    # R >= 0 and of zero coupling
+    # sigma_y(1 s) = 4.194e-12.  Each entry point, and the tests' readers
+    # of the solve, refuse such a branch, before the solver errors of R >= 0
+    # and of zero coupling
     base = table1_preset("current")
     preset = Preset.from_config({**base.to_config(), **classes,
                                  "r_ratio": r})
@@ -438,7 +439,7 @@ def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
         lambda: environmental_floors(spins, env, one_line, 1e-3, 1e-9),
         lambda: branch_shifts(spins, env, one_line, 1e-3, 1e-9),
         lambda: stability_curve(preset),
-        lambda: _solve(spins, env, np.zeros(3), 0.0, 0.0),
+        lambda: branch_frequency_at(spins, env, np.zeros(3), "upper"),
     ]
     message = (f"{key}: the eigen model solves each branch as one line at "
                "its center, so it takes one spin class per branch, at "

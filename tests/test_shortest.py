@@ -182,3 +182,18 @@ def test_kernel_stops_below_two_to_the_49(monkeypatch):
     _assert_repr(values)
     assert np.concatenate(reached).view(np.float64).tolist() \
         == np.where(values < 2.0 ** 49, values, 1.0).tolist()
+
+
+def test_whole_numbers_take_the_general_case():
+    # the layout rows of whole-number texts (point >= count) are zeros: every
+    # integer-valued double below 2^49, of every exponent, and the 1.0 the
+    # kernel reads in place of a slow lane, take Ryu's general case, so their
+    # text is repr's
+    rng = np.random.default_rng(1405)
+    low = np.left_shift(1, np.repeat(np.arange(49), 200))
+    whole = np.concatenate([[1.0],
+                            rng.integers(low, 2 * low).astype(np.float64),
+                            np.ldexp(1.0, np.arange(49)), [2.0 ** 49 - 1.0]])
+    assert np.array_equal(whole, np.floor(whole)) and whole.max() < 2.0 ** 49
+    _, _, general = _table._digits(whole.view(np.uint64))
+    assert general.all(), whole[~general][:5]

@@ -199,7 +199,8 @@ def test_floors_do_not_move_with_one_ulp_of_detuning(name):
     base = environmental_floors(p.spins, p.env, op, **kw)
     for d in (np.nextafter(op.detuning_D, -np.inf),
               np.nextafter(op.detuning_D, np.inf)):
-        lam, vec = _solve(p.spins, p.env, d, p.env.delta_T, p.env.B_field)
+        lam, vec = _solve(p.spins, p.env, d, p.env.delta_T, p.env.B_field,
+                          _coupling_pattern(p.spins))
         moved = dataclasses.replace(op, detuning_D=float(d),
                                     lambdas_rel=lam, eigvecs=vec)
         b = environmental_floors(p.spins, p.env, moved, **kw)

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from _oracles import class_sum_per_class
 from hypothesis import strategies as st
 
+from spinclock import transmission
 from spinclock.cli import main
 from spinclock.figures import figure_setup
 from spinclock.params import (
@@ -301,6 +303,81 @@ def test_susceptibility_sums_weighted_class_lines():
         expected[3], rel=1e-12)
 
 
+# --- the distinct-line class sum against one division per class ------------
+
+_LINE_ENSEMBLES = {
+    "two-class": SpinEnsembleParams(g_collective=from_hz(3e6)),
+    # the 14N triplet on both branches: at zero field class j and class j + 3
+    # sit on one line, with two other lines between them in class order
+    "triplet": SpinEnsembleParams(
+        spin_classes=tuple(SpinClass(from_hz(offset), 1 / 3, branch)
+                           for branch in Branch
+                           for offset in (-2.16e6, 0.0, 2.16e6)),
+        gamma_pump=0.0, Gamma_deph=from_hz(0.5e6), g_collective=from_hz(3e6)),
+    # one offset with two couplings per branch: only equal couplings merge
+    "unequal-weights": SpinEnsembleParams(
+        spin_classes=(SpinClass(0.0, 0.25, Branch.PLUS),
+                      SpinClass(0.0, 0.75, Branch.PLUS),
+                      SpinClass(0.0, 0.75, Branch.MINUS),
+                      SpinClass(0.0, 0.25, Branch.MINUS)),
+        g_collective=from_hz(3e6)),
+}
+_LINE_FIELDS = {"zero-field": 0.0, "minus-zero-field": -0.0, "split": 60e-6}
+
+
+def _bits(c):
+    return np.array(c, dtype=np.complex128, ndmin=1).view(np.uint64)
+
+
+@pytest.mark.parametrize("b_field", _LINE_FIELDS.values(), ids=_LINE_FIELDS)
+@pytest.mark.parametrize("spins", _LINE_ENSEMBLES.values(),
+                         ids=_LINE_ENSEMBLES)
+def test_susceptibility_is_the_per_class_sum_bit_for_bit(spins, b_field):
+    env = EnvironmentState(delta_T=2.5, B_field=b_field)
+    thermal, zeeman = env.dwa_dT * env.delta_T, env.gyromagnetic * env.B_field
+    omegas = ZFS + from_hz(np.linspace(-8e6, 8e6, 41))
+    assert np.array_equal(
+        _bits(susceptibility(spins, env, omegas)),
+        _bits(class_sum_per_class(spins, thermal, zeeman, omegas)))
+    assert np.array_equal(
+        _bits(susceptibility(spins, env, omegas[7])),
+        _bits(class_sum_per_class(spins, thermal, zeeman,
+                                  np.asarray(omegas[7]))))
+
+
+def _line_sweeps():
+    probe = SweepAxis("probe_offset", -from_hz(8e6), from_hz(8e6), 9)
+    temperature = SweepAxis("delta_T", -50.0, 50.0, 5)
+    sweeps = {name: (b_field, temperature, probe)
+              for name, b_field in _LINE_FIELDS.items()}
+    # a B = 0 row in one block with the others, and then one axis1 row per
+    # block, so the block of the B = 0 row alone is at zero field
+    field = SweepAxis("B_field", -1e-4, 1e-4, 3)
+    assert field.grid()[1] == 0.0
+    sweeps["field-axis-through-zero"] = (0.0, field, probe)
+    sweeps["field-axis-through-zero-row-blocks"] = (
+        0.0, field, dataclasses.replace(probe, points=_BLOCK_POINTS + 1))
+    return sweeps
+
+
+_LINE_SWEEPS = _line_sweeps()
+
+
+@pytest.mark.parametrize("b_field,ax1,ax2", _LINE_SWEEPS.values(),
+                         ids=_LINE_SWEEPS)
+@pytest.mark.parametrize("spins", _LINE_ENSEMBLES.values(),
+                         ids=_LINE_ENSEMBLES)
+def test_sweep_is_the_per_class_sum_bit_for_bit(monkeypatch, spins, b_field,
+                                                ax1, ax2):
+    cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
+                          kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
+    env = EnvironmentState(delta_T=3.5, B_field=b_field, R_ratio=-0.3)
+    res = spectrum_sweep(spins, cavity, env, ax1, ax2)
+    monkeypatch.setattr(transmission, "_class_sum", class_sum_per_class)
+    ref = spectrum_sweep(spins, cavity, env, ax1, ax2)
+    assert np.array_equal(_bits(res.t), _bits(ref.t))
+
+
 def _random_axis(rng, variable):
     lo, hi = _AXIS_RANGES[variable]
     start, stop = np.sort(rng.uniform(lo, hi, 2))
@@ -443,6 +520,22 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
                  "630b6c207062c2769a789723ca3bafe6",
       "out_slice.csv": "5d6b5b3c46af7adaadf38aaf5eb122d6"
                        "5f7af713975a72aa6308381ee7e7084e"}),
+    # 301 rows span three sweep blocks; recorded with one division per spin
+    # class and a block-sized copy into the grid
+    (["spectrum", "--figure", "2c", "--points", "301"],
+     {"out.csv": "61b174fd4fa3dd8b5ee5e4fc510074a9"
+                 "ed12c9c2fc25520d0db52fe4fca1afd7",
+      "out_slice.csv": "44f84e2762e09034aeea61bdc934663e"
+                       "bf016ded91a2de16a4fe374933695bdb",
+      "out.csv.provenance.json": "237684fe7a5b5ac7a89179dfdbacc6b2"
+                                 "42e01541a894600bd18d0464228daa6a"}),
+    (["spectrum", "--figure", "2d", "--points", "301"],
+     {"out.csv": "6ab327933e244ee33dec571c523cca6b"
+                 "8311e46d93a2d0725f0b2fa20aaa70e8",
+      "out_slice.csv": "c943fd7d2ddea38b23cd48fa7698509f"
+                       "6191f28a785e60e66e9acaaf99d95169",
+      "out.csv.provenance.json": "4849c0e006d781caf3b4cd36a36a9d4c"
+                                 "842794d9f126e41bdde5d038f758dc96"}),
     # recorded with the whole-grid sweep; 201 rows span two sweep blocks
     (["spectrum", "--figure", "2d", "--points", "201"],
      {"out.csv": "bab20f38e348cdbd4eacb32f21f0b865"
@@ -485,7 +578,8 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
       "out.json.provenance.json": "d27bad1d5d64ed7f15da4b61979d8da1"
                                   "768a60a61da7ede5405ab2394c06c5c3"}),
 ], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-101-json",
-        "stability-outlook-3000", "fig2c-41", "fig2d-201",
+        "stability-outlook-3000", "fig2c-41", "fig2c-301", "fig2d-301",
+        "fig2d-201",
         "stability-outlook-csv",
         "stability-outlook-json", "operating-point-report-sidecar",
         "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
