@@ -3,11 +3,11 @@
 Modules
 -------
 params        parameter types, environment mapping, Preset and its config
-presets       reference parameter sets ('current', 'outlook')
+presets       reference parameter sets ('current', 'outlook') as configs
 transmission  probe transmission, susceptibility, 2-D sweeps
 polariton     coupled-mode branch frequencies and insensitive operating points
 stability     shot-noise precision, probe bounds, noise floors, sigma_y(tau)
-figures       pinned sweep setups for the reference spectrum panels
+figures       the spectrum-document reader; the reference panels as documents
 cli           command-line interface (spectrum / operating-point / stability)
 """
 

@@ -6,6 +6,8 @@ replay sidecar.json --out X`` reads one and reproduces the output byte for
 byte.  Either way the document is checked in one place, ``_check_document``,
 and then computed, so a bad value fails alike from a flag or a sidecar, with
 a message that names the document key (``--B-nt inf`` names ``db_stab_t``).
+A ``--figure`` run starts from its panel's stored document, and every
+spectrum document is read by ``figures.read_spectrum``.
 Each value's rule is a row of this module, of ``params._FIELDS`` or of
 ``transmission._AXIS_KEYS``, checked by ``params._require``; so a config
 value out of range names its key too (``--kappa-hz 0`` names
@@ -45,7 +47,8 @@ import numpy as np
 
 from . import __version__
 from ._table import write_table
-from .figures import FIGURE_NAMES, figure_setup
+from .figures import (_AXIS_UNIT, FIGURE_NAMES, _axis_out, panel_document,
+                      read_spectrum)
 from .params import (_COUNT, _NUMBER, _POSITIVE, ConfigError, Preset, _one_of,
                      _or_null, _require)
 from .polariton import (
@@ -56,25 +59,11 @@ from .polariton import (
 )
 from .presets import PRESET_NAMES, table1_preset
 from .stability import environmental_floors, stability_curve
-from .transmission import (_AXIS_KEYS, AXIS_VARIABLES, SweepAxis,
-                           quadrature_of, spectrum_sweep)
-from .units import from_hz, to_hz
+from .transmission import _AXIS_KEYS, quadrature_of, spectrum_sweep
+from .units import to_hz
 
-# Unit of each sweep variable in documents and outputs; the model holds an
-# "hz" variable in rad/s and the others as they are.
-_AXIS_UNIT = dict(zip(AXIS_VARIABLES, ("hz", "hz", "k", "t"), strict=True))
 # The output formats of spectrum and stability
 _FORMATS = ("csv", "json")
-
-
-def _axis_out(variable: str, value):
-    """A model value (or array) of sweep ``variable`` in its document unit."""
-    return to_hz(value) if _AXIS_UNIT[variable] == "hz" else value
-
-
-def _axis_in(variable: str, value):
-    """A document value of sweep ``variable`` in the model's unit."""
-    return from_hz(value) if _AXIS_UNIT[variable] == "hz" else value
 
 
 def _open_output(path: Path):
@@ -151,32 +140,6 @@ def _table(header, columns, fmt: str):
                              fmt=fmt)
 
 
-def _axis_to_doc(axis: SweepAxis) -> dict:
-    return {
-        "variable": axis.variable,
-        "start": _axis_out(axis.variable, axis.start),
-        "stop": _axis_out(axis.variable, axis.stop),
-        "points": axis.points,
-        "unit": _AXIS_UNIT[axis.variable],
-    }
-
-
-def _axis_from_doc(doc: dict, name: str) -> SweepAxis:
-    """The sweep axis of document key ``name``, or a ConfigError naming the
-    key of an end that overflows in the model's unit, as typed."""
-    variable = doc["variable"]
-    ends = {}
-    for key in ("start", "stop"):
-        ends[key] = float(_axis_in(variable, doc[key]))
-        if not math.isfinite(ends[key]):
-            raise ConfigError(f"{name} {key!r} = {doc[key]!r} {doc['unit']} "
-                              "overflows in rad/s")
-    if not doc["start"] <= doc["stop"]:
-        raise ConfigError(f"{name} 'start' must be <= 'stop', got "
-                          f"{doc['start']!r} and {doc['stop']!r}")
-    return SweepAxis(variable, ends["start"], ends["stop"], doc["points"])
-
-
 # --- documents ----------------------------------------------------------------
 
 
@@ -227,14 +190,9 @@ def _check_document(doc, where: str) -> None:
 
 
 def _spectrum_from_doc(doc: dict, out: Path) -> dict:
-    preset = Preset.from_config(doc["config"])
-    if doc["axis1"]["variable"] == doc["axis2"]["variable"]:
-        raise ConfigError("axis1 and axis2 must sweep different variables, "
-                          f"got {doc['axis1']['variable']!r} twice")
-    axis1 = _axis_from_doc(doc["axis1"], "axis1")
-    axis2 = _axis_from_doc(doc["axis2"], "axis2")
-    result = spectrum_sweep(preset.spins, preset.cavity, preset.env,
-                            axis1, axis2)
+    setup = read_spectrum(doc)
+    axis1, axis2 = setup.axis1, setup.axis2
+    result = spectrum_sweep(setup.spins, setup.cavity, setup.env, axis1, axis2)
 
     t = result.t
     v1 = _axis_out(axis1.variable, result.values1)
@@ -251,9 +209,8 @@ def _spectrum_from_doc(doc: dict, out: Path) -> dict:
         doc["format"],
     )}
 
-    slice_value = doc.get("slice_axis1_value")
-    if slice_value is not None:
-        _, grid2, row = result.row_trace(_axis_in(axis1.variable, slice_value))
+    if setup.slice_axis1_value is not None:
+        _, grid2, row = result.row_trace(setup.slice_axis1_value)
         writers[_slice_path(out)] = _table(
             ("axis2", "re_t", "im_t", "abs_t", "quadrature"),
             (_axis_out(axis2.variable, grid2), row.real, row.imag,
@@ -379,27 +336,20 @@ def _document(args, preset: Preset, **keys) -> dict:
 def _spectrum_document(args) -> dict:
     if args.figure is None:
         preset = table1_preset(args.preset or "current")
-        axes = [_parse_axis(args.axis1, args.points, "--axis1"),
-                _parse_axis(args.axis2, args.points, "--axis2")]
-        slice_value = None
+        sweep = {"axis1": _parse_axis(args.axis1, args.points, "--axis1"),
+                 "axis2": _parse_axis(args.axis2, args.points, "--axis2"),
+                 "slice_axis1_value": None}
     else:
         # a figure fixes its parameters and axes
         for flag in ("--preset", "--axis1", "--axis2"):
             if getattr(args, flag.lstrip("-")) is not None:
                 raise ConfigError(f"{flag} cannot be combined with --figure")
         # --points goes into the axis documents, checked like a sidecar's
-        setup = figure_setup(args.figure)
-        preset = Preset("figure-" + args.figure, setup.spins, setup.cavity,
-                        setup.env, table1_preset("current").probe, 0.0)
-        axes = [{**_axis_to_doc(axis), "points": args.points}
-                for axis in (setup.axis1, setup.axis2)]
-        slice_value = setup.slice_axis1_value
-        if slice_value is not None:
-            slice_value = _axis_out(setup.axis1.variable, slice_value)
+        sweep = panel_document(args.figure, args.points)
+        preset = Preset.from_config(sweep.pop("config"))
     return _document(args, preset, format=args.format,
                      quadrature_phase_rad=math.radians(args.quadrature_deg),
-                     axis1=axes[0], axis2=axes[1],
-                     slice_axis1_value=slice_value)
+                     **sweep)
 
 
 def _parse_axis(spec: str | None, points: int, flag: str) -> dict:
@@ -517,14 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "spectrum", help="2-D transmission sweep",
         description="Transmission grid over two swept variables. "
-                    "--figure pins the reference panels: 2a/2b probe vs "
+                    "--figure runs a reference panel, a stored spectrum "
+                    "document read like a replayed sidecar: 2a/2b probe vs "
                     "cavity offset at +/-10 / +/-1 MHz spin splitting "
                     "(kappa=500 kHz, Gamma=3 MHz, g=5 MHz, probe and cavity "
                     "axes +/-25 MHz); 2c probe vs dT in [-200, 200] K at "
                     "|R|=0.3 with the cavity at the insensitive detuning; "
                     "2d probe vs B in [-500, 500] uT at the pinned "
                     "9.25 MHz detuning. 2c/2d also write a *_slice file "
-                    "(the operating-point trace). --power-photons-per-s "
+                    "(the operating-point trace at dT = 0 / B = 0), so "
+                    "their --points must be odd. --power-photons-per-s "
                     "reaches only the sidecar; no spectrum output reads it.",
     )
     sp.add_argument("--figure", choices=FIGURE_NAMES,
@@ -534,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "units Hz / K / T")
     sp.add_argument("--axis2", help="variable:start:stop[:points]")
     sp.add_argument("--points", type=int, default=1001,
-                    help="grid points per axis (default 1001)")
+                    help="grid points per axis (default 1001); 2c/2d need "
+                         "an odd count, which puts a grid row on their "
+                         "slice, and exit 2 otherwise")
     sp.add_argument("--quadrature-deg", type=float, default=90.0,
                     dest="quadrature_deg",
                     help="homodyne phase in degrees (90 = Im[t]); sets "

@@ -83,6 +83,41 @@ def test_spectrum_slice_contains_quadrature(tmp_path):
     assert header == "axis2,re_t,im_t,abs_t,quadrature"
 
 
+@pytest.mark.parametrize("figure,points", [("2c", 4), ("2d", 1000)])
+def test_slice_off_the_axis1_grid_is_config_error(tmp_path, figure, points):
+    # an even count has no grid row at dT = 0 / B = 0; the nearest row
+    # would be a silently different slice
+    rc, err = _quiet_main(["spectrum", "--figure", figure, "--points",
+                           str(points), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "slice_axis1_value" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replayed_slice_off_the_axis1_range_is_config_error(tmp_path):
+    doc = copy.deepcopy(_valid_sidecars()["spectrum-figure"])
+    doc["slice_axis1_value"] = 1e6
+    sidecar = tmp_path / "in.json"
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    rc, err = _quiet_main(["replay", str(sidecar), "--out",
+                           str(tmp_path / "out" / "x.csv")])
+    assert rc == 2
+    assert "slice_axis1_value" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("figure", ["2c", "2d"])
+@pytest.mark.parametrize("points", [3, 23, 301])
+def test_odd_point_counts_write_the_slice(tmp_path, figure, points):
+    # at 23 points the middle dT grid value is 2.8e-14 K, not 0: the slice
+    # is taken within a tolerance, not by equality
+    out = tmp_path / "x.csv"
+    assert _quiet_main(["spectrum", "--figure", figure, "--points",
+                        str(points), "--out", str(out)])[0] == 0
+    rows = (tmp_path / "x_slice.csv").read_text().splitlines()
+    assert len(rows) == 1 + points
+
+
 def test_spectrum_custom_axes_and_json_format(tmp_path):
     out = tmp_path / "grid.json"
     assert _run("spectrum", "--preset", "current",

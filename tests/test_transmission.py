@@ -24,6 +24,7 @@ from spinclock.params import (
     SpinEnsembleParams,
     instantaneous_frequencies,
 )
+from spinclock.polariton import operating_point_closed_form
 from spinclock.transmission import (
     _BLOCK_POINTS,
     AXIS_VARIABLES,
@@ -193,6 +194,30 @@ def test_panel_2d_even_in_field():
                          setup.axis1, setup.axis2)
     # axis1 is the field: |t|(B) == |t|(-B) columnwise
     assert np.allclose(res.abs_t, res.abs_t[::-1], rtol=1e-9, atol=1e-12)
+
+
+def test_panel_cavities_sit_at_their_detunings():
+    # the panels are stored as literals; these are the values they encode
+    g = from_hz(5e6)
+    setup = figure_setup("2c", points=3)
+    assert setup.spins.branch_coupling == g and setup.env.R_ratio == -0.3
+    d_op = abs(operating_point_closed_form(g, -0.3)[0])
+    assert setup.cavity.omega_c_ref == setup.spins.omega_zfs + d_op
+    setup = figure_setup("2d", points=3)
+    assert setup.cavity.omega_c_ref == setup.spins.omega_zfs + from_hz(9.25e6)
+
+
+@pytest.mark.parametrize("name,split_hz", [("2a", 10e6), ("2b", 1e6)])
+def test_panel_splittings(name, split_hz):
+    setup = figure_setup(name, points=3)
+    assert setup.env.gyromagnetic * setup.env.B_field \
+        == pytest.approx(from_hz(split_hz), rel=1e-15)
+    assert setup.cavity.omega_c_ref == setup.spins.omega_zfs
+
+
+def test_panel_slice_needs_a_grid_row():
+    with pytest.raises(ConfigError, match="slice_axis1_value"):
+        figure_setup("2c", points=4)
 
 
 def test_operating_point_slice_trace():
@@ -542,6 +567,13 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
                  "9e20f857de72ca7c47a7a9c2ad237e7f",
       "out_slice.csv": "60475405ffedb5963accc7d2737f67fa"
                        "72d883719e0dcb3d5aa81ac5d6992e1e"}),
+    # the nearly degenerate panel, recorded with its parameters and axes
+    # still built in code
+    (["spectrum", "--figure", "2b", "--points", "301"],
+     {"out.csv": "398f37be44937a21080d6b275569ccbe"
+                 "6d1ed36315de5761981fe4a6938d9a8a",
+      "out.csv.provenance.json": "c6aa6c4bd5cfd2bae200d9f8b20a43aa"
+                                 "32f55c3bf46972f304d807dadfd8db8a"}),
     # recorded with the floors as Schur-complement shifts; the thermal floor
     # moved by 8.9e-4 to within 1e-10 of the exact-rational shift
     # (test_stability.py::test_floors_match_exact_rational_shift)
@@ -579,7 +611,7 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
                                   "768a60a61da7ede5405ab2394c06c5c3"}),
 ], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-101-json",
         "stability-outlook-3000", "fig2c-41", "fig2c-301", "fig2d-301",
-        "fig2d-201",
+        "fig2d-201", "fig2b-301",
         "stability-outlook-csv",
         "stability-outlook-json", "operating-point-report-sidecar",
         "spectrum-kelvin-tesla-sidecar", "stability-sidecar"])
