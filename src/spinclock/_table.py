@@ -40,10 +40,11 @@ the bounds, the bits whose zeros send a lane to the general case, and the
 decimal exponent.  The layout table has a row per layout class, a decimal
 point's place and a digit count: which bytes stay and which move past the
 point, how far, the bytes around the digits, and the scale that left-aligns
-the digits.  Texts are built as 24-byte little-endian strings, three uint64
-words per value, so that moving digits to their places is a shift, not a
-gather.  The two tables, and the texts of the numbers below 10^4 and of the
-exponents, are built from Python ints on first use, not at import.
+the digits, for points -4 to 15.  Texts are built as 24-byte little-endian
+strings, three uint64 words per value, so that moving digits to their places
+is a shift, not a gather; a scientific text's exponent then goes in after its
+digits with one byte scatter.  The two tables, and the texts of the numbers
+below 10^4 and of the exponents, are built from Python ints on first use.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ _HIDDEN = np.uint64(1 << 52)
 # bits of the fraction of c / 2^j and of 2 c / 2^j, the steps from vr to
 # its bounds.
 # The layout table has a row per layout class, (point + 4) * 17 + count - 1
-# for a decimal point after ``point`` of ``count`` digits, from -4 to 16,
+# for a decimal point after ``point`` of ``count`` digits, from -4 to 15,
 # where -4 stands for every scientific text; a whole number's row (point >=
 # count) is zeros, as every integer-valued double takes Ryu's general case
 # and gets repr's text.  A row holds the bytes the first digits keep
@@ -105,7 +106,7 @@ def _pow5bits(e):
 def _layouts() -> bytes:
     """The layout table's rows, as little-endian bytes."""
     rows = []
-    for point in range(-4, 17):
+    for point in range(-4, 16):
         for count in range(1, 18):
             if point < -3:  # the first digit, a point if more follow
                 split, move, text = 1, 1, b"\0." if count > 1 else b""
@@ -161,10 +162,10 @@ def _tables() -> dict:
         .reshape(-1, _LAYOUT_COLUMNS).copy(),
         # the text of each number below 10^4, first digit in the low byte
         "quads": digits.astype(np.uint8).view("<u4")[:, 0].copy(),
-        # "e-324" ... "e-05" by exponent
-        "suffix": np.frombuffer(b"".join(
-            (b"e%03d" % e).ljust(8, b"\0") for e in range(-324, -4)),
-            dtype="<u8").copy(),
+        # "e-05" ... "e-324", by -4 less the decimal point
+        "scientific": np.frombuffer(b"".join(
+            (b"e-%02d" % e).ljust(5, b"\0") for e in range(5, 325)),
+            dtype=np.uint8).reshape(-1, 5).copy(),
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -264,25 +265,6 @@ def _digits(bits: np.ndarray) -> tuple:
     return digits, e10.view(np.int64) + removed, general
 
 
-def _shl(words: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
-    """24-byte little-endian strings, (3, n) words, each moved ``nbytes``
-    (0 to 23) toward its end; what passes the end is lost."""
-    bits = ((nbytes & 7) << 3).astype(np.uint64)
-    moved = words << bits
-    # what each word passes to the next, in two steps: a uint64 shift by 64
-    # is undefined
-    moved[1:] |= (words[:-1] >> _U1) >> (np.uint64(63) - bits)
-    skip = nbytes >> 3  # whole words
-    if not skip.any():
-        return moved
-    zero = np.uint64(0)
-    return np.stack([np.where(skip == 0, moved[0], zero),
-                     np.where(skip == 0, moved[1],
-                              np.where(skip == 1, moved[0], zero)),
-                     np.where(skip == 0, moved[2],
-                              np.where(skip == 1, moved[1], moved[0]))])
-
-
 def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
     """The repr of ``digits``, ``count`` of them, with the decimal point
     after ``point`` of them, as (n, 3) little-endian words."""
@@ -315,13 +297,6 @@ def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
             word |= carry >> right
         text[:, w] = word
         carry = moving
-    lanes = np.flatnonzero(point < -3)  # scientific
-    if lanes.size:
-        suffix = np.zeros((3, lanes.size), dtype=np.uint64)
-        suffix[0] = tables["suffix"][point[lanes] + 323]
-        suffix = _shl(suffix, count[lanes] + (count[lanes] > 1))
-        for w in range(3):
-            text[lanes, w] |= suffix[w]
     return text
 
 
@@ -343,8 +318,14 @@ def shortest_repr(bits: np.ndarray) -> np.ndarray:
     digits, exponent, general = _digits(np.where(slow, _ONE_BITS, bits))
     slow |= general
     count = np.searchsorted(_POW10, digits, side="right")
-    text = _text(digits, count, exponent + count).astype(
+    point = exponent + count
+    text = _text(digits, count, point).astype(
         "<u8", copy=False).view(np.uint8)[:, :REPR_WIDTH]
+    lanes = np.flatnonzero(point < -3)  # scientific: the exponent follows
+    if lanes.size:  # the digits, and a point if more than one
+        start = count[lanes] + (count[lanes] > 1)
+        text[lanes[:, None], start[:, None] + np.arange(5)] = \
+            _tables()["scientific"][-4 - point[lanes]]
     lanes = np.flatnonzero(slow)
     if lanes.size:
         text[lanes] = _repr_rows(bits[lanes])

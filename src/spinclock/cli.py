@@ -28,12 +28,14 @@ the old bytes, and the new file gets the default permissions.  A symlinked
 Exit codes: 0 success, 2 configuration error, 3 solver failure.  An output
 that would hold a NaN or an infinity is a configuration error: nothing is
 written, not even the sidecar.  So is any path of the run (``--out``, the
-2c/2d slice, the sidecar) that cannot be opened, such as a directory.
+2c/2d slice, the sidecar) that cannot be opened, such as a directory; a
+directory fails the run before any file already in place is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -94,13 +96,22 @@ def _open_output(path: Path):
         culprit = os.fspath(exc.filename or path)
         reason = exc.strerror if culprit == os.fspath(path) \
             else f"{culprit}: {exc.strerror}"
-        raise ConfigError(f"--out: cannot write {path}: {reason}") from None
+        raise _cannot_write(path, reason) from None
+
+
+def _cannot_write(path: Path, reason: str) -> ConfigError:
+    return ConfigError(f"--out: cannot write {path}: {reason}")
 
 
 def _open_outputs(paths: list) -> list:
     """Each of ``paths`` opened through ``_open_output``, or none: on a
     failure the regular files already opened, which ``_open_output``
-    created, are removed (a symlink's target is left, emptied)."""
+    created, are removed (a symlink's target is left, emptied).  A path
+    that is a directory fails before the first is opened, so that no file
+    already at a path of the run is unlinked."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise _cannot_write(path, os.strerror(errno.EISDIR))
     files = []
     try:
         for path in paths:

@@ -72,7 +72,6 @@ def _axis_from_doc(doc: dict, name: str) -> SweepAxis:
 
 @dataclass(frozen=True)
 class FigureSetup:
-    name: str
     spins: SpinEnsembleParams
     cavity: CavityParams
     env: EnvironmentState
@@ -81,11 +80,11 @@ class FigureSetup:
     slice_axis1_value: float | None  # emit row_trace() here when set
 
 
-def read_spectrum(doc: dict, name: str = "custom") -> FigureSetup:
+def read_spectrum(doc: dict) -> FigureSetup:
     """The parameters, axes and slice of spectrum document ``doc``, in the
-    model's units, as a setup called ``name``.  A ConfigError names what
-    breaks, be it a ``slice_axis1_value`` off the axis1 grid, as an even
-    point count puts the middle of a symmetric axis."""
+    model's units.  A ConfigError names what breaks, be it a
+    ``slice_axis1_value`` off the axis1 grid, as an even point count puts
+    the middle of a symmetric axis."""
     preset = Preset.from_config(doc["config"])
     if doc["axis1"]["variable"] == doc["axis2"]["variable"]:
         raise ConfigError("axis1 and axis2 must sweep different variables, "
@@ -104,8 +103,8 @@ def read_spectrum(doc: dict, name: str = "custom") -> FigureSetup:
                 f"{doc['axis1']['unit']} is off the axis1 grid, whose nearest "
                 f"value is {_axis_out(axis1.variable, nearest)!r}; a slice "
                 "at the middle of an axis needs an odd point count")
-    return FigureSetup(name, preset.spins, preset.cavity, preset.env, axis1,
-                       axis2, value)
+    return FigureSetup(preset.spins, preset.cavity, preset.env, axis1, axis2,
+                       value)
 
 
 # 25 MHz through rad/s and back, as a sidecar records an axis end
@@ -151,7 +150,7 @@ def panel_document(name: str, points: int) -> dict:
 
 def figure_setup(name: str, points: int = 1001) -> FigureSetup:
     """Sweep specification reproducing one spectrum panel."""
-    return read_spectrum(panel_document(name, points), name)
+    return read_spectrum(panel_document(name, points))
 
 
 __all__ = ["FIGURE_NAMES", "FigureSetup", "figure_setup", "panel_document",

@@ -312,9 +312,15 @@ _AXIS = {"variable": "probe_offset", "start": -1e6, "stop": 1e6, "points": 5}
     ({"version": __version__, "command": "stability", "config": {},
       "format": "csv", "tau_start_s": 0.1, "tau_stop_s": 10.0,
       "tau_points": 0, "db_stab_t": 0.0}, "tau_points"),
+    ([], "is not a JSON object"),
+    ({"version": __version__, "command": "operating-point",
+      "config": {"class_offsets_plus_hz": [0.0, 0.0],
+                 "class_weights_plus": [1.0]},
+      "branch": "upper", "db_stab_t": 0.0},
+     "class_offsets_plus_hz and class_weights_plus differ in length"),
 ], ids=["no-version", "stability-no-version", "no-config", "no-tau-start",
         "string-kappa", "string-axis-points", "bool-n-spins", "other-version",
-        "zero-tau-points"])
+        "zero-tau-points", "array", "class-lists-differ-in-length"])
 def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     sidecar = tmp_path / "sidecar.json"
     sidecar.write_text(json.dumps(doc), encoding="utf-8")
@@ -345,9 +351,22 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
      "axis2 'start' = -1e+308 hz"),
     (["spectrum", "--axis1", "cavity_offset:0:1e308:3",
       "--axis2", "B_field:0:1e-6:3"], 2, "axis1 'stop' = 1e+308 hz"),
+    # a malformed axis or tau range, named by its flag
+    (["spectrum", "--points", "3"], 2,
+     "--axis1 is required unless --figure is given"),
+    (["spectrum", "--axis1", "probe_offset:1", "--axis2", "delta_T:-1:1:3"],
+     2, "--axis1 must be variable:start:stop[:points]"),
+    (["spectrum", "--axis1", "probe_offset:a:1", "--axis2", "delta_T:-1:1:3"],
+     2, "--axis1: could not convert string to float: 'a'"),
+    (["spectrum", "--axis1", "probe_offset:-1:1:x",
+      "--axis2", "delta_T:-1:1:3"], 2,
+     "--axis1: invalid literal for int() with base 10: 'x'"),
+    (["stability", "--tau", "1-10"], 2, "--tau must look like 0.1..1e4"),
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
         "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
-        "tau-points-zero", "axis2-start-overflow", "axis1-stop-overflow"])
+        "tau-points-zero", "axis2-start-overflow", "axis1-stop-overflow",
+        "no-axis1", "axis1-two-fields", "axis1-bad-start", "axis1-bad-points",
+        "tau-not-a-range"])
 def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):
     assert _run(*argv, "--out", str(tmp_path / "out.csv")) == code
     assert field in capsys.readouterr().err
@@ -1095,6 +1114,27 @@ def test_unwritable_path_of_a_run_writes_nothing(tmp_path, argv, blocked):
     assert err.startswith(f"error: --out: cannot write {tmp_path / blocked}")
     assert "Traceback" not in err
     assert [f.name for f in tmp_path.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["stability", "--tau-points", "3"], "o.csv.provenance.json"),
+    (["spectrum", "--figure", "2c", "--points", "3"], "o_slice.csv"),
+], ids=["sidecar", "slice"])
+def test_failed_rerun_leaves_the_files_in_place(tmp_path, argv, blocked):
+    # a rerun with a directory where one of its files was exits 2 before it
+    # removes any file at the run's other paths: each keeps bytes and inode
+    out = tmp_path / "o.csv"
+    assert _quiet_main([*argv, "--out", str(out)])[0] == 0
+    (tmp_path / blocked).unlink()
+    (tmp_path / blocked).mkdir()
+    before = {f.name: (f.read_bytes(), f.stat().st_ino)
+              for f in tmp_path.iterdir() if f.is_file()}
+    assert "o.csv" in before
+    rc, err = _quiet_main([*argv, "--out", str(out)])
+    assert (rc, err) == (2, f"error: --out: cannot write {tmp_path / blocked}"
+                            ": Is a directory\n")
+    assert {f.name: (f.read_bytes(), f.stat().st_ino)
+            for f in tmp_path.iterdir() if f.is_file()} == before
 
 
 def test_out_in_new_nested_directories(tmp_path):

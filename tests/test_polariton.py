@@ -455,6 +455,15 @@ def test_zero_coupling_has_no_operating_point():
         operating_point_numeric(_spins(0.0), EnvironmentState(R_ratio=-0.3))
 
 
+def test_numeric_operating_point_rejects_unknown_branch_and_no_classes():
+    env = EnvironmentState(R_ratio=-0.3)
+    with pytest.raises(ValueError, match="unknown branch 'sideways'"):
+        operating_point_numeric(_spins(5e6), env, branch="sideways")
+    # no spin class on either branch: no line mixes with the cavity
+    with pytest.raises(NoOperatingPointError, match="no sign change"):
+        operating_point_numeric(_spins(5e6, spin_classes=()), env)
+
+
 def test_numeric_operating_point_rejects_positive_R():
     env = EnvironmentState(R_ratio=0.3)
     with pytest.raises(NoOperatingPointError, match="R >= 0"):

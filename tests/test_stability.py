@@ -129,6 +129,9 @@ def test_floors_vanish_without_instability():
     assert budget.magnetic_floor == 0.0
     assert budget.pump_floor == 0.0
     assert budget.floor_total == 0.0
+    # shot noise never meets a zero floor
+    curve = stability_curve(dataclasses.replace(p, spins=spins, dT_stab=0.0))
+    assert curve.floor_total == 0.0 and curve.crossover_tau == math.inf
 
 
 def test_floors_scale_quadratically():

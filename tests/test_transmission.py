@@ -220,6 +220,11 @@ def test_panel_slice_needs_a_grid_row():
         figure_setup("2c", points=4)
 
 
+def test_unknown_panel_is_value_error():
+    with pytest.raises(ValueError, match="unknown figure '2e'"):
+        figure_setup("2e")
+
+
 def test_operating_point_slice_trace():
     setup = figure_setup("2c", points=101)
     res = spectrum_sweep(setup.spins, setup.cavity, setup.env,
@@ -264,6 +269,8 @@ def test_sweep_rejects_empty_axis_and_duplicates():
         SweepAxis("probe_offset", 0.0, 1.0, 0)
     with pytest.raises(ConfigError):
         SweepAxis("nonsense", 0.0, 1.0, 5)
+    with pytest.raises(ConfigError, match="stop >= start"):
+        SweepAxis("probe_offset", 1.0, -1.0, 3)
     for start, stop in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(ConfigError):
             SweepAxis("delta_T", start, stop, 5)
