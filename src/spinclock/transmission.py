@@ -11,10 +11,26 @@ with the ensemble susceptibility summed over spectral classes,
 Re[C] > 0 for any passive ensemble, which pins |t| <= 1.  Homodyne readout
 selects the quadrature Re[exp(-i*phi) * t]; phi = pi/2 returns Im[t], the
 most phase-sensitive choice and the default everywhere.
+
+Each denominator is built from per-axis complex factors,
+
+    (kappa + kappa_l + i*omega_c) - i*omega + C,   (hw + i*omega_j) - i*omega,
+
+so that in a sweep each factor spans only the axes it depends on and the
+grid sees one subtraction where it saw a subtraction, a product with i and
+a real addition.  The result is bit for bit the direct form's: for finite
+inputs both give the real part kappa + kappa_l + Re C (or hw), since i*x
+has the real part 0*x - 0, a zero that adds nothing to a positive width,
+and the imaginary part omega_c - omega + Im C (or omega_j - omega) from
+the same subtraction.  A non-finite factor still makes the real part NaN
+through 0*inf.  What the factor form cannot show is a difference of two
+finite factors that overflows, where the direct form's i*inf gave NaN:
+``spectrum_sweep`` refuses such a grid before it starts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +87,20 @@ def quadrature_of(t, phase: float):
     return np.real(np.exp(-1j * phase) * t)
 
 
+def _lines(spins: SpinEnsembleParams, signed: bool):
+    """The line (offset, coupling, Zeeman sign) of each class, in class
+    order; with ``signed`` false every line takes the plus sign."""
+    return [(cls.detuning_offset, spins.class_coupling(cls),
+             1.0 if cls.branch is Branch.PLUS or not signed else -1.0)
+            for cls in spins.spin_classes]
+
+
+def _center(spins: SpinEnsembleParams, line, thermal, zeeman):
+    """omega_j = omega_zfs + offset_j + thermal +/- zeeman of one line."""
+    offset, _, sign = line
+    return spins.omega_zfs + offset + thermal + sign * zeeman
+
+
 def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     """C(omega) = sum_j g_j^2 / ((Gamma + gamma)/2 + i*(omega_j - omega)).
 
@@ -78,7 +108,10 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     probe ``omega`` broadcast against each other; class j sits at
     omega_j = omega_zfs + offset_j + thermal +/- zeeman.  Classes are summed
     one at a time, so C only spans the axes its inputs span and no
-    temporary grows past their broadcast shape.
+    temporary grows past their broadcast shape.  Each denominator is the
+    factor form (hw + i*omega_j) - i*omega, whose two factors span only
+    their own axes, so the grid sees one subtraction; it is bit for bit
+    hw + i*(omega_j - omega) (see the module docstring).
 
     A term reads only its class's offset, coupling and, where the field is
     non-zero, Zeeman sign, so classes that agree on those share one line:
@@ -92,21 +125,19 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
         raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
     # with the field at (signed) zero, +/- zeeman add the same bits to the
     # positive omega_zfs sum, so the sign is no part of a line's key
-    signed = bool(np.any(zeeman))
-    lines = [(cls.detuning_offset, spins.class_coupling(cls),
-              1.0 if cls.branch is Branch.PLUS or not signed else -1.0)
-             for cls in spins.spin_classes]
+    lines = _lines(spins, bool(np.any(zeeman)))
     last = {line: j for j, line in enumerate(lines)}
     terms = {}
+    i_omega = 1j * omega
     c_value = 0.0  # no classes: bare cavity
     for j, line in enumerate(lines):
         term = terms.pop(line, None)
         if term is None:
-            offset, g_j, sign = line
-            center = spins.omega_zfs + offset + thermal + sign * zeeman
+            g_j = line[1]
             # g_j * g_j overflows to inf where a float's ** 2 raises
             # OverflowError
-            term = g_j * g_j / (hw + 1j * (center - omega))
+            term = g_j * g_j / ((hw + 1j * _center(spins, line, thermal,
+                                                   zeeman)) - i_omega)
         if last[line] > j:
             terms[line] = term
         c_value = c_value + term
@@ -118,8 +149,11 @@ def susceptibility(
 ):
     """Ensemble susceptibility C(omega); accepts scalar or array probe."""
     omega = np.asarray(omega_probe, dtype=np.float64)
+    # a scalar probe stays a Python float, so its division is CPython's
+    # complex division, as hw + i*(omega_j - omega) was
     c = _class_sum(spins, env.dwa_dT * env.delta_T,
-                   env.gyromagnetic * env.B_field, omega)
+                   env.gyromagnetic * env.B_field,
+                   omega if omega.ndim else float(omega))
     return c if omega.ndim else complex(c)
 
 
@@ -127,12 +161,16 @@ def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c,
                            out=None):
     """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly.
 
+    The denominator is the factor form (kappa + kappa_l + i*omega_c)
+    - i*omega + C, bit for bit the direct one (see the module docstring):
+    in a sweep the cavity and probe factors span only their own axes, so
+    the grid sees one subtraction and one addition before the division.
     ``out`` is numpy's: the division writes t into it, which the inputs
     broadcast to, and it is returned."""
-    # one expression, so numpy reuses the grid-sized temporaries in place
+    # one expression, so numpy adds C into the difference in place
     return np.divide(cavity.kappa_out, (
-        cavity.kappa_out + cavity.kappa_loss
-        + 1j * (np.asarray(omega_c) - np.asarray(omega_probe)) + c_value
+        (cavity.kappa_out + cavity.kappa_loss + 1j * np.asarray(omega_c))
+        - 1j * np.asarray(omega_probe) + c_value
     ), out=out)
 
 
@@ -166,6 +204,51 @@ class SweepResult:
 _BLOCK_POINTS = 2 ** 15
 
 
+def _frequencies(spins, cavity, env, swept: dict):
+    """(thermal shift, Zeeman shift, probe, cavity) in rad/s, with each
+    variable in ``swept`` overriding its ``env`` (or probe or cavity) value,
+    broadcasting as it is shaped."""
+    thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
+    zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
+    omega_probe = spins.omega_zfs + swept.get("probe_offset", 0.0)
+    if "cavity_offset" in swept:
+        omega_c = (spins.omega_zfs + swept["cavity_offset"]
+                   + env.R_ratio * thermal_shift)
+    else:
+        omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
+    return thermal_shift, zeeman, omega_probe, omega_c
+
+
+def _require_finite_differences(spins, cavity, env, axis1, v1, axis2, v2):
+    """ConfigError naming the axes where a finite cavity or spin-line
+    frequency and a finite probe frequency of the grid lie too far apart
+    for their difference to be a float.
+
+    The direct form i*(omega_c - omega) made t NaN there; the factor form
+    would give a finite t.  Every frequency is monotone in each axis value,
+    so its extremes sit at the grid's corners, and only the probe frequency
+    reads the probe axis, so each extreme difference is one the grid makes.
+    A non-finite frequency is left to make t NaN, as in either form.
+    """
+    corners = {axis1.variable: np.array([[v1.min()], [v1.max()]]),
+               axis2.variable: np.array([[v2.min(), v2.max()]])}
+    thermal, zeeman, omega, omega_c = _frequencies(spins, cavity, env, corners)
+    omega = np.asarray(omega)[np.isfinite(omega)]
+    factors = [("cavity", omega_c)] + [
+        ("spin line", _center(spins, line, thermal, zeeman))
+        for line in _lines(spins, True)]
+    for name, factor in factors:
+        factor = np.asarray(factor)[np.isfinite(factor)]
+        # Python floats: an overflowing difference is inf, with no warning
+        if factor.size and omega.size and not (
+                math.isfinite(float(factor.max()) - float(omega.min()))
+                and math.isfinite(float(factor.min()) - float(omega.max()))):
+            raise ConfigError(
+                f"the {axis1.variable} x {axis2.variable} sweep puts the "
+                f"{name} and probe frequencies too far apart: their "
+                "difference overflows")
+
+
 def spectrum_sweep(
     spins: SpinEnsembleParams,
     cavity: CavityParams,
@@ -182,20 +265,28 @@ def spectrum_sweep(
     Each swept quantity is a broadcast axis, ``(rows, 1)`` for a block of
     axis1 rows and ``(1, n2)`` for axis2, and everything held fixed stays a
     scalar, so C(omega) only spans the axes it depends on (the probe axis
-    alone in a probe-vs-cavity sweep).  The grid is filled one block of about
-    ``_BLOCK_POINTS`` points at a time, so no temporary grows past one block
-    and the preallocated ``(n1, n2)`` result is the only grid-sized array:
-    each block's division writes straight into its rows (numpy's ``out=``
-    of ``transmission_amplitude``), with no block-sized copy.  At zero field
-    ``_class_sum`` divides once per distinct spin line, not once per class.
-    Every step is elementwise, so the block size changes no value.  A grid
-    too large to allocate is a ConfigError, raised before any block runs.
+    alone in a probe-vs-cavity sweep).  Each denominator is built from
+    per-axis complex factors, (hw + i*omega_j) - i*omega for a spin line
+    and (kappa + kappa_l + i*omega_c) - i*omega + C for the cavity, so the
+    products with i and the real additions run on the small factors and
+    the grid sees one subtraction per denominator; every value is bit for
+    bit the direct form's (see the module docstring).  The grid is filled
+    one block of about ``_BLOCK_POINTS`` points at a time, so no temporary
+    grows past one block and the preallocated ``(n1, n2)`` result is the
+    only grid-sized array: each block's division writes straight into its
+    rows (numpy's ``out=`` of ``transmission_amplitude``), with no
+    block-sized copy.  At zero field ``_class_sum`` divides once per
+    distinct spin line, not once per class.  Every step is elementwise, so
+    the block size changes no value.  A grid too large to allocate, or one
+    whose cavity or spin-line and probe frequencies differ by more than a
+    float holds, is a ConfigError, raised before any block runs.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("sweep axes must differ")
 
     v1 = axis1.grid()
     v2 = axis2.grid()
+    _require_finite_differences(spins, cavity, env, axis1, v1, axis2, v2)
     try:
         t = np.empty((v1.size, v2.size), dtype=np.complex128)
     except MemoryError:
@@ -204,17 +295,9 @@ def spectrum_sweep(
     rows = max(1, _BLOCK_POINTS // v2.size)
     for start in range(0, v1.size, rows):
         block = slice(start, start + rows)
-        swept = {axis1.variable: v1[block, None], axis2.variable: v2[None, :]}
-
-        thermal_shift = env.dwa_dT * swept.get("delta_T", env.delta_T)
-        zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
-        omega_probe = spins.omega_zfs + swept.get("probe_offset", 0.0)
-        if "cavity_offset" in swept:
-            omega_c = (spins.omega_zfs + swept["cavity_offset"]
-                       + env.R_ratio * thermal_shift)
-        else:
-            omega_c = cavity.omega_c_ref + env.R_ratio * thermal_shift
-
+        thermal_shift, zeeman, omega_probe, omega_c = _frequencies(
+            spins, cavity, env,
+            {axis1.variable: v1[block, None], axis2.variable: v2[None, :]})
         c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
         transmission_amplitude(cavity, c_value, omega_probe, omega_c,
                                out=t[block])

@@ -2,7 +2,9 @@
 
 The bright-mode closed forms (B = 0) import nothing from spinclock, and
 ``exact_eigenvalue`` works in exact rationals.  ``class_sum_per_class`` is
-the susceptibility with one division per spin class and no line shared.
+the susceptibility with one division per spin class and no line shared, and
+``sweep_reference`` the transmission over a whole sweep grid at once, each
+denominator built in the grid in the direct form.
 The per-point readers and the central difference read ``polariton._solve``,
 the solve every run uses, with ``_slope`` and ``_curvature``: a criterion
 checked through them checks that solve, not a copy of it.
@@ -63,6 +65,26 @@ def class_sum_per_class(spins, thermal, zeeman, omega):
         c_value = c_value + g_j * g_j / (spins.halfwidth
                                          + 1j * (center - omega))
     return c_value
+
+
+def sweep_reference(spins, cavity, env, axis1, axis2):
+    """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C) over the whole
+    (axis1, axis2) grid in one broadcast, with C from ``class_sum_per_class``
+    and every difference of frequencies taken in the grid."""
+    swept = {axis1.variable: axis1.grid()[:, None],
+             axis2.variable: axis2.grid()[None, :]}
+    thermal = env.dwa_dT * swept.get("delta_T", env.delta_T)
+    zeeman = env.gyromagnetic * swept.get("B_field", env.B_field)
+    omega = spins.omega_zfs + swept.get("probe_offset", 0.0)
+    if "cavity_offset" in swept:
+        omega_c = spins.omega_zfs + swept["cavity_offset"]
+    else:
+        omega_c = cavity.omega_c_ref
+    omega_c = omega_c + env.R_ratio * thermal
+    c_value = class_sum_per_class(spins, thermal, zeeman, omega)
+    t = cavity.kappa_out / (cavity.kappa_out + cavity.kappa_loss
+                            + 1j * (omega_c - omega) + c_value)
+    return np.broadcast_to(t, (axis1.points, axis2.points))
 
 
 # Exact arithmetic

@@ -351,6 +351,14 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
      "axis2 'start' = -1e+308 hz"),
     (["spectrum", "--axis1", "cavity_offset:0:1e308:3",
       "--axis2", "B_field:0:1e-6:3"], 2, "axis1 'stop' = 1e+308 hz"),
+    # finite frequencies whose difference overflows, which a denominator
+    # built in the grid made NaN
+    (["spectrum", "--axis1", "cavity_offset:0:2e307:3",
+      "--axis2", "probe_offset:-2e307:0:3"], 2,
+     "cavity_offset x probe_offset sweep puts the cavity and probe"),
+    (["spectrum", "--axis1", "delta_T:0:2e302:3",
+      "--axis2", "probe_offset:-2e307:0:3"], 2,
+     "delta_T x probe_offset sweep puts the spin line and probe"),
     # a malformed axis or tau range, named by its flag
     (["spectrum", "--points", "3"], 2,
      "--axis1 is required unless --figure is given"),
@@ -365,6 +373,7 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
         "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
         "tau-points-zero", "axis2-start-overflow", "axis1-stop-overflow",
+        "cavity-probe-difference-overflow", "line-probe-difference-overflow",
         "no-axis1", "axis1-two-fields", "axis1-bad-start", "axis1-bad-points",
         "tau-not-a-range"])
 def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, code, field):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from _oracles import class_sum_per_class
+from _oracles import class_sum_per_class, sweep_reference
 from hypothesis import strategies as st
 
 from spinclock import transmission
@@ -480,6 +480,27 @@ def test_sweep_rows_do_not_depend_on_blocks(spins, var1, var2):
             one = spectrum_sweep(spins, cavity, env, SweepAxis(var1, v1, v1, 1),
                                  ax2)
             assert np.array_equal(one.t[0].view(np.int64), row.view(np.int64))
+
+
+@pytest.mark.parametrize("b_field", _LINE_FIELDS.values(), ids=_LINE_FIELDS)
+@pytest.mark.parametrize("spins", _LINE_ENSEMBLES.values(),
+                         ids=_LINE_ENSEMBLES)
+@pytest.mark.parametrize("var1,var2", list(itertools.permutations(AXIS_VARIABLES, 2)))
+def test_sweep_is_the_direct_form_bit_for_bit(spins, b_field, var1, var2):
+    # the factor-form denominators against kappa + kappa_l + i(omega_c -
+    # omega) + C and hw + i(omega_j - omega), each built in the whole grid;
+    # the 5 x 7 grid puts a field axis through B = 0, and the others span
+    # several blocks or rows wider than one
+    cavity = CavityParams(omega_c_ref=ZFS + from_hz(4e6),
+                          kappa_out=from_hz(500e3), kappa_loss=from_hz(120e3))
+    env = EnvironmentState(delta_T=3.5, B_field=b_field, R_ratio=-0.3)
+    for n1, n2 in [(5, 7), *_block_shapes()]:
+        ax1 = SweepAxis(var1, *_AXIS_RANGES[var1], n1)
+        ax2 = SweepAxis(var2, *_AXIS_RANGES[var2], n2)
+        res = spectrum_sweep(spins, cavity, env, ax1, ax2)
+        assert np.array_equal(_bits(res.t),
+                              _bits(sweep_reference(spins, cavity, env,
+                                                    ax1, ax2))), (n1, n2)
 
 
 def test_bare_cavity_sweep_spans_both_axes():
