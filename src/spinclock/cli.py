@@ -5,16 +5,17 @@ output records: a fresh run turns its flags into one, and ``spinclock
 replay sidecar.json --out X`` reads one and reproduces the output byte for
 byte.  Either way the document is checked in one place, ``_check_document``,
 and then computed, so a bad value fails alike from a flag or a sidecar, with
-a message that names the document key (``--B-nt inf`` names ``db_stab_t``).
+a message that names the document key (``--B-nt inf`` names the config
+key ``db_stab_t``).
 A ``--figure`` run starts from its panel's stored document, and every
 spectrum document is read by ``figures.read_spectrum``.
 Each value's rule is a row of this module, of ``params._FIELDS`` or of
 ``transmission._AXIS_KEYS``, checked by ``params._require``; so a config
 value out of range names its key too (``--kappa-hz 0`` names
 ``kappa_out_hz``), as does one that overflows only in rad/s.  A key that no
-run reads exits 2.  Each flag is recorded as typed (``--g-hz 3.3e6`` is
-``g_collective_hz: 3300000.0``); only ``--dT-mk`` and ``--B-nt`` are scaled,
-from mK and nT.
+run reads exits 2.  Each flag shared by the commands sets a config key,
+recorded as typed (``--g-hz 3.3e6`` is ``g_collective_hz: 3300000.0``); only
+``--dT-mk`` and ``--B-nt`` are scaled, from mK and nT.
 Outputs contain no timestamps and write each value as ``repr`` of its
 Python float, the shortest round-trip text, so identical configurations give
 identical bytes.  A CSV or JSON table is written by ``_table.write_table``,
@@ -165,9 +166,8 @@ _SIDECAR_KEYS = {
     "spectrum": dict(format=_FORMAT, quadrature_phase_rad=_NUMBER, axis1=_OBJECT,
                      axis2=_OBJECT, slice_axis1_value=_or_null(_NUMBER)),
     "stability": dict(format=_FORMAT, tau_start_s=_POSITIVE,
-                      tau_stop_s=_POSITIVE, tau_points=_COUNT,
-                      db_stab_t=_NUMBER),
-    "operating-point": dict(branch=_one_of(*BRANCHES), db_stab_t=_NUMBER),
+                      tau_stop_s=_POSITIVE, tau_points=_COUNT),
+    "operating-point": dict(branch=_one_of(*BRANCHES)),
 }
 _HEADER = dict(version=_one_of(__version__), command=_one_of(*_SIDECAR_KEYS),
                config=_OBJECT)
@@ -242,10 +242,7 @@ def _operating_point_report(doc: dict) -> str:
     """The operating-point report of ``doc`` as JSON text."""
     preset = Preset.from_config(doc["config"])
     op = operating_point_numeric(preset.spins, preset.env, branch=doc["branch"])
-    budget = environmental_floors(
-        preset.spins, preset.env, op,
-        dT_stab=preset.dT_stab, dB_stab=doc["db_stab_t"],
-    )
+    budget = environmental_floors(preset, op)
     report = {
         "D_hz": to_hz(op.detuning_D),
         "branch": op.branch,
@@ -284,7 +281,7 @@ def _stability_from_doc(doc: dict, out: Path) -> dict:
     except MemoryError:
         raise ConfigError(f"tau_points = {doc['tau_points']} does not fit "
                           "in memory") from None
-    curve = stability_curve(preset, taus=taus, dB_stab=doc["db_stab_t"])
+    curve = stability_curve(preset, taus=taus)
     n = curve.taus.size
     # the floors as broadcast views, which the writer formats once
     return {out: _table(
@@ -308,10 +305,9 @@ def _stability_from_doc(doc: dict, out: Path) -> dict:
 # the document, as for a replay.
 
 
-# The flags every fresh run takes, each with the document key it sets (its
+# The flags every fresh run takes, each with the config key it sets (its
 # argparse dest) and its help: in spectrum, then in operating-point and
-# stability.  A key of the command's document is set there, any other in
-# its config.
+# stability.
 _COMMON_FLAGS = {
     "--g-hz": [("g_collective_hz", "ensemble coupling g (Hz)")] * 2,
     "--kappa-hz": [("kappa_out_hz", "cavity output rate kappa (Hz)")] * 2,
@@ -321,7 +317,7 @@ _COMMON_FLAGS = {
     "--dT-mk": [("delta_t_k", "static temperature offset (mK)"),
                 ("dt_stab_k", "temperature stability (mK)")],
     "--B-nt": [("b_field_t", "static axial field (nT)"),
-               ("db_stab_t", "magnetic stability (nT, default 0)")],
+               ("db_stab_t", "magnetic stability (nT)")],
 }
 # The flags typed in another unit than their key's; the rest are recorded
 # as typed
@@ -330,7 +326,7 @@ _FLAG_SCALE = {"--dT-mk": 1e-3, "--B-nt": 1e-9}
 
 def _document(args, preset: Preset, **keys) -> dict:
     """A fresh run's document: ``keys`` beside the preset's config, and
-    each common flag given written over the key it sets."""
+    each common flag given written over the config key it sets."""
     doc = {"tool": "spinclock", "version": __version__,
            "command": args.command, "seed": args.seed,
            "config": preset.to_config(), **keys}
@@ -338,9 +334,7 @@ def _document(args, preset: Preset, **keys) -> dict:
         key = modes[args.command != "spectrum"][0]
         value = getattr(args, key)
         if value is not None:
-            target = doc if key in _SIDECAR_KEYS[args.command] \
-                else doc["config"]
-            target[key] = value * _FLAG_SCALE.get(flag, 1.0)
+            doc["config"][key] = value * _FLAG_SCALE.get(flag, 1.0)
     return doc
 
 
@@ -456,8 +450,6 @@ def _add_common(p: argparse.ArgumentParser, stability: bool) -> None:
         key, text = modes[stability]
         p.add_argument(flag, type=float, dest=key, help=f"{text}; sets {key}",
                        metavar=flag.lstrip("-").replace("-", "_").upper())
-    if stability:
-        p.set_defaults(db_stab_t=0.0)
     p.add_argument("--seed", type=int, default=None,
                    help="recorded in the provenance sidecar only; "
                         "no computation uses it")

@@ -8,11 +8,12 @@ is one delta-function class per branch, which reproduces a homogeneous line.
 All values stored here are angular (rad/s); see :mod:`spinclock.units`.
 Temperatures are kelvin, magnetic fields tesla, times seconds.
 
-A ``Preset`` gathers the four parameter objects with a name and a
-temperature stability.  Its flat JSON config, which provenance sidecars
-carry, is written by ``Preset.to_config`` and read by ``Preset.from_config``
-from one table, ``_FIELDS``, with one row per stored field; a key absent
-from a config takes the field's dataclass default.
+A ``Preset`` gathers the four parameter objects with a name and the
+temperature and magnetic stabilities behind the environmental floors.  Its
+flat JSON config, which provenance sidecars carry, is written by
+``Preset.to_config`` and read by ``Preset.from_config`` from one table,
+``_FIELDS``, with one row per stored field; a key absent from a config takes
+the field's dataclass default.
 
 Each row also holds its value's rule, a predicate with its description
 such as "a finite number > 0".  ``_require`` checks a config against the
@@ -261,6 +262,7 @@ class Preset:
     env: EnvironmentState = field(default_factory=EnvironmentState)
     probe: ProbeParams = field(default_factory=ProbeParams)
     dT_stab: float = 0.0  # achievable temperature stability, kelvin
+    dB_stab: float = 0.0  # achievable magnetic stability, tesla
 
     def __post_init__(self):
         _check_fields(self)
@@ -319,7 +321,8 @@ _PARTS = {"spins": SpinEnsembleParams, "cavity": CavityParams,
 # dataclass default.
 _FIELDS = {
     "preset_name": (Preset, "name", False, _STRING),
-    "dt_stab_k": (Preset, "dT_stab", False, _NUMBER),
+    "dt_stab_k": (Preset, "dT_stab", False, _NON_NEGATIVE),
+    "db_stab_t": (Preset, "dB_stab", False, _NON_NEGATIVE),
     "omega_zfs_hz": (SpinEnsembleParams, "omega_zfs", True, _POSITIVE),
     "gamma_pump_hz": (SpinEnsembleParams, "gamma_pump", True, _NON_NEGATIVE),
     "gamma_dephasing_hz": (SpinEnsembleParams, "Gamma_deph", True,

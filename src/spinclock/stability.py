@@ -13,10 +13,12 @@ The probe amplitude must stay low enough that the ensemble remains
 polarized; per spin, beta << sqrt(kappa * gamma * (gamma + Gamma)) / (4 g0 |t|).
 
 Environmental floors are the actual polariton shifts for static offsets of
-the stabilization magnitudes, which ``polariton.branch_shifts`` takes from
-the operating point's own eigenpairs, exact to rounding of their own size;
-they combine with shot noise in quadrature.  Like every eigen entry point,
-they refuse a spin ensemble that the eigen model would fold.
+the stabilization magnitudes, the preset's ``dT_stab`` and ``dB_stab``
+(config keys ``dt_stab_k`` and ``db_stab_t``), which
+``polariton.branch_shifts`` takes from the operating point's own eigenpairs,
+exact to rounding of their own size; they combine with shot noise in
+quadrature.  Like every eigen entry point, they refuse a spin ensemble that
+the eigen model would fold.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (CavityParams, EnvironmentState, Preset, ProbeParams,
-                     SpinEnsembleParams)
+from .params import CavityParams, Preset, ProbeParams, SpinEnsembleParams
 from .polariton import OperatingPoint, branch_shifts, operating_point_numeric
 
 
@@ -152,25 +153,22 @@ def coupling_sensitivity_to_pump(spins: SpinEnsembleParams) -> float:
     return 0.5 * dP / state.P if state.P > 0 else 0.0
 
 
-def environmental_floors(
-    spins: SpinEnsembleParams,
-    env: EnvironmentState,
-    op: OperatingPoint,
-    dT_stab: float,
-    dB_stab: float,
-) -> NoiseBudget:
-    """Fractional floors for static offsets of the stabilization magnitudes.
+def environmental_floors(preset: Preset, op: OperatingPoint) -> NoiseBudget:
+    """Fractional floors for static offsets of the preset's stabilization
+    magnitudes.
 
     Thermal and magnetic floors are the exact branch shifts for offsets of
-    dT_stab / dB_stab from ``polariton.branch_shifts`` (so ``op`` must come
-    from the same spins and env); the pump floor converts laser power
-    fluctuations of ``_LASER_STABILITY`` into a coupling shift via the
-    polarization steady state (g proportional to sqrt(P)).
+    ``preset.dT_stab`` / ``preset.dB_stab`` from ``polariton.branch_shifts``
+    (so ``op`` must come from the preset's spins and env); the pump floor
+    converts laser power fluctuations of ``_LASER_STABILITY`` into a
+    coupling shift via the polarization steady state (g proportional to
+    sqrt(P)).
     """
+    spins = preset.spins
     # Shifts are taken in the line-center frame (no carrier rounding), then
     # normalized by the absolute branch frequency.
     nu0, d_thermal, d_magnetic, dnu_dg = branch_shifts(
-        spins, env, op, dT_stab, dB_stab)
+        spins, preset.env, op, preset.dT_stab, preset.dB_stab)
     thermal = abs(d_thermal) / nu0
     magnetic = abs(d_magnetic) / nu0
 
@@ -186,11 +184,7 @@ def environmental_floors(
     )
 
 
-def stability_curve(
-    preset: Preset,
-    taus=None,
-    dB_stab: float = 0.0,
-) -> StabilityCurve:
+def stability_curve(preset: Preset, taus=None) -> StabilityCurve:
     """Fractional frequency deviation vs integration time for a preset.
 
     sigma_y(tau) = sqrt(sigma_shot(tau)^2 + floor^2); the shot term follows
@@ -204,10 +198,7 @@ def stability_curve(
         raise ValueError("integration times must be finite and > 0")
 
     op = operating_point_numeric(preset.spins, preset.env)
-    budget = environmental_floors(
-        preset.spins, preset.env, op,
-        dT_stab=preset.dT_stab, dB_stab=dB_stab,
-    )
+    budget = environmental_floors(preset, op)
     carrier = preset.spins.omega_zfs
     sigma_1s = shot_noise_fractional(preset.cavity, preset.probe, carrier)
     sigma_shot = sigma_1s / np.sqrt(taus)

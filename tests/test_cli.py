@@ -244,8 +244,31 @@ def test_overrides_recorded_in_provenance(tmp_path):
     doc = json.loads((tmp_path / "s.csv.provenance.json").read_text())
     assert doc["config"]["g_collective_hz"] == 2e6
     assert doc["config"]["dt_stab_k"] == pytest.approx(5e-3)
-    assert doc["db_stab_t"] == pytest.approx(20e-9)
+    assert doc["config"]["db_stab_t"] == pytest.approx(20e-9)
     assert doc["seed"] == 42
+
+
+def test_magnetic_stability_is_a_config_key(tmp_path):
+    # --B-nt sets db_stab_t in the config, as --dT-mk sets dt_stab_k: a
+    # sidecar whose config alone holds it replays to the same report, whose
+    # params echo shows it, and it gives a magnetic floor at B = 0
+    fresh = tmp_path / "a.json"
+    assert _run("operating-point", "--B-nt", "10", "--out", str(fresh)) == 0
+    plain = tmp_path / "plain.json"
+    assert _run("operating-point", "--out", str(plain)) == 0
+    doc = json.loads((tmp_path / "plain.json.provenance.json").read_text())
+    assert "db_stab_t" not in doc and doc["config"]["db_stab_t"] == 0.0
+    doc["config"]["db_stab_t"] = 10 * 1e-9  # --B-nt's scaling from nT
+    sidecar = tmp_path / "in.json"
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    replayed = tmp_path / "r.json"
+    assert _run("replay", str(sidecar), "--out", str(replayed)) == 0
+    assert replayed.read_bytes() == fresh.read_bytes()
+    report = json.loads(fresh.read_text())
+    assert report["params"]["db_stab_t"] == pytest.approx(10e-9)
+    assert report["params"]["b_field_t"] == 0.0
+    assert report["magnetic_floor_fractional"] > 0
+    assert json.loads(plain.read_text())["magnetic_floor_fractional"] == 0.0
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path):
@@ -298,25 +321,24 @@ _AXIS = {"variable": "probe_offset", "start": -1e6, "stop": 1e6, "points": 5}
     ({"version": __version__, "command": "stability", "config": {},
       "format": "csv"}, "tau_start_s"),
     ({"version": __version__, "command": "operating-point",
-      "config": {"kappa_out_hz": "200e3"}, "branch": "upper",
-      "db_stab_t": 0.0}, "kappa_out_hz"),
+      "config": {"kappa_out_hz": "200e3"}, "branch": "upper"},
+     "kappa_out_hz"),
     ({"version": __version__, "command": "spectrum", "config": {},
       "format": "csv", "quadrature_phase_rad": 1.5,
       "axis1": dict(_AXIS, variable="cavity_offset"),
       "axis2": dict(_AXIS, points="5"), "slice_axis1_value": None}, "points"),
     ({"version": __version__, "command": "operating-point",
-      "config": {"n_spins": True}, "branch": "upper", "db_stab_t": 0.0},
-     "n_spins"),
+      "config": {"n_spins": True}, "branch": "upper"}, "n_spins"),
     ({"version": "0.0.0", "command": "operating-point", "config": {},
-      "branch": "upper", "db_stab_t": 0.0}, "version"),
+      "branch": "upper"}, "version"),
     ({"version": __version__, "command": "stability", "config": {},
       "format": "csv", "tau_start_s": 0.1, "tau_stop_s": 10.0,
-      "tau_points": 0, "db_stab_t": 0.0}, "tau_points"),
+      "tau_points": 0}, "tau_points"),
     ([], "is not a JSON object"),
     ({"version": __version__, "command": "operating-point",
       "config": {"class_offsets_plus_hz": [0.0, 0.0],
                  "class_weights_plus": [1.0]},
-      "branch": "upper", "db_stab_t": 0.0},
+      "branch": "upper"},
      "class_offsets_plus_hz and class_weights_plus differ in length"),
 ], ids=["no-version", "stability-no-version", "no-config", "no-tau-start",
         "string-kappa", "string-axis-points", "bool-n-spins", "other-version",
@@ -343,6 +365,9 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
     (["operating-point", "--g-hz", "nan"], 2, "g_collective"),
     (["operating-point", "--g-hz", "0"], 3, "coupling g = 0"),
     (["stability", "--B-nt", "inf"], 2, "db_stab_t"),
+    # a stability is a magnitude, so a negative one is out of range
+    (["operating-point", "--dT-mk", "-10"], 2, "dt_stab_k"),
+    (["stability", "--B-nt", "-5"], 2, "db_stab_t"),
     (["stability", "--tau", "0.1..inf"], 2, "tau_stop_s"),
     (["stability", "--tau-points", "0"], 2, "tau_points"),
     # an axis end finite in Hz but not in rad/s, named as typed
@@ -371,7 +396,8 @@ def test_replay_malformed_sidecar_is_config_error(tmp_path, capsys, doc, key):
      "--axis1: invalid literal for int() with base 10: 'x'"),
     (["stability", "--tau", "1-10"], 2, "--tau must look like 0.1..1e4"),
 ], ids=["kappa-inf", "kappa-nan", "power-inf", "quadrature-nan", "dT-nan",
-        "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "tau-inf",
+        "spectrum-dT-nan", "g-nan", "g-zero", "B-inf", "dT-negative",
+        "B-negative", "tau-inf",
         "tau-points-zero", "axis2-start-overflow", "axis1-stop-overflow",
         "cavity-probe-difference-overflow", "line-probe-difference-overflow",
         "no-axis1", "axis1-two-fields", "axis1-bad-start", "axis1-bad-points",
@@ -820,14 +846,20 @@ def _write_doc(path: Path, doc: dict) -> Path:
 
 @pytest.mark.parametrize("name,place,key,value,named", [
     ("stability", "top", "db_stab", 5, "unknown key(s): db_stab"),
+    # the magnetic stability is a config key; a sidecar that holds it at the
+    # top level, as older sidecars do, exits 2 naming it
+    ("stability", "top", "db_stab_t", 5e-9, "unknown key(s): db_stab_t"),
+    ("operating-point", "top", "db_stab_t", 0.0,
+     "unknown key(s): db_stab_t"),
     ("spectrum-axes", "axis1", "extra", 1, "axis1 has unknown key(s): extra"),
     ("spectrum-axes", "axis2", "unit", "k", "axis2 'unit' must be one of 'hz'"),
     ("spectrum-figure", "axis1", "unit", "hz", "axis1 'unit'"),
     ("operating-point", "top", "tool", "other", "'tool'"),
     ("stability", "top", "seed", 1.5, "'seed'"),
     ("spectrum-axes", "top", "seed", True, "'seed'"),
-], ids=["top-level-key", "axis-key", "hz-axis-in-kelvin", "kelvin-axis-in-hz",
-        "other-tool", "float-seed", "bool-seed"])
+], ids=["top-level-key", "stability-top-level-db-stab-t",
+        "operating-point-top-level-db-stab-t", "axis-key", "hz-axis-in-kelvin",
+        "kelvin-axis-in-hz", "other-tool", "float-seed", "bool-seed"])
 def test_replay_rejects_what_no_run_writes(tmp_path, name, place, key, value,
                                           named):
     # a key that no run reads, or a tool, seed or axis unit that no run
@@ -862,6 +894,7 @@ _OUT_OF_RANGE = {
     "omega_zfs_hz": 0.0, "gamma_pump_hz": -1.0, "gamma_dephasing_hz": -1.0,
     "gamma_relax_hz": -5.0, "g0_single_hz": -1.0, "g_collective_hz": -1.0,
     "n_spins": 0.5, "kappa_out_hz": 0.0, "kappa_loss_hz": -1.0,
+    "dt_stab_k": -1e-3, "db_stab_t": -1e-9,
     "photon_flux_per_s": 0.0, "class_offsets_plus_hz": [math.nan],
     "class_offsets_minus_hz": [math.inf], "class_weights_plus": [1.5],
     "class_weights_minus": [-0.5],
@@ -936,7 +969,7 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
     (["spectrum", "--figure", "2c", "--points", "3",
       "--power-photons-per-s", "0"], "spectrum-figure", {},
      {"photon_flux_per_s": 0.0}, "photon_flux_per_s"),
-    (["stability", "--B-nt", "inf"], "stability", {"db_stab_t": math.inf}, {},
+    (["stability", "--B-nt", "inf"], "stability", {}, {"db_stab_t": math.inf},
      "db_stab_t"),
     (["spectrum", "--figure", "2c", "--points", "0"], "spectrum-figure",
      {"axis1": {"points": 0}, "axis2": {"points": 0}}, {}, "axis1 'points'"),

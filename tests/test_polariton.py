@@ -436,7 +436,8 @@ def test_every_eigen_entry_point_refuses_a_folded_ensemble(r, classes, key):
     calls = [
         lambda: operating_point_numeric(spins, env),
         lambda: operating_point_numeric(no_coupling, env, "middle"),
-        lambda: environmental_floors(spins, env, one_line, 1e-3, 1e-9),
+        lambda: environmental_floors(
+            dataclasses.replace(preset, dT_stab=1e-3, dB_stab=1e-9), one_line),
         lambda: branch_shifts(spins, env, one_line, 1e-3, 1e-9),
         lambda: stability_curve(preset),
         lambda: branch_frequency_at(spins, env, np.zeros(3), "upper"),

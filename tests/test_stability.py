@@ -123,24 +123,25 @@ def test_floors_vanish_without_instability():
     # fluctuations leave the coupling, and the pump floor, exactly alone
     p = table1_preset("current")
     spins = dataclasses.replace(p.spins, gamma_0=0.0)
+    steady = dataclasses.replace(p, spins=spins, dT_stab=0.0, dB_stab=0.0)
     op = operating_point_numeric(spins, p.env)
-    budget = environmental_floors(spins, p.env, op, dT_stab=0.0, dB_stab=0.0)
+    budget = environmental_floors(steady, op)
     assert budget.thermal_floor == 0.0
     assert budget.magnetic_floor == 0.0
     assert budget.pump_floor == 0.0
     assert budget.floor_total == 0.0
     # shot noise never meets a zero floor
-    curve = stability_curve(dataclasses.replace(p, spins=spins, dT_stab=0.0))
+    curve = stability_curve(steady)
     assert curve.floor_total == 0.0 and curve.crossover_tau == math.inf
 
 
 def test_floors_scale_quadratically():
     p = table1_preset("current")
     op = operating_point_numeric(p.spins, p.env)
-    b1 = environmental_floors(p.spins, p.env, op,
-                              dT_stab=10e-3, dB_stab=10e-9)
-    b2 = environmental_floors(p.spins, p.env, op,
-                              dT_stab=20e-3, dB_stab=20e-9)
+    b1 = environmental_floors(
+        dataclasses.replace(p, dT_stab=10e-3, dB_stab=10e-9), op)
+    b2 = environmental_floors(
+        dataclasses.replace(p, dT_stab=20e-3, dB_stab=20e-9), op)
     assert b2.thermal_floor / b1.thermal_floor == pytest.approx(4.0, rel=0.01)
     assert b2.magnetic_floor / b1.magnetic_floor == pytest.approx(4.0, rel=0.01)
 
@@ -148,8 +149,8 @@ def test_floors_scale_quadratically():
 def test_budget_composition_and_ordering():
     p = table1_preset("current")
     op = operating_point_numeric(p.spins, p.env)
-    b = environmental_floors(p.spins, p.env, op,
-                             dT_stab=10e-3, dB_stab=10e-9)
+    b = environmental_floors(
+        dataclasses.replace(p, dT_stab=10e-3, dB_stab=10e-9), op)
     comp_sq = b.thermal_floor ** 2 + b.magnetic_floor ** 2 + b.pump_floor ** 2
     assert b.floor_total ** 2 == pytest.approx(comp_sq, rel=1e-14)
     assert b.floor_total >= max(b.thermal_floor, b.magnetic_floor,
@@ -186,8 +187,7 @@ def test_floors_match_exact_rational_shift(name):
     p = table1_preset(name)
     op = operating_point_numeric(p.spins, p.env)
     db = 10e-9
-    b = environmental_floors(p.spins, p.env, op,
-                             dT_stab=p.dT_stab, dB_stab=db)
+    b = environmental_floors(dataclasses.replace(p, dB_stab=db), op)
     thermal = _exact_floor(p.spins, p.env, op, _dH_dT(p.env), p.dT_stab)
     magnetic = _exact_floor(p.spins, p.env, op, _dH_dB(p.env), db)
     assert b.thermal_floor == pytest.approx(thermal, rel=1e-9, abs=0)
@@ -198,15 +198,15 @@ def test_floors_match_exact_rational_shift(name):
 def test_floors_do_not_move_with_one_ulp_of_detuning(name):
     p = table1_preset(name)
     op = operating_point_numeric(p.spins, p.env)
-    kw = dict(dT_stab=p.dT_stab, dB_stab=10e-9)
-    base = environmental_floors(p.spins, p.env, op, **kw)
+    p = dataclasses.replace(p, dB_stab=10e-9)
+    base = environmental_floors(p, op)
     for d in (np.nextafter(op.detuning_D, -np.inf),
               np.nextafter(op.detuning_D, np.inf)):
         lam, vec = _solve(p.spins, p.env, d, p.env.delta_T, p.env.B_field,
                           _coupling_pattern(p.spins))
         moved = dataclasses.replace(op, detuning_D=float(d),
                                     lambdas_rel=lam, eigvecs=vec)
-        b = environmental_floors(p.spins, p.env, moved, **kw)
+        b = environmental_floors(p, moved)
         assert b.thermal_floor == pytest.approx(base.thermal_floor, rel=1e-9)
         assert b.magnetic_floor == pytest.approx(base.magnetic_floor, rel=1e-9)
 
@@ -239,8 +239,7 @@ def test_operating_point_and_floors_solve_few_matrices(monkeypatch):
     for p, branch, db in cases:
         matrices.clear()
         op = operating_point_numeric(p.spins, p.env, branch)
-        environmental_floors(p.spins, p.env, op,
-                             dT_stab=p.dT_stab, dB_stab=db)
+        environmental_floors(dataclasses.replace(p, dB_stab=db), op)
         assert matrices == [1], (branch, matrices)
 
 

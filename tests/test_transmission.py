@@ -580,15 +580,15 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
                  "ed12c9c2fc25520d0db52fe4fca1afd7",
       "out_slice.csv": "44f84e2762e09034aeea61bdc934663e"
                        "bf016ded91a2de16a4fe374933695bdb",
-      "out.csv.provenance.json": "237684fe7a5b5ac7a89179dfdbacc6b2"
-                                 "42e01541a894600bd18d0464228daa6a"}),
+      "out.csv.provenance.json": "1955f50cbd2f0b3f83df6e58f8aca435"
+                                 "9702dc648c71bee64a7c47bd68f2dc03"}),
     (["spectrum", "--figure", "2d", "--points", "301"],
      {"out.csv": "6ab327933e244ee33dec571c523cca6b"
                  "8311e46d93a2d0725f0b2fa20aaa70e8",
       "out_slice.csv": "c943fd7d2ddea38b23cd48fa7698509f"
                        "6191f28a785e60e66e9acaaf99d95169",
-      "out.csv.provenance.json": "4849c0e006d781caf3b4cd36a36a9d4c"
-                                 "842794d9f126e41bdde5d038f758dc96"}),
+      "out.csv.provenance.json": "eda81ac535a37bfdf84f4ffa96b39677"
+                                 "51f155d47e592b96c636c47c15ee0ee9"}),
     # recorded with the whole-grid sweep; 201 rows span two sweep blocks
     (["spectrum", "--figure", "2d", "--points", "201"],
      {"out.csv": "bab20f38e348cdbd4eacb32f21f0b865"
@@ -600,8 +600,8 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
     (["spectrum", "--figure", "2b", "--points", "301"],
      {"out.csv": "398f37be44937a21080d6b275569ccbe"
                  "6d1ed36315de5761981fe4a6938d9a8a",
-      "out.csv.provenance.json": "c6aa6c4bd5cfd2bae200d9f8b20a43aa"
-                                 "32f55c3bf46972f304d807dadfd8db8a"}),
+      "out.csv.provenance.json": "3fc63eacc66b77851c0238ccf615ce14"
+                                 "996a5ccfde745402eb1e210defb626d8"}),
     # recorded with the floors as Schur-complement shifts; the thermal floor
     # moved by 8.9e-4 to within 1e-10 of the exact-rational shift
     # (test_stability.py::test_floors_match_exact_rational_shift)
@@ -617,26 +617,30 @@ def test_perfbench_checks_the_pinned_fig2a_digest():
     # (test_polariton.py::test_operating_point_matches_exact_oracle).  The
     # sidecars and the report's params echo were re-recorded without the
     # probe keys no output read (omega_probe_hz, beta_amplitude_sqrt_per_s,
-    # quadrature_phase_rad, tau_s); every other key and value is unchanged
+    # quadrature_phase_rad, tau_s); every other key and value is unchanged.
+    # Every sidecar digest in this list, and the report's, was re-recorded
+    # with the magnetic stability db_stab_t as a config key: it moved from a
+    # sidecar's top level into its config (a spectrum sidecar's config
+    # gained it at 0.0), and the params echo gained it; nothing else moved
     (["operating-point", "--preset", "outlook", "--branch", "lower",
       "--g-hz", "2.5e6", "--R", "-0.37", "--kappa-hz", "1e5", "--dT-mk", "4",
       "--B-nt", "30"],
-     {"out.json": "6cf3b957e5ca56ec0b63d0792e96fa07"
-                  "03b1a1f519eed381d723c0bcc95f5ee0",
-      "out.json.provenance.json": "3c5bf963f3d5285e48069de006c6dbe2"
-                                  "8c5ca446d64357052d70ec54d5554b31"}),
+     {"out.json": "a4c91408d77c0a36865a521053cadfd8"
+                  "20d83b85716ba48a87c723511d9615e2",
+      "out.json.provenance.json": "a3d8a2051008bec5271f66ce6286c7ac"
+                                  "df060a777c9750378b5ee2c3fbbda734"}),
     (["spectrum", "--axis1", "delta_T:-1:1", "--axis2", "B_field:-1e-6:1e-6:7",
       "--points", "9", "--format", "json"],
      {"out.json": "6134016d4472172dc0fc949d48044dad"
                   "e7d730d1c8146ef9d7741b2e2910cc2a",
-      "out.json.provenance.json": "b59be7a429e99801ca303b961ef61d6e"
-                                  "4bea37126cbcf57d736674b6723dfa4a"}),
+      "out.json.provenance.json": "9c4af19c2b4b1c00ce46e7c42e06d80b"
+                                  "11f24d46a7632e841944a29692b6b44d"}),
     (["stability", "--preset", "current", "--g-hz", "2e6", "--dT-mk", "5",
       "--B-nt", "20", "--format", "json"],
      {"out.json": "b53f296cc60340fc69621f3fc82ad8654"
                   "c939067fe5b0b04bef056a8722d3fb1",
-      "out.json.provenance.json": "d27bad1d5d64ed7f15da4b61979d8da1"
-                                  "768a60a61da7ede5405ab2394c06c5c3"}),
+      "out.json.provenance.json": "eaedb3371744f1532f8b6c03b374fcf3"
+                                  "dd1b290cf45078e09a420baac7b26c8b"}),
 ], ids=["fig2a-61", "fig2a-301-perfbench", "fig2a-81-json", "fig2c-101-json",
         "stability-outlook-3000", "fig2c-41", "fig2c-301", "fig2d-301",
         "fig2d-201", "fig2b-301",
