@@ -402,8 +402,9 @@ def _block_text(grids: list, fixed: list, seps: np.ndarray, index) -> bytes:
 
 
 def write_table(out, header, columns, fmt: str) -> None:
-    """Write named float64 columns to the open text file ``out`` as CSV or
-    JSON, each value as ``repr(float(v))``.
+    """Write named float64 columns as CSV or JSON to ``out``, a file open
+    for binary writing (or an ``io.BytesIO``): ASCII bytes, each value as
+    ``repr(float(v))``.
 
     The columns are arrays of one shape, 1-D or 2-D (a broadcast view
     serves), each written in C order.  The rows are formatted and written
@@ -419,28 +420,26 @@ def write_table(out, header, columns, fmt: str) -> None:
     grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
     blocks = _blocks(grids[0].shape)
     fixed = [_broadcast_texts(grid) for grid in grids]
-    out.flush()
-    raw = out.buffer  # the rows are ASCII bytes
     if fmt == "json":
         sep = b",\n  "
         seps = np.frombuffer(sep, np.uint8)[None]
-        raw.write(b"{")
+        out.write(b"{")
         for i, c in enumerate(sorted(range(len(header)),
                                      key=header.__getitem__)):
-            raw.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
+            out.write(f"{',' if i else ''}\n {json.dumps(header[c])}: ["
                       .encode())
             if grids[c].size:
-                raw.write(b"\n  ")
+                out.write(b"\n  ")
                 for k, index in enumerate(blocks):
                     text = _block_text(grids[c:c + 1], fixed[c:c + 1],
                                        seps, index)
-                    raw.write(text[:-len(sep)] if k == len(blocks) - 1
+                    out.write(text[:-len(sep)] if k == len(blocks) - 1
                               else text)
-                raw.write(b"\n ")
-            raw.write(b"]")
-        raw.write(b"\n}\n")
+                out.write(b"\n ")
+            out.write(b"]")
+        out.write(b"\n}\n")
         return
     seps = np.frombuffer(b"," * (len(grids) - 1) + b"\n", np.uint8)[:, None]
-    raw.write((",".join(header) + "\n").encode())
+    out.write((",".join(header) + "\n").encode())
     for index in blocks:
-        raw.write(_block_text(grids, fixed, seps, index))
+        out.write(_block_text(grids, fixed, seps, index))

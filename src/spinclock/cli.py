@@ -5,8 +5,9 @@ output records: a fresh run turns its flags into one, and ``spinclock
 replay sidecar.json --out X`` reads one and reproduces the output byte for
 byte.  Either way the document is checked in one place, ``_check_document``,
 and then computed, so a bad value fails alike from a flag or a sidecar, with
-a message that names the document key (``--B-nt inf`` names the config
-key ``db_stab_t``).
+a message that starts with the document's name, the command or ``sidecar
+<path>``, and names the document key (``--B-nt inf`` names the config key
+``db_stab_t``).
 A ``--figure`` run starts from its panel's stored document, and every
 spectrum document is read by ``figures.read_spectrum``.
 Each value's rule is a row of this module, of ``params._FIELDS`` or of
@@ -70,8 +71,8 @@ _FORMATS = ("csv", "json")
 
 
 def _open_output(path: Path):
-    """``path`` opened for writing UTF-8 text: the one place the CLI opens a
-    file to write.
+    """``path`` opened for writing bytes, which every writer hands it: the
+    one place the CLI opens a file to write.
 
     An existing regular file is unlinked and the path created afresh, so a
     rewrite is a new file (see the module docstring): truncating a
@@ -88,10 +89,10 @@ def _open_output(path: Path):
         except FileNotFoundError:
             pass
         try:
-            return open(path, "w", encoding="utf-8")
+            return open(path, "wb")
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
-            return open(path, "w", encoding="utf-8")
+            return open(path, "wb")
     except OSError as exc:
         # mkdir names the parent it failed on, which need not be the output
         culprit = os.fspath(exc.filename or path)
@@ -127,8 +128,8 @@ def _open_outputs(paths: list) -> list:
 
 
 def _text(text: str):
-    """A writer of ``text`` to an open file."""
-    return lambda out: out.write(text)
+    """A writer of ASCII ``text``, as ``json.dumps`` gives, to a file."""
+    return lambda out: out.write(text.encode())
 
 
 def _require_finite_output(values: dict) -> None:
@@ -179,9 +180,10 @@ def _check_document(doc, where: str) -> None:
     """ConfigError unless ``doc`` holds the keys its command reads, each
     keeping its rule, and no other key; ``where`` names the document.
 
-    Every run, fresh or replayed, is checked here.  Its config is then
-    checked by ``Preset.from_config`` and the rules between keys by the
-    command's runner, before any file is opened.
+    Every run, fresh or replayed, is checked here.  Its config and the
+    rules between keys are checked later, by the command's runner
+    (``Preset.from_config``, ``read_spectrum``, ``spectrum_sweep``), before
+    any file is opened; ``_run`` puts ``where`` in front of their errors.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} is not a JSON object")
@@ -414,21 +416,22 @@ _RUNNERS = {
 
 def _run(args) -> int:
     """Every run's one path: its document is checked, then computed into its
-    outputs; an operating-point report without ``--out`` goes to stdout."""
+    files, and every path is opened before the first byte is written, so a
+    run that fails writes nothing; an operating-point report without
+    ``--out`` goes to stdout.  A ConfigError of the check or the computation
+    starts with the document's name, the command or ``sidecar <path>``."""
     doc = args.document(args)
-    _check_document(doc, f"sidecar {Path(args.sidecar)}"
-                    if args.command == "replay" else args.command)
-    if args.out is None:
-        sys.stdout.write(_operating_point_report(doc))
-        return 0
-    return _emit(doc, Path(args.out))
-
-
-def _emit(doc: dict, out: Path) -> int:
-    """Run a checked ``doc`` into ``out`` and its sidecar: every file is
-    computed, and every path opened, before the first byte is written, so a
-    run that fails writes nothing."""
-    writers = _RUNNERS[doc["command"]](doc, out)
+    where = f"sidecar {Path(args.sidecar)}" if args.command == "replay" \
+        else args.command
+    _check_document(doc, where)
+    try:
+        if args.out is None:
+            sys.stdout.write(_operating_point_report(doc))
+            return 0
+        out = Path(args.out)
+        writers = _RUNNERS[doc["command"]](doc, out)
+    except ConfigError as exc:
+        raise ConfigError(f"{where} {exc}") from None
     sidecar = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     writers[out.with_name(out.name + ".provenance.json")] = \
         _text(sidecar + "\n")

@@ -84,11 +84,9 @@ def read_spectrum(doc: dict) -> FigureSetup:
     """The parameters, axes and slice of spectrum document ``doc``, in the
     model's units.  A ConfigError names what breaks, be it a
     ``slice_axis1_value`` off the axis1 grid, as an even point count puts
-    the middle of a symmetric axis."""
+    the middle of a symmetric axis.  Two axes over one variable are left
+    to ``spectrum_sweep``, which rejects them."""
     preset = Preset.from_config(doc["config"])
-    if doc["axis1"]["variable"] == doc["axis2"]["variable"]:
-        raise ConfigError("axis1 and axis2 must sweep different variables, "
-                          f"got {doc['axis1']['variable']!r} twice")
     axis1 = _axis_from_doc(doc["axis1"], "axis1")
     axis2 = _axis_from_doc(doc["axis2"], "axis2")
     value = doc["slice_axis1_value"]

@@ -5,8 +5,9 @@
 Each is stored as a flat config holding only the keys that differ from the
 ``params`` defaults, which ``Preset.from_config`` fills in.  The ensemble
 coupling g is pinned explicitly in both; g0*sqrt(N) lands within a factor
-~1.6 of it and the discrepancy is reported via
-``SpinEnsembleParams.coupling_consistency_ratio`` rather than enforced.
+~1.6 of it.  The discrepancy is not enforced; the library property
+``SpinEnsembleParams.coupling_consistency_ratio`` gives it, and no command
+prints it.
 
 Rates the reference sets leave open are the ``params`` defaults, which both
 presets inherit: microsecond-scale optical pumping (1 MHz) and a 10 ms

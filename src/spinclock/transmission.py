@@ -176,13 +176,11 @@ def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Dense transmission grid over two axes, row-major in (axis1, axis2)."""
+    """Transmission grid on the axis grids, row-major in (axis1, axis2)."""
 
-    axis1: SweepAxis
-    axis2: SweepAxis
     values1: np.ndarray
     values2: np.ndarray
-    t: np.ndarray  # complex, shape (axis1.points, axis2.points)
+    t: np.ndarray  # complex, shape (values1.size, values2.size)
 
     @property
     def abs_t(self) -> np.ndarray:
@@ -277,12 +275,14 @@ def spectrum_sweep(
     rows (numpy's ``out=`` of ``transmission_amplitude``), with no
     block-sized copy.  At zero field ``_class_sum`` divides once per
     distinct spin line, not once per class.  Every step is elementwise, so
-    the block size changes no value.  A grid too large to allocate, or one
-    whose cavity or spin-line and probe frequencies differ by more than a
-    float holds, is a ConfigError, raised before any block runs.
+    the block size changes no value.  Two axes over one variable, a grid
+    too large to allocate, or one whose cavity or spin-line and probe
+    frequencies differ by more than a float holds, is a ConfigError, raised
+    before any block runs.
     """
     if axis1.variable == axis2.variable:
-        raise ConfigError("sweep axes must differ")
+        raise ConfigError("axis1 and axis2 must sweep different variables, "
+                          f"got {axis1.variable!r} twice")
 
     v1 = axis1.grid()
     v2 = axis2.grid()
@@ -301,7 +301,7 @@ def spectrum_sweep(
         c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
         transmission_amplitude(cavity, c_value, omega_probe, omega_c,
                                out=t[block])
-    return SweepResult(axis1=axis1, axis2=axis2, values1=v1, values2=v2, t=t)
+    return SweepResult(values1=v1, values2=v2, t=t)
 
 
 __all__ = [

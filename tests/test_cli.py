@@ -510,7 +510,7 @@ def test_write_table_matches_repr_of_each_value(tmp_path, rows):
     columns = [col[:rows] for col in columns]
     for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
         out = tmp_path / f"t.{fmt}"
-        with open(out, "w", encoding="utf-8") as f:
+        with open(out, "wb") as f:
             write_table(f, header, columns, fmt)
         assert out.read_bytes() == expected(header, columns), fmt
 
@@ -530,9 +530,21 @@ def test_write_table_writes_grids_in_row_order(tmp_path, shape):
     flat = [grid.reshape(-1) for grid in grids]
     for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
         out = tmp_path / f"t.{fmt}"
-        with open(out, "w", encoding="utf-8") as f:
+        with open(out, "wb") as f:
             write_table(f, header, grids, fmt)
         assert out.read_bytes() == expected(header, flat), fmt
+
+
+def test_write_table_writes_bytes_to_any_binary_file(tmp_path):
+    # the writer needs only a write of bytes: an io.BytesIO gets the bytes
+    # a file gets
+    header, columns = _edge_columns()
+    for fmt in ("csv", "json"):
+        path, memory = tmp_path / f"t.{fmt}", io.BytesIO()
+        with open(path, "wb") as f:
+            write_table(f, header, columns, fmt)
+        write_table(memory, header, columns, fmt)
+        assert memory.getvalue() == path.read_bytes(), fmt
 
 
 def _write_table_peaks(tmp_path, data) -> list:
@@ -547,7 +559,7 @@ def _write_table_peaks(tmp_path, data) -> list:
         for fmt in ("csv", "json"):
             tracemalloc.start()
             try:
-                with open(tmp_path / f"t.{fmt}", "w", encoding="utf-8") as f:
+                with open(tmp_path / f"t.{fmt}", "wb") as f:
                     write_table(f, "abcde", columns, fmt)
                 peaks.append((n, fmt, tracemalloc.get_traced_memory()[1]))
             finally:
@@ -953,10 +965,37 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
         assert rc == 0, err
         return
     assert rc == 2, err
-    assert err == (f"error: {named}: the eigen model solves each branch as "
-                   "one line at its center, so it takes one spin class per "
-                   "branch, at offset 0\n"), err
+    assert err == (f"error: sidecar {sidecar} {named}: the eigen model "
+                   "solves each branch as one line at its center, so it "
+                   "takes one spin class per branch, at offset 0\n"), err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"db_stab_t": math.inf}, "config 'db_stab_t'"),
+    ({"kappa_out_hz": 1e308}, "kappa_out_hz"),
+], ids=["infinite-field-noise", "kappa-overflows"])
+def test_replayed_config_error_names_the_sidecar(tmp_path, config, named):
+    # a config value that the runner rejects, out of range or overflowing
+    # in rad/s, names the sidecar it came from, as a key at the sidecar's
+    # top level does (test_replay_with_spin_classes_is_config_error checks
+    # the same of the eigen model's one-line rule)
+    doc = copy.deepcopy(_valid_sidecars()["stability"])
+    doc["config"].update(config)
+    sidecar = _write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out" / "out.csv"
+    rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
+    assert rc == 2, err
+    assert err.startswith(f"error: sidecar {sidecar} ") and named in err, err
+    assert not out.parent.exists()
+
+
+def test_stdout_report_error_names_the_command(capsys):
+    # the report that goes to stdout is computed under the same name
+    assert main(["operating-point", "--B-nt", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: operating-point config 'db_stab_t' "), err
 
 
 @pytest.mark.parametrize("argv,name,top,config,named", [
@@ -1018,7 +1057,7 @@ def test_spectrum_axis_errors_name_their_keys(tmp_path, axes, message):
     out = tmp_path / "x.csv"
     rc, err = _quiet_main(["spectrum", "--axis1", axes[0], "--axis2", axes[1],
                            "--points", "3", "--out", str(out)])
-    assert (rc, err) == (2, f"error: {message}\n")
+    assert (rc, err) == (2, f"error: spectrum {message}\n")
     assert not out.exists()
 
 
@@ -1156,6 +1195,19 @@ def test_unwritable_path_of_a_run_writes_nothing(tmp_path, argv, blocked):
     assert err.startswith(f"error: --out: cannot write {tmp_path / blocked}")
     assert "Traceback" not in err
     assert [f.name for f in tmp_path.iterdir()] == [blocked]
+
+
+def test_unopenable_sidecar_removes_the_output_opened(tmp_path):
+    # an --out name that fits the directory's limit, whose sidecar name,
+    # 16 bytes longer, does not: the output is opened first, so its file
+    # is closed and removed again, and the run leaves nothing
+    name = "o" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv"
+    out = tmp_path / name
+    rc, err = _quiet_main(["stability", "--tau-points", "3",
+                           "--out", str(out)])
+    assert (rc, err) == (2, f"error: --out: cannot write {out}.provenance"
+                            ".json: File name too long\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,blocked", [
