@@ -35,11 +35,9 @@ from .presets import table1_preset
 from .stability import (
     BetaBound,
     NoiseBudget,
-    PolarizationState,
     StabilityCurve,
     environmental_floors,
     low_excitation_bound,
-    polarization_steady_state,
     shot_noise_fractional,
     stability_curve,
 )

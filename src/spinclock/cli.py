@@ -255,7 +255,7 @@ def _operating_point_report(doc: dict) -> str:
         "magnetic_floor_fractional": budget.magnetic_floor,
         "params": doc["config"],
     }
-    if preset.env.R_ratio < 0 and doc["branch"] != "middle":
+    if doc["branch"] != "middle":
         # signed (lower, upper) roots; the middle branch has no closed form
         lower, upper = operating_point_closed_form(
             preset.spins.branch_coupling, preset.env.R_ratio)

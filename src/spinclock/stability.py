@@ -1,4 +1,4 @@
-"""Measurement precision, probe bounds, polarization, and stability budgets.
+"""Measurement precision, probe bounds, noise floors and stability budgets.
 
 Shot-noise-limited precision of a homodyne frequency measurement:
 
@@ -19,6 +19,20 @@ the stabilization magnitudes, the preset's ``dT_stab`` and ``dB_stab``
 exact to rounding of their own size; they combine with shot noise in
 quadrature.  Like every eigen entry point, they refuse a spin ensemble that
 the eigen model would fold.
+
+The pump floor is the branch's shift for a relative change
+``_LASER_STABILITY`` of the optical pump rate gamma.  Pumping against the
+relaxation rate gamma_0 holds the fraction P = gamma / (gamma + gamma_0) of
+the ensemble polarized, and g tracks sqrt(P), so
+
+    dg/g = gamma dP/dgamma / (2 P)
+         = 0.5 * (gamma_0 / (gamma + gamma_0)^2 * gamma) / P
+
+per dgamma/gamma, and 0 where P is 0 (no pumping).  Both presets give
+7.96e-6, not the nominal 1e-8 design figure.  It takes (gamma + gamma_0)^2
+finite and > 0: both rates 0 leave P undefined, and rates that square to 0
+or to infinity would give a wrong floor, so ``environmental_floors`` raises
+a ConfigError naming ``gamma_pump_hz`` and ``gamma_relax_hz``.
 """
 
 from __future__ import annotations
@@ -28,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CavityParams, Preset, ProbeParams, SpinEnsembleParams
+from .params import (CavityParams, ConfigError, Preset, ProbeParams,
+                     SpinEnsembleParams)
 from .polariton import OperatingPoint, branch_shifts, operating_point_numeric
 
 
@@ -58,15 +73,6 @@ class NoiseBudget:
         return math.sqrt(_square(self.thermal_floor)
                          + _square(self.magnetic_floor)
                          + _square(self.pump_floor))
-
-
-@dataclass(frozen=True)
-class PolarizationState:
-    """Steady state of the optically pumped ensemble."""
-
-    P: float               # fraction of population in the polarized level
-    rabi_drive: float      # microwave Rabi term Omega = g_single * alpha (rad/s)
-    dP_dgamma: float       # sensitivity to the pump rate, per (rad/s)
 
 
 @dataclass(frozen=True)
@@ -123,36 +129,6 @@ def low_excitation_bound(
     return BetaBound(beta, beta ** 2, False)
 
 
-def polarization_steady_state(
-    gamma_pump: float, gamma_0: float, g_single: float, alpha_drive: float
-) -> PolarizationState:
-    """Rate-equation steady state P = (gamma + Omega) / (gamma + 2 Omega + gamma_0).
-
-    Omega = g_single * alpha is the microwave Rabi term.  The pump-rate
-    sensitivity is dP/dgamma = gamma_0 / (gamma + Omega + gamma_0)^2.
-    """
-    omega_r = g_single * alpha_drive
-    denom = gamma_pump + 2.0 * omega_r + gamma_0
-    if denom == 0:
-        raise ValueError("all rates zero: steady state undefined")
-    p = (gamma_pump + omega_r) / denom
-    dp = gamma_0 / _square(gamma_pump + omega_r + gamma_0)
-    return PolarizationState(P=p, rabi_drive=omega_r, dP_dgamma=dp)
-
-
-def coupling_sensitivity_to_pump(spins: SpinEnsembleParams) -> float:
-    """dg/g per dgamma/gamma of the pumped ensemble.
-
-    g tracks sqrt(P), so dg/g = dP / (2 P), taken without a microwave
-    drive.  The rate model does not recover the nominal 1e-8 design figure.
-    """
-    state = polarization_steady_state(
-        spins.gamma_pump, spins.gamma_0, spins.g0_single, 0.0
-    )
-    dP = state.dP_dgamma * spins.gamma_pump  # dgamma = gamma * (dgamma/gamma)
-    return 0.5 * dP / state.P if state.P > 0 else 0.0
-
-
 def environmental_floors(preset: Preset, op: OperatingPoint) -> NoiseBudget:
     """Fractional floors for static offsets of the preset's stabilization
     magnitudes.
@@ -161,8 +137,11 @@ def environmental_floors(preset: Preset, op: OperatingPoint) -> NoiseBudget:
     ``preset.dT_stab`` / ``preset.dB_stab`` from ``polariton.branch_shifts``
     (so ``op`` must come from the preset's spins and env); the pump floor
     converts laser power fluctuations of ``_LASER_STABILITY`` into a
-    coupling shift via the polarization steady state (g proportional to
-    sqrt(P)).
+    coupling shift through the closed form of the module docstring,
+    dg/g = 0.5 * (gamma_0 / (gamma + gamma_0)^2 * gamma) / P per dgamma/gamma,
+    with P = gamma / (gamma + gamma_0), and 0 where P is 0.  Unless
+    (gamma + gamma_0)^2 is finite and > 0, a ConfigError names
+    ``gamma_pump_hz`` and ``gamma_relax_hz``.
     """
     spins = preset.spins
     # Shifts are taken in the line-center frame (no carrier rounding), then
@@ -172,8 +151,18 @@ def environmental_floors(preset: Preset, op: OperatingPoint) -> NoiseBudget:
     thermal = abs(d_thermal) / nu0
     magnetic = abs(d_magnetic) / nu0
 
+    gamma, gamma_0 = spins.gamma_pump, spins.gamma_0
+    rates_sq = _square(gamma + gamma_0)
+    if not 0 < rates_sq < math.inf:
+        raise ConfigError(
+            "gamma_pump_hz and gamma_relax_hz: the pump floor needs "
+            "(gamma + gamma_0)^2 finite and > 0, got gamma + gamma_0 = "
+            f"{gamma + gamma_0!r} rad/s")
+    # in this order: the reduced gamma_0 / (2 (gamma + gamma_0)) differs in
+    # the last bit for a third or more of random rate pairs
+    p = gamma / (gamma + gamma_0)
+    dg_over_g = 0.5 * (gamma_0 / rates_sq * gamma) / p if p > 0 else 0.0
     # Hellmann-Feynman coupling sensitivity dL/dg at the operating point.
-    dg_over_g = coupling_sensitivity_to_pump(spins)
     dg = dg_over_g * _LASER_STABILITY * spins.branch_coupling
     pump = abs(dnu_dg) * dg / nu0
 
@@ -211,13 +200,10 @@ def stability_curve(preset: Preset, taus=None) -> StabilityCurve:
 
 __all__ = [
     "NoiseBudget",
-    "PolarizationState",
     "BetaBound",
     "StabilityCurve",
     "shot_noise_fractional",
     "low_excitation_bound",
-    "polarization_steady_state",
-    "coupling_sensitivity_to_pump",
     "environmental_floors",
     "stability_curve",
 ]

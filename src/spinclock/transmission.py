@@ -122,7 +122,8 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     """
     hw = spins.halfwidth
     if hw <= 0:
-        raise ConfigError("total spin linewidth Gamma + gamma must be > 0")
+        raise ConfigError("gamma_dephasing_hz and gamma_pump_hz: total spin "
+                          "linewidth Gamma + gamma must be > 0")
     # with the field at (signed) zero, +/- zeeman add the same bits to the
     # positive omega_zfs sum, so the sign is no part of a line's key
     lines = _lines(spins, bool(np.any(zeeman)))

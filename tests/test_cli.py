@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinclock import __version__, cli, params
+import spinclock
+from spinclock import __version__, cli, params, polariton
 from spinclock._table import _BLOCK_ROWS, write_table
 from spinclock.cli import _parser, main
 from spinclock.params import _CLASS_KEYS, _FIELDS, KNOWN_CONFIG_KEYS
@@ -24,6 +27,17 @@ from spinclock.presets import table1_preset
 
 def _run(*argv):
     return main(list(argv))
+
+
+def test_module_prints_its_version():
+    # the __main__ module, run as a program, ends at argparse's version action
+    src = Path(spinclock.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "spinclock", "--version"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, f"{__version__}\n", "")
 
 
 def test_spectrum_figure_writes_grid_and_sidecar(tmp_path):
@@ -185,6 +199,20 @@ def test_operating_point_outside_the_scan_is_solver_error(capsys, r):
     # returned unchecked
     assert _run("operating-point", "--R", r) == 3
     assert "no sign change" in capsys.readouterr().err
+
+
+def test_operating_point_off_the_closed_form_root_is_solver_error(
+        capsys, monkeypatch):
+    # the closed form is checked by one solve at its root: a root 1% off
+    # leaves a thermal slope the residual guard refuses
+    exact = polariton._insensitive_detunings
+    monkeypatch.setattr(polariton, "_insensitive_detunings",
+                        lambda *a: [1.01 * d for d in exact(*a)])
+    assert _run("operating-point") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("solver error: |dnu/dT| = "), err
+    assert "at the closed-form root" in err
 
 
 def test_operating_point_replay(tmp_path):
@@ -971,22 +999,37 @@ def test_replay_with_spin_classes_is_config_error(tmp_path, name, config,
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("config,named", [
-    ({"db_stab_t": math.inf}, "config 'db_stab_t'"),
-    ({"kappa_out_hz": 1e308}, "kappa_out_hz"),
-], ids=["infinite-field-noise", "kappa-overflows"])
-def test_replayed_config_error_names_the_sidecar(tmp_path, config, named):
+_LINE_KEYS = ("gamma_dephasing_hz", "gamma_pump_hz")
+_PUMP_KEYS = ("gamma_pump_hz", "gamma_relax_hz")
+_PUMP_CASES = {f"{name}-pump-rates-{hz!r}": (name, hz)
+               for name in ("operating-point", "stability")
+               for hz in (0.0, 1e-170, 1e300)}
+
+
+@pytest.mark.parametrize("name,config,named", [
+    ("stability", {"db_stab_t": math.inf}, ["config 'db_stab_t'"]),
+    ("stability", {"kappa_out_hz": 1e308}, ["kappa_out_hz"]),
+    ("spectrum-axes", dict.fromkeys(_LINE_KEYS, 0.0), _LINE_KEYS),
+    *((name, dict.fromkeys(_PUMP_KEYS, hz), _PUMP_KEYS)
+      for name, hz in _PUMP_CASES.values()),
+], ids=["infinite-field-noise", "kappa-overflows", "zero-linewidth",
+        *_PUMP_CASES])
+def test_replayed_config_error_names_the_sidecar(tmp_path, name, config,
+                                                 named):
     # a config value that the runner rejects, out of range or overflowing
     # in rad/s, names the sidecar it came from, as a key at the sidecar's
     # top level does (test_replay_with_spin_classes_is_config_error checks
-    # the same of the eigen model's one-line rule)
-    doc = copy.deepcopy(_valid_sidecars()["stability"])
+    # the same of the eigen model's one-line rule); a pair of rates the
+    # model cannot take, a zero spin linewidth or pump and relaxation rates
+    # whose sum squares to 0 or to infinity, names both keys
+    doc = copy.deepcopy(_valid_sidecars()[name])
     doc["config"].update(config)
     sidecar = _write_doc(tmp_path / "in.json", doc)
     out = tmp_path / "out" / "out.csv"
     rc, err = _quiet_main(["replay", str(sidecar), "--out", str(out)])
     assert rc == 2, err
-    assert err.startswith(f"error: sidecar {sidecar} ") and named in err, err
+    assert err.startswith(f"error: sidecar {sidecar} "), err
+    assert all(key in err for key in named), err
     assert not out.parent.exists()
 
 
@@ -1229,6 +1272,19 @@ def test_failed_rerun_leaves_the_files_in_place(tmp_path, argv, blocked):
                             ": Is a directory\n")
     assert {f.name: (f.read_bytes(), f.stat().st_ino)
             for f in tmp_path.iterdir() if f.is_file()} == before
+
+
+def test_out_below_a_dangling_symlink_is_config_error(tmp_path, monkeypatch):
+    # the open finds no directory, and creating it stops at the link, which
+    # exists but is no directory: the error names the link, not the output
+    monkeypatch.chdir(tmp_path)
+    Path("dl").mkdir()
+    Path("dl/link").symlink_to("missing")
+    rc, err = _quiet_main(["stability", "--tau-points", "3",
+                           "--out", "dl/link/a/s.csv"])
+    assert (rc, err) == (2, "error: --out: cannot write dl/link/a/s.csv: "
+                            "dl/link: File exists\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dl", "link"]
 
 
 def test_out_in_new_nested_directories(tmp_path):

@@ -580,12 +580,12 @@ def test_package_public_surface_is_pinned():
     assert surface == {
         "BetaBound", "Branch", "CavityParams", "ConfigError",
         "EnvironmentState", "NoOperatingPointError", "NoiseBudget",
-        "OperatingPoint", "PolarizationState", "Preset", "ProbeParams",
+        "OperatingPoint", "Preset", "ProbeParams",
         "SpinClass", "SpinEnsembleParams", "StabilityCurve", "SweepAxis",
         "SweepResult", "environmental_floors", "from_hz",
         "instantaneous_frequencies", "low_excitation_bound",
         "operating_point_closed_form", "operating_point_numeric",
-        "polarization_steady_state", "shot_noise_fractional",
+        "shot_noise_fractional",
         "spectrum_sweep", "stability_curve", "susceptibility",
         "table1_preset", "to_hz",
     }

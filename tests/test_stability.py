@@ -8,18 +8,19 @@ import pytest
 
 from spinclock.params import (
     CavityParams,
+    ConfigError,
     EnvironmentState,
     ProbeParams,
     SpinEnsembleParams,
 )
 from spinclock.polariton import (BRANCHES, _coupling_pattern, _dH_dB, _dH_dT,
-                                 _solve, mode_matrix, operating_point_numeric)
+                                 _solve, branch_shifts, mode_matrix,
+                                 operating_point_numeric)
 from spinclock.presets import table1_preset
 from spinclock.stability import (
-    coupling_sensitivity_to_pump,
+    _LASER_STABILITY,
     environmental_floors,
     low_excitation_bound,
-    polarization_steady_state,
     shot_noise_fractional,
     stability_curve,
 )
@@ -89,33 +90,43 @@ def test_beta_bound_magnitude_near_1e20():
     assert 1e19 <= bound.beta_sq_max <= 1e21
 
 
-def test_polarization_limits():
-    # perfect pumping
-    s = polarization_steady_state(from_hz(1e6), 0.0, 0.0, 0.0)
-    assert s.P == 1.0
-    assert s.dP_dgamma == 0.0
-    # no relaxation, no pump sensitivity even under drive
-    s = polarization_steady_state(from_hz(1e6), 0.0, from_hz(0.1), 1e5)
-    assert s.dP_dgamma == 0.0
-    with pytest.raises(ValueError):
-        polarization_steady_state(0.0, 0.0, 0.0, 0.0)
-
-
-def test_polarization_formula_values():
-    gamma, gamma0, g0, alpha = 10.0, 2.0, 0.5, 4.0
-    s = polarization_steady_state(gamma, gamma0, g0, alpha)
-    omega = g0 * alpha
-    assert s.rabi_drive == omega
-    assert s.P == pytest.approx((gamma + omega) / (gamma + 2 * omega + gamma0))
-    assert s.dP_dgamma == pytest.approx(gamma0 / (gamma + omega + gamma0) ** 2)
+def _pump_budget(preset, **rates):
+    """The floors of ``preset`` with its pump and relaxation rates replaced,
+    at its own operating point."""
+    spins = dataclasses.replace(preset.spins, **rates)
+    return environmental_floors(dataclasses.replace(preset, spins=spins),
+                                operating_point_numeric(spins, preset.env))
 
 
 def test_pump_sensitivity_is_small_and_positive():
+    # dg/g per dgamma/gamma, read back from the pump floor through the
+    # branch's own slope in g; the rate model gives gamma_0 / (2 (gamma +
+    # gamma_0)), 7.96e-6 for a 10 ms lifetime against microsecond pumping
     p = table1_preset("current")
-    computed = coupling_sensitivity_to_pump(p.spins)
-    assert computed > 0
-    # 10 ms lifetime against microsecond pumping
-    assert computed < 1e-3
+    op = operating_point_numeric(p.spins, p.env)
+    nu0, _, _, dnu_dg = branch_shifts(p.spins, p.env, op, 0.0, 0.0)
+    computed = environmental_floors(p, op).pump_floor * nu0 \
+        / (abs(dnu_dg) * _LASER_STABILITY * p.spins.branch_coupling)
+    assert 0 < computed < 1e-3
+    gamma, gamma_0 = p.spins.gamma_pump, p.spins.gamma_0
+    assert computed == pytest.approx(gamma_0 / (2 * (gamma + gamma_0)),
+                                     rel=1e-12)
+
+
+def test_pump_floor_without_pumping_is_zero():
+    # nothing polarized, P = 0: the pump's power has no coupling to move
+    p = table1_preset("current")
+    assert _pump_budget(p, gamma_pump=0.0).pump_floor == 0.0
+
+
+@pytest.mark.parametrize("rate_hz", [0.0, 1e-170, 1e300])
+def test_pump_rates_out_of_the_rate_model_are_config_error(rate_hz):
+    # both rates 0 leave P undefined; (gamma + gamma_0)^2 underflows to 0 at
+    # 1e-170 Hz and overflows at 1e300 Hz, where the floor would read 0
+    p = table1_preset("current")
+    with pytest.raises(ConfigError,
+                       match="^gamma_pump_hz and gamma_relax_hz: "):
+        _pump_budget(p, gamma_pump=from_hz(rate_hz), gamma_0=from_hz(rate_hz))
 
 
 def test_floors_vanish_without_instability():
