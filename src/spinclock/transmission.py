@@ -16,16 +16,31 @@ Each denominator is built from per-axis complex factors,
 
     (kappa + kappa_l + i*omega_c) - i*omega + C,   (hw + i*omega_j) - i*omega,
 
-so that in a sweep each factor spans only the axes it depends on and the
-grid sees one subtraction where it saw a subtraction, a product with i and
-a real addition.  The result is bit for bit the direct form's: for finite
-inputs both give the real part kappa + kappa_l + Re C (or hw), since i*x
-has the real part 0*x - 0, a zero that adds nothing to a positive width,
-and the imaginary part omega_c - omega + Im C (or omega_j - omega) from
-the same subtraction.  A non-finite factor still makes the real part NaN
-through 0*inf.  What the factor form cannot show is a difference of two
-finite factors that overflows, where the direct form's i*inf gave NaN:
-``spectrum_sweep`` refuses such a grid before it starts.
+so that in a sweep the products with i and the real additions run on
+factors that span only the axes they depend on.  The result is bit for bit
+the direct form's: for finite inputs both give the real part
+kappa + kappa_l + Re C (or hw), since i*x has the real part 0*x - 0, a zero
+that adds nothing to a positive width, and the imaginary part
+omega_c - omega + Im C (or omega_j - omega) from the same subtraction.  A
+non-finite factor still makes the real part NaN through 0*inf.  What the
+factor form cannot show is a difference of two finite factors that
+overflows, where the direct form's i*inf gave NaN: ``spectrum_sweep``
+refuses such a grid before it starts.
+
+A sweep block's denominators are built in buffers the evaluation owns.
+Where a factor spans the block's rows and the probe factor its columns,
+``_difference`` fills a new buffer with the first and subtracts the second
+in place; g_j^2 is then divided into a line's buffer, and C is added into
+the cavity's, which kappa is divided by into the block's rows of the
+result.  Each step is the IEEE operation of the expression it replaces, on
+the same operands, so every value keeps its bits.  Two costs go.  numpy
+runs a complex (rows, 1) - (1, n2) pair through its broadcast loop, which
+on a 32 x 1001 block took 59-67 us against 44-48 us for the fill and the
+in-place subtraction (2-core Xeon, numpy 2.4).  And each expression made
+fresh block-sized temporaries, which malloc hands back to the system and
+faults in again until a large free raises its thresholds: a fresh
+process's first 2a sweep at 1001 x 1001 took 8,200-8,700 minor faults and
+24-32 ms, against 600-1,100 and 10-13 ms with the buffers.
 """
 
 from __future__ import annotations
@@ -101,6 +116,23 @@ def _center(spins: SpinEnsembleParams, line, thermal, zeeman):
     return spins.omega_zfs + offset + thermal + sign * zeeman
 
 
+def _difference(factor, i_omega):
+    """factor - i_omega, as a new array (or scalar) that the caller owns.
+
+    A pair whose broadcast shape neither has, a factor spanning a sweep
+    block's rows, (rows, 1), against the probe factor spanning its columns,
+    (1, n2), is built in a new buffer: filled with ``factor``, then
+    ``i_omega`` is subtracted in place (see the module docstring).  Any
+    other pair is numpy's (or Python's) subtraction, whose result is no
+    larger than one of its operands."""
+    pair = np.broadcast(factor, i_omega)
+    if pair.size in (np.size(factor), np.size(i_omega)):
+        return factor - i_omega
+    out = np.empty(pair.shape, dtype=np.complex128)
+    out[...] = factor
+    return np.subtract(out, i_omega, out=out)
+
+
 def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     """C(omega) = sum_j g_j^2 / ((Gamma + gamma)/2 + i*(omega_j - omega)).
 
@@ -109,9 +141,16 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
     omega_j = omega_zfs + offset_j + thermal +/- zeeman.  Classes are summed
     one at a time, so C only spans the axes its inputs span and no
     temporary grows past their broadcast shape.  Each denominator is the
-    factor form (hw + i*omega_j) - i*omega, whose two factors span only
-    their own axes, so the grid sees one subtraction; it is bit for bit
-    hw + i*(omega_j - omega) (see the module docstring).
+    factor form (hw + i*omega_j) - i*omega, bit for bit
+    hw + i*(omega_j - omega) (see the module docstring), built by
+    ``_difference`` in a buffer into which g_j^2 is then divided, so a line
+    term takes one block buffer and makes no numpy temporary.  The sum
+    starts at the first term and adds each later one into its buffer in
+    place; where a later class still reads the first term, the second
+    addition goes into a new buffer instead.  With no 0.0 to start from, a
+    C whose terms all have a -0.0 part keeps it, which t never shows (its
+    denominator adds C to a positive width and to a non-zero or +0.0
+    difference); ``susceptibility`` adds the 0.0 back.
 
     A term reads only its class's offset, coupling and, where the field is
     non-zero, Zeeman sign, so classes that agree on those share one line:
@@ -126,7 +165,7 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
                           "linewidth Gamma + gamma must be > 0")
     # with the field at (signed) zero, +/- zeeman add the same bits to the
     # positive omega_zfs sum, so the sign is no part of a line's key
-    lines = _lines(spins, bool(np.any(zeeman)))
+    lines = _lines(spins, np.count_nonzero(zeeman) > 0)
     last = {line: j for j, line in enumerate(lines)}
     terms = {}
     i_omega = 1j * omega
@@ -135,13 +174,21 @@ def _class_sum(spins: SpinEnsembleParams, thermal, zeeman, omega):
         term = terms.pop(line, None)
         if term is None:
             g_j = line[1]
+            term = _difference(hw + 1j * _center(spins, line, thermal, zeeman),
+                               i_omega)
             # g_j * g_j overflows to inf where a float's ** 2 raises
-            # OverflowError
-            term = g_j * g_j / ((hw + 1j * _center(spins, line, thermal,
-                                                   zeeman)) - i_omega)
+            # OverflowError; a scalar keeps CPython's complex division
+            term = (np.divide(g_j * g_j, term, out=term)
+                    if isinstance(term, np.ndarray) else g_j * g_j / term)
         if last[line] > j:
             terms[line] = term
-        c_value = c_value + term
+        if not j:
+            c_value = term
+        elif c_value is terms.get(lines[0]):
+            # the first term, which a later class still reads
+            c_value = c_value + term
+        else:
+            c_value += term
     return c_value
 
 
@@ -151,10 +198,12 @@ def susceptibility(
     """Ensemble susceptibility C(omega); accepts scalar or array probe."""
     omega = np.asarray(omega_probe, dtype=np.float64)
     # a scalar probe stays a Python float, so its division is CPython's
-    # complex division, as hw + i*(omega_j - omega) was
-    c = _class_sum(spins, env.dwa_dT * env.delta_T,
-                   env.gyromagnetic * env.B_field,
-                   omega if omega.ndim else float(omega))
+    # complex division, as hw + i*(omega_j - omega) was; the 0.0 a
+    # class-by-class sum starts at clears the -0.0 parts that _class_sum,
+    # started at its first term, can keep
+    c = 0.0 + _class_sum(spins, env.dwa_dT * env.delta_T,
+                         env.gyromagnetic * env.B_field,
+                         omega if omega.ndim else float(omega))
     return c if omega.ndim else complex(c)
 
 
@@ -163,16 +212,21 @@ def transmission_amplitude(cavity: CavityParams, c_value, omega_probe, omega_c,
     """t = kappa / (kappa + kappa_l + i(omega_c - omega) + C); array friendly.
 
     The denominator is the factor form (kappa + kappa_l + i*omega_c)
-    - i*omega + C, bit for bit the direct one (see the module docstring):
-    in a sweep the cavity and probe factors span only their own axes, so
-    the grid sees one subtraction and one addition before the division.
-    ``out`` is numpy's: the division writes t into it, which the inputs
-    broadcast to, and it is returned."""
-    # one expression, so numpy adds C into the difference in place
-    return np.divide(cavity.kappa_out, (
-        (cavity.kappa_out + cavity.kappa_loss + 1j * np.asarray(omega_c))
-        - 1j * np.asarray(omega_probe) + c_value
-    ), out=out)
+    - i*omega + C, bit for bit the direct one (see the module docstring).
+    ``_difference`` builds the first two factors' difference in a new
+    buffer, and C is added into it in place where it already spans C's
+    shape, so the inputs are only read and a sweep block's denominator takes
+    one buffer.  kappa is then divided by it into ``out``, which is numpy's:
+    t is written into it, which the inputs broadcast to, and it is
+    returned."""
+    den = _difference(
+        cavity.kappa_out + cavity.kappa_loss + 1j * np.asarray(omega_c),
+        1j * np.asarray(omega_probe))
+    if np.shape(den) == np.broadcast(den, c_value).shape:
+        den += c_value  # den is new, so C can go into its buffer
+    else:
+        den = den + c_value
+    return np.divide(cavity.kappa_out, den, out=out)
 
 
 @dataclass(frozen=True)
@@ -197,9 +251,10 @@ class SweepResult:
         return float(self.values1[i]), self.values2.copy(), self.t[i].copy()
 
 
-# Grid points per sweep block: a block's complex temporaries (512 KiB each)
+# Grid points per sweep block: a block's complex buffers (512 KiB each)
 # stay in a core's L2 cache (2 MiB on the 2-core Xeon it was tuned on),
-# where the sweep time was flat from 2**14 to 2**15.5 points.
+# where the sweep time was flat from 2**14 to 2**15.5 points; with the
+# denominators in buffers, 2**14 and 2**16 were both slower on 2c and 2d.
 _BLOCK_POINTS = 2 ** 15
 
 
@@ -267,19 +322,23 @@ def spectrum_sweep(
     alone in a probe-vs-cavity sweep).  Each denominator is built from
     per-axis complex factors, (hw + i*omega_j) - i*omega for a spin line
     and (kappa + kappa_l + i*omega_c) - i*omega + C for the cavity, so the
-    products with i and the real additions run on the small factors and
-    the grid sees one subtraction per denominator; every value is bit for
-    bit the direct form's (see the module docstring).  The grid is filled
-    one block of about ``_BLOCK_POINTS`` points at a time, so no temporary
-    grows past one block and the preallocated ``(n1, n2)`` result is the
-    only grid-sized array: each block's division writes straight into its
-    rows (numpy's ``out=`` of ``transmission_amplitude``), with no
-    block-sized copy.  At zero field ``_class_sum`` divides once per
-    distinct spin line, not once per class.  Every step is elementwise, so
-    the block size changes no value.  Two axes over one variable, a grid
-    too large to allocate, or one whose cavity or spin-line and probe
-    frequencies differ by more than a float holds, is a ConfigError, raised
-    before any block runs.
+    products with i and the real additions run on the small factors.  Each
+    block-sized denominator is built in a buffer of its own, filled with
+    the row factor and completed in place, and each block's final division
+    writes straight into its rows of the preallocated ``(n1, n2)`` result
+    (numpy's ``out=`` of ``transmission_amplitude``).  That spares numpy's
+    broadcast loop over a (rows, 1) - (1, n2) pair and the fresh
+    temporaries, which a fresh process faults in block after block; every
+    value is bit for bit the direct form's (see the module docstring).  The
+    grid is filled one block of about ``_BLOCK_POINTS`` points at a time,
+    so no buffer grows past one block and the result is the only grid-sized
+    array.  C reads no cavity frequency, so with the cavity offset on axis1
+    every block shares the first block's C.  At zero field ``_class_sum``
+    divides once per distinct spin line, not once per class.  Every step is
+    elementwise, so the block size changes no value.  Two axes over one
+    variable, a grid too large to allocate, or one whose cavity or
+    spin-line and probe frequencies differ by more than a float holds, is a
+    ConfigError, raised before any block runs.
     """
     if axis1.variable == axis2.variable:
         raise ConfigError("axis1 and axis2 must sweep different variables, "
@@ -294,12 +353,16 @@ def spectrum_sweep(
         raise ConfigError(f"a {v1.size} x {v2.size} sweep grid does not fit "
                           "in memory") from None
     rows = max(1, _BLOCK_POINTS // v2.size)
+    c_value = None
     for start in range(0, v1.size, rows):
         block = slice(start, start + rows)
         thermal_shift, zeeman, omega_probe, omega_c = _frequencies(
             spins, cavity, env,
             {axis1.variable: v1[block, None], axis2.variable: v2[None, :]})
-        c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
+        # C reads no cavity frequency: with the cavity offset on axis1,
+        # every block has the first block's C
+        if c_value is None or axis1.variable != "cavity_offset":
+            c_value = _class_sum(spins, thermal_shift, zeeman, omega_probe)
         transmission_amplitude(cavity, c_value, omega_probe, omega_c,
                                out=t[block])
     return SweepResult(values1=v1, values2=v2, t=t)

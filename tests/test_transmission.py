@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -353,6 +354,9 @@ _LINE_ENSEMBLES = {
                       SpinClass(0.0, 0.75, Branch.MINUS),
                       SpinClass(0.0, 0.25, Branch.MINUS)),
         g_collective=from_hz(3e6)),
+    # every term is 0 / den, with a -0.0 real part wherever Im den < 0: a
+    # sum started at 0.0 has none, one started at the first term keeps them
+    "zero-coupling": SpinEnsembleParams(g_collective=0.0),
 }
 _LINE_FIELDS = {"zero-field": 0.0, "minus-zero-field": -0.0, "split": 60e-6}
 
@@ -501,6 +505,54 @@ def test_sweep_is_the_direct_form_bit_for_bit(spins, b_field, var1, var2):
         assert np.array_equal(_bits(res.t),
                               _bits(sweep_reference(spins, cavity, env,
                                                     ax1, ax2))), (n1, n2)
+
+
+def test_transmission_amplitude_leaves_its_inputs_unchanged():
+    # the denominator is built in place: never in the caller's arrays
+    rng = np.random.default_rng(5)
+    cavity = CavityParams(omega_c_ref=ZFS, kappa_out=from_hz(500e3),
+                          kappa_loss=from_hz(120e3))
+    c_value = from_hz(rng.uniform(0.1e6, 2e6, (4, 6))
+                      + 1j * rng.uniform(-2e6, 2e6, (4, 6)))
+    omega_probe = ZFS + from_hz(rng.uniform(-5e6, 5e6, (1, 6)))
+    omega_c = ZFS + from_hz(rng.uniform(-5e6, 5e6, (4, 1)))
+    inputs = (c_value, omega_probe, omega_c)
+    before = [x.copy() for x in inputs]
+    expected = cavity.kappa_out / (cavity.kappa_out + cavity.kappa_loss
+                                   + 1j * (omega_c - omega_probe) + c_value)
+    for out in (None, np.empty((4, 6), dtype=np.complex128)):
+        t = transmission_amplitude(cavity, c_value, omega_probe, omega_c,
+                                   out=out)
+        assert out is None or t is out
+        assert np.array_equal(_bits(t), _bits(expected))
+        for x, x0 in zip(inputs, before):
+            assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["2a", "2b", "2c", "2d"])
+def test_sweep_leaves_its_inputs_unchanged(monkeypatch, name):
+    # a block's C, probe and cavity arrays, which later blocks may share,
+    # leave transmission_amplitude as they went in, and so do the
+    # caller's parameters
+    setup = figure_setup(name, points=41)
+    before = copy.deepcopy(setup)
+    amplitude = transmission.transmission_amplitude
+    calls = []
+
+    def checked(cavity, *arrays, out=None):
+        copies = [np.array(x, copy=True) for x in arrays]
+        t = amplitude(cavity, *arrays, out=out)
+        for x, x0 in zip(arrays, copies):
+            assert np.array_equal(_bits(x), _bits(x0))
+        calls.append(out.shape)
+        return t
+
+    monkeypatch.setattr(transmission, "transmission_amplitude", checked)
+    monkeypatch.setattr(transmission, "_BLOCK_POINTS", 41 * 8)
+    spectrum_sweep(setup.spins, setup.cavity, setup.env, setup.axis1,
+                   setup.axis2)
+    assert calls == [(8, 41)] * 5 + [(1, 41)]
+    assert setup == before
 
 
 def test_bare_cavity_sweep_spans_both_axes():
