@@ -4,15 +4,18 @@ decided here and nowhere else; ``write_table`` is the one public name.
 
 A table is written one block of ``_BLOCK_ROWS`` values per column at a
 time, each block's values formatted where they stand, so the memory a write
-takes is one block's, a few megabytes, at any row count.  A column that is
-a broadcast view, such as a sweep's axis column, is formatted once along
-the axes it varies on (24 bytes per value there).  The texts come from
+takes is one block's, a few megabytes, at any row count.  A write allocates
+one buffer of cells, a sign, a text and a separator per value of a block,
+and fills its separators once; every block's texts are copied into it once,
+and its bytes, NULs dropped, are the block's text.  A column that is a
+broadcast view, such as a sweep's axis column, is formatted once along the
+axes it varies on (24 bytes per value there).  The texts come from
 ``shortest_repr``, Ryu's shortest round-trip digits run over up to 4096
 values at a time in numpy, which gives the bytes of ``repr``.  It hands the
-values Ryu's general case takes, zero, and the values from 2^49 up to
-``repr`` itself, and a block of fewer than ``_VECTOR_MIN`` values, such as
-all of a small table's, goes to ``repr`` whole; either way ``_repr_rows``
-packs the texts of ``repr``.
+values Ryu's general case takes, zero, the subnormals and the values from
+2^49 up to ``repr`` itself, and a group of fewer than ``_VECTOR_MIN``
+values, such as all of a small table's, goes to ``repr`` whole; either way
+``_repr_rows`` packs the texts of ``repr``.
 
 Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds the
 digits CPython's ``repr`` writes: the shortest decimal that reads back as the
@@ -28,7 +31,10 @@ the bits below it; the interval bounds vp and vm are vr plus or minus fixed
 steps of the exponent, with the carry those bits decide.  A lane that Ryu
 sends to its general case (a product with trailing decimal zeros, or an
 interval bound that is itself a candidate), a lane whose carry the 64 bits
-kept cannot decide, and zero are formatted with ``repr`` instead.  The
+kept cannot decide, zero and the subnormals are formatted with ``repr``
+instead.  The digit count needs no search: a normal double's mv lies in
+[2^54, 2^55), so its vr has as many digits as its exponent's least vr, or
+one more where it reaches the next power of ten, less those dropped.  The
 digits are then laid out as ``repr`` does: positional for decimal points
 from -3 to 16 (``0.0001``, ``1000000000000000.0``), scientific below them
 (``1e-05``); no double below 2^49 has its point past 15.
@@ -36,8 +42,9 @@ from -3 to 16 (``0.0001``, ``1000000000000000.0``), scientific below them
 Each lane reads what depends only on its binary exponent or on its text's
 layout with one gather from a table.  The exponent table has a row per
 biased exponent below 2^49: Ryu's multiplier and shift, the steps from vr to
-the bounds, the bits whose zeros send a lane to the general case, and the
-decimal exponent.  The layout table has a row per layout class, a decimal
+the bounds, the bits whose zeros send a lane to the general case, the
+decimal exponent, and the digit count of the least vr with the power of ten
+above it.  The layout table has a row per layout class, a decimal
 point's place and a digit count: which bytes stay and which move past the
 point, how far, the bytes around the digits, and the scale that left-aligns
 the digits, for points -4 to 15.  Texts are built as 24-byte little-endian
@@ -50,6 +57,7 @@ below 10^4 and of the exponents, are built from Python ints on first use.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -61,17 +69,21 @@ REPR_WIDTH = 23
 # kernel's temporaries (about 300 bytes a value) take about a megabyte.
 _BLOCK_ROWS = 4096
 _MAGNITUDE = np.uint64(2 ** 63 - 1)  # a float64's bits but its sign
-# Values below which a block goes to repr rather than to shortest_repr,
-# whose fixed cost is about a hundred numpy calls.  The measured break-even
-# is near 250 values on a 2-core host, but lowering the constant would move
-# stability's 123-483-value tables onto the kernel: a change of its own, to
-# be made with paired benchmark runs.
+_MINUS = np.uint8(ord("-"))  # the sign byte of a negative value
+# Values below which a group of a block's columns (_groups) goes to repr,
+# in one pass, rather than to shortest_repr, whose fixed cost is about a
+# hundred numpy calls.  The measured break-even is near 250 values on a
+# 2-core host, but lowering the constant would move stability's 123-483-
+# value tables, one group each, onto the kernel: a change of its own, to be
+# made with paired benchmark runs.
 _VECTOR_MIN = 1024
 
 _POW5_BITS = 125  # bits kept of 5^i (Ryu's table width)
 # The biased exponent of 2^49: the kernel runs on the doubles below it
 _EXP_2_49 = 1023 + 49
-_BITS_2_49 = np.uint64(_EXP_2_49 << 52)
+# bits - 2^52 of a double that shortest_repr gives to repr: below 2^52
+# (zero and the subnormals) it wraps past this, and from 2^49 up it reaches it
+_SLOW = np.uint64(_EXP_2_49 - 1 << 52)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _U1 = np.uint64(1)
 _U32 = np.uint64(32)
@@ -79,14 +91,14 @@ _M32 = np.uint64(2 ** 32 - 1)
 _MANTISSA = np.uint64(2 ** 52 - 1)
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
 _HIDDEN = np.uint64(1 << 52)
-# The exponent table has a row per biased exponent below 2^49: the hidden
-# bit; 2^52 where the exponent is above 1, so that a power of two's
-# mantissa | it is 2^52; the mask of the q bits whose zeros send a lane to
-# Ryu's general case; the decimal exponent of vr; the shift j - 64 of
-# vr = floor(4 m c / 2^j), 54 to 57, and 64 less it; c as four 32-bit limbs
-# and as two 64-bit words (_mul_shift); and the whole part and the top 64
-# bits of the fraction of c / 2^j and of 2 c / 2^j, the steps from vr to
-# its bounds.
+# The exponent table has a row per biased exponent below 2^49: the mask of
+# the q bits whose zeros send a lane to Ryu's general case; the decimal
+# exponent of vr; the shift j - 64 of vr = floor(4 m c / 2^j), 54 to 57, and
+# 64 less it; c as four 32-bit limbs and as two 64-bit words (_mul_shift);
+# the whole part and the top 64 bits of the fraction of c / 2^j and of
+# 2 c / 2^j, the steps from vr to its bounds (both 2 c / 2^j at the least
+# normal exponent, where a power of two's lower bound is not nearer); and
+# the digit count L of vr at mv = 2^54, 18 or 19, with 10^L.
 # The layout table has a row per layout class, (point + 4) * 17 + count - 1
 # for a decimal point after ``point`` of ``count`` digits, from -4 to 15,
 # where -4 stands for every scientific text; a whole number's row (point >=
@@ -143,17 +155,25 @@ def _tables() -> dict:
                   words[:, 1] & _M32, words[:, 1] >> _U32,
                   words[:, 0], words[:, 1]])
     shift = (q - _pow5bits(-e2 - q) + _POW5_BITS - 64).astype(np.uint64)
-    steps = [_mul_shift(np.full(e2.size, d, dtype=np.uint64), c, shift,
-                        np.uint64(64) - shift) for d in (1, 2)]
+    left = np.uint64(64) - shift
+    steps = [_mul_shift(np.full(e2.size, d, dtype=np.uint64), c, shift, left)
+             for d in (1, 2)]
+    # the step to the lower bound at a power of two, half the upper one,
+    # except at the least normal exponent: the double below it is as near
+    lower = [np.where(exponent > 1, one, two)
+             for one, two in zip(steps[0], steps[1])]
+    # the digits of vr at mv = 2^54, the least of its exponent's, which is
+    # c / 2^(j - 54): c's high word shifted.  Any vr there is below twice
+    # it, so it has as many digits or one more.
+    least = words[:, 1] >> (shift - np.uint64(54))
+    length = np.searchsorted(_POW10, least, side="right")
     zero = np.uint64(0)
     # the low q bits of mv, which Ryu tests for zeros only for q < 63
     trailing = np.where(q < 63, (_U1 << np.minimum(q, 63).astype(np.uint64))
                         - _U1, ~zero)
-    exponents = np.stack([np.where(exponent > 0, _HIDDEN, zero),
-                          np.where(exponent > 1, _HIDDEN, zero), trailing,
-                          (q + e2).astype(np.uint64), shift,
-                          np.uint64(64) - shift, *c,
-                          *steps[0], *steps[1]], axis=1)
+    exponents = np.stack([trailing, (q + e2).astype(np.uint64), shift, left,
+                          *c, *lower, *steps[1],
+                          length.astype(np.uint64), _POW10[length]], axis=1)
     digits = np.arange(10_000, dtype=np.uint16)[:, None] \
         // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
     tables = {
@@ -209,15 +229,15 @@ def _divmod(x: np.ndarray, c: int) -> tuple:
 
 
 def _digits(bits: np.ndarray) -> tuple:
-    """Ryu's common case for positive doubles below 2^49 given as uint64
-    ``bits``: each lane's shortest digits as an integer, its decimal
-    exponent, and whether it needs Ryu's general case instead (whose digits
-    are then not used)."""
-    (hidden, power, trailing, e10, shift, left, *c, whole1, fraction1, whole2,
-     fraction2) = np.take(_tables()["exponent"], bits >> np.uint64(52),
-                          axis=0).T
+    """Ryu's common case for normal doubles below 2^49 given as uint64
+    ``bits``: each lane's shortest digits as an integer, how many they are,
+    the decimal point's place after ``point`` of them, and whether the lane
+    needs Ryu's general case instead (whose digits are then not used)."""
+    (trailing, e10, shift, left, *c, whole1, fraction1, whole2, fraction2,
+     length, tenth) = np.take(_tables()["exponent"], bits >> np.uint64(52),
+                              axis=0).T
     mantissa = bits & _MANTISSA
-    mv = (mantissa | hidden) << np.uint64(2)
+    mv = (mantissa | _HIDDEN) << np.uint64(2)
     vr, below = _mul_shift(mv, c, shift, left)
     # The bounds (mv + 2) c and (mv - 2) c over 2^j, as vr plus or minus the
     # whole part of 2 c / 2^j, and one more where the fractions carry; for a
@@ -227,7 +247,7 @@ def _digits(bits: np.ndarray) -> tuple:
     # general case.
     upper = below + fraction2
     vp = vr + whole2 + (upper < below)
-    nearer = (mantissa | power) == _HIDDEN
+    nearer = mantissa == 0
     whole = np.where(nearer, whole1, whole2)
     lower = np.where(nearer, fraction1, fraction2)
     vm = vr - whole - (below < lower)
@@ -262,7 +282,14 @@ def _digits(bits: np.ndarray) -> tuple:
     dropped = vr - floor
     # round half up on the digits dropped, or up off an excluded vm
     digits += (dropped >= cut - dropped) | (vm >= floor)
-    return digits, e10.view(np.int64) + removed, general
+    # vr has its exponent's digit count or one more, less those dropped; if
+    # all drop, the digits round up to 1 (1e-20's vr is 999999999999999945)
+    count = length.view(np.int64) + (vr >= tenth)
+    count -= removed
+    np.maximum(count, 1, out=count)
+    point = e10.view(np.int64) + removed
+    point += count
+    return digits, count, point, general
 
 
 def _text(digits: np.ndarray, count: np.ndarray, point: np.ndarray):
@@ -312,13 +339,12 @@ def _repr_rows(bits: np.ndarray) -> np.ndarray:
 def shortest_repr(bits: np.ndarray) -> np.ndarray:
     """``repr`` of non-negative finite float64 magnitudes given as their
     uint64 ``bits``, as NUL-padded bytes shaped (n, REPR_WIDTH)."""
-    # zero and the doubles from 2^49 up go to repr; the kernel reads 1.0 in
-    # their place, whose text repr then overwrites
-    slow = (bits == 0) | (bits >= _BITS_2_49)
-    digits, exponent, general = _digits(np.where(slow, _ONE_BITS, bits))
+    # zero, the subnormals and the doubles from 2^49 up go to repr, in one
+    # compare: below the least normal double, bits - 2^52 wraps past it.
+    # The kernel reads 1.0 in their place, whose text repr then overwrites.
+    slow = bits - _HIDDEN >= _SLOW
+    digits, count, point, general = _digits(np.where(slow, _ONE_BITS, bits))
     slow |= general
-    count = np.searchsorted(_POW10, digits, side="right")
-    point = exponent + count
     text = _text(digits, count, point).astype(
         "<u8", copy=False).view(np.uint8)[:, :REPR_WIDTH]
     lanes = np.flatnonzero(point < -3)  # scientific: the exponent follows
@@ -344,61 +370,90 @@ def _blocks(shape: tuple) -> list:
     return [slice(i, i + step) for i in range(0, max(n1, 1), step)]
 
 
-def _texts(values: np.ndarray) -> np.ndarray:
-    """Float64 ``values`` as text cells, (n, 1 + REPR_WIDTH) bytes: a NUL or
-    ``-`` for the sign, then the magnitude's ``repr`` padded with NULs.
-    ``repr(-x)`` is ``'-' + repr(x)`` for every finite x, so -0.0 gets its
-    sign like any other value.  Fewer than ``_VECTOR_MIN`` values go to
-    ``repr`` at once, and more to ``shortest_repr`` in equal chunks of at
-    most ``_BLOCK_ROWS``, so that no chunk is smaller than ``_VECTOR_MIN``."""
-    bits = values.reshape(-1).view(np.uint64)
-    cells = np.empty((bits.size, 1 + REPR_WIDTH), dtype=np.uint8)
-    cells[:, 0] = (bits >> 63) * ord("-")
-    magnitudes = bits & _MAGNITUDE
-    if bits.size < _VECTOR_MIN:
-        cells[:, 1:] = _repr_rows(magnitudes)
-        return cells
-    chunks = -(-bits.size // _BLOCK_ROWS)
-    step = -(-bits.size // chunks)
-    for start in range(0, bits.size, step):
-        cells[start:start + step, 1:] = \
-            shortest_repr(magnitudes[start:start + step])
-    return cells
+def _groups(fixed: list, n: int) -> list:
+    """The columns of a block of ``n`` rows that have no ``fixed`` texts, as
+    slices of the cells' column axis: each run of adjacent such columns cut
+    into balanced groups of whole columns of at most ``_BLOCK_ROWS`` values,
+    so that a column that fills a block is a group alone."""
+    per = max(_BLOCK_ROWS // max(n, 1), 1)
+    groups = []
+    for own, run in itertools.groupby(range(len(fixed)),
+                                      lambda c: fixed[c] is None):
+        if own:
+            run = list(run)
+            start, size = run[0], len(run)
+            count = -(-size // per)
+            groups += [slice(start + i * size // count,
+                             start + (i + 1) * size // count)
+                       for i in range(count)]
+    return groups
 
 
-def _broadcast_texts(grid: np.ndarray):
-    """The text cells of a 2-D ``grid`` that is a broadcast view, shaped
+def _texts(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write float64 ``values``, shaped (g, n), as text into ``cells``, their
+    (n, g, 1 + REPR_WIDTH) cells: a NUL or ``-`` for the sign, then the
+    magnitude's ``repr`` padded with NULs.  ``repr(-x)`` is ``'-' +
+    repr(x)`` for every finite x, so -0.0 gets its sign like any other
+    value.  The values, at most ``_BLOCK_ROWS``, take one ``shortest_repr``
+    call, or one ``repr`` pass if fewer than ``_VECTOR_MIN``, whose texts
+    are copied once, into the cells."""
+    bits = values.view(np.uint64)
+    np.multiply(np.signbit(values).T, _MINUS, out=cells[..., 0])
+    magnitudes = (bits & _MAGNITUDE).reshape(-1)
+    text = shortest_repr(magnitudes) if magnitudes.size >= _VECTOR_MIN \
+        else _repr_rows(magnitudes)
+    cells[..., 1:] = text.reshape(values.shape + (REPR_WIDTH,)) \
+        .transpose(1, 0, 2)
+
+
+def _broadcast_texts(grids: list) -> list:
+    """For each 2-D grid, its text cells if it is a broadcast view, shaped
     (n1, n2, 1 + REPR_WIDTH) and formatted once along the axes where its
-    stride is not zero; None for any other grid."""
-    varying = grid[tuple(slice(None) if stride else slice(0, 1)
-                         for stride in grid.strides)]
-    if varying.size == grid.size:
-        return None
-    return np.broadcast_to(
-        _texts(varying).reshape(varying.shape + (1 + REPR_WIDTH,)),
-        grid.shape + (1 + REPR_WIDTH,))
+    stride is not zero; None for any other grid.  The values of all such
+    grids are formatted together, in equal chunks of at most
+    ``_BLOCK_ROWS``, so that a small table's take one ``repr`` pass."""
+    varying = [grid[tuple(slice(None) if stride else slice(0, 1)
+                          for stride in grid.strides)] for grid in grids]
+    broadcast = [v.reshape(-1) for v, grid in zip(varying, grids)
+                 if v.size < grid.size]
+    if not broadcast:
+        return [None] * len(grids)
+    values = np.concatenate(broadcast)[None]
+    texts = np.empty((values.size, 1, 1 + REPR_WIDTH), dtype=np.uint8)
+    step = -(-values.size // -(-values.size // _BLOCK_ROWS))
+    for start in range(0, values.size, step):
+        _texts(values[:, start:start + step], texts[start:start + step])
+    fixed, start = [], 0
+    for v, grid in zip(varying, grids):
+        if v.size == grid.size:
+            fixed.append(None)
+            continue
+        fixed.append(np.broadcast_to(
+            texts[start:start + v.size].reshape(v.shape + (1 + REPR_WIDTH,)),
+            grid.shape + (1 + REPR_WIDTH,)))
+        start += v.size
+    return fixed
 
 
-def _block_text(grids: list, fixed: list, seps: np.ndarray, index) -> bytes:
-    """One block of ``grids`` as text: each value's cell, then its column's
-    separator from ``seps`` (one row of bytes per column), NULs dropped.
-    A column with ``fixed`` texts (``_broadcast_texts``) takes them; the
-    others' values are formatted in one ``_texts`` call, so that a small
-    table costs few numpy calls."""
-    own = [c for c, texts in enumerate(fixed) if texts is None]
+def _block_text(grids: list, fixed: list, cells: np.ndarray, index) -> bytes:
+    """One block of ``grids`` as text, written into the first rows of
+    ``cells``, (rows, columns, cell width) bytes whose separators after each
+    value's text are in place: each value's cell and its separator, NULs
+    dropped.  A column with ``fixed`` texts (``_broadcast_texts``) takes
+    them; the others are formatted a group of whole columns at a time
+    (``_groups``), so that a small table costs few numpy calls."""
     n = grids[0][index].size
-    cells = np.empty((n, len(grids), 1 + REPR_WIDTH + seps.shape[1]),
-                     dtype=np.uint8)
-    cells[:, :, 1 + REPR_WIDTH:] = seps
-    if own:
-        values = np.stack([grids[c][index] for c in own]).reshape(-1)
-        cells[:, own, :1 + REPR_WIDTH] = _texts(values) \
-            .reshape(len(own), n, 1 + REPR_WIDTH).transpose(1, 0, 2)
+    block = cells[:n]
+    for cols in _groups(fixed, n):
+        group = grids[cols]
+        values = group[0][index].reshape(1, n) if len(group) == 1 else \
+            np.stack([grid[index].reshape(n) for grid in group])
+        _texts(values, block[:, cols, :1 + REPR_WIDTH])
     for c, texts in enumerate(fixed):
         if texts is not None:
-            cells[:, c, :1 + REPR_WIDTH] = \
-                texts[index].reshape(n, 1 + REPR_WIDTH)
-    return cells.tobytes().translate(None, b"\0")
+            part = texts[index]  # split the rows into the part's own shape
+            block[:, c, :1 + REPR_WIDTH].reshape(part.shape)[...] = part
+    return block.tobytes().translate(None, b"\0")
 
 
 def write_table(out, header, columns, fmt: str) -> None:
@@ -409,7 +464,9 @@ def write_table(out, header, columns, fmt: str) -> None:
     The columns are arrays of one shape, 1-D or 2-D (a broadcast view
     serves), each written in C order.  The rows are formatted and written
     one block of ``_BLOCK_ROWS`` values per column at a time (``_blocks``);
-    JSON writes its columns one after another, each block by block.  A
+    JSON writes its columns one after another, each block by block.  Every
+    block is formatted into one cell buffer the write allocates once, with
+    its separators filled once, each text copied into its cell once.  A
     broadcast column is formatted once along the axes it varies on, 24
     bytes per value there (``_broadcast_texts``).  So the memory a write
     takes is one block's, under 3 MB for five columns, and does not grow
@@ -419,10 +476,12 @@ def write_table(out, header, columns, fmt: str) -> None:
     """
     grids = [col if col.ndim == 2 else col.reshape(1, -1) for col in columns]
     blocks = _blocks(grids[0].shape)
-    fixed = [_broadcast_texts(grid) for grid in grids]
+    fixed = _broadcast_texts(grids)
+    rows = grids[0][blocks[0]].size  # the first block is the largest
     if fmt == "json":
         sep = b",\n  "
-        seps = np.frombuffer(sep, np.uint8)[None]
+        cells = np.empty((rows, 1, 1 + REPR_WIDTH + len(sep)), dtype=np.uint8)
+        cells[:, :, 1 + REPR_WIDTH:] = np.frombuffer(sep, np.uint8)
         out.write(b"{")
         for i, c in enumerate(sorted(range(len(header)),
                                      key=header.__getitem__)):
@@ -432,14 +491,16 @@ def write_table(out, header, columns, fmt: str) -> None:
                 out.write(b"\n  ")
                 for k, index in enumerate(blocks):
                     text = _block_text(grids[c:c + 1], fixed[c:c + 1],
-                                       seps, index)
+                                       cells, index)
                     out.write(text[:-len(sep)] if k == len(blocks) - 1
                               else text)
                 out.write(b"\n ")
             out.write(b"]")
         out.write(b"\n}\n")
         return
-    seps = np.frombuffer(b"," * (len(grids) - 1) + b"\n", np.uint8)[:, None]
+    cells = np.empty((rows, len(grids), 2 + REPR_WIDTH), dtype=np.uint8)
+    cells[:, :, 1 + REPR_WIDTH] = np.frombuffer(
+        b"," * (len(grids) - 1) + b"\n", np.uint8)
     out.write((",".join(header) + "\n").encode())
     for index in blocks:
-        out.write(_block_text(grids, fixed, seps, index))
+        out.write(_block_text(grids, fixed, cells, index))

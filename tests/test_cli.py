@@ -563,6 +563,25 @@ def test_write_table_writes_grids_in_row_order(tmp_path, shape):
         assert out.read_bytes() == expected(header, flat), fmt
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (2, _BLOCK_ROWS // 2 + 1)],
+                         ids=["groups-of-columns", "a-column-a-group"])
+def test_write_table_formats_own_columns_on_both_sides_of_a_broadcast_one(
+        tmp_path, shape):
+    # the columns that are not broadcast views are formatted in groups of
+    # adjacent columns: a broadcast column between them splits a group
+    rng = np.random.default_rng(4)
+    grids = (rng.standard_normal(shape),
+             np.broadcast_to(np.linspace(-3.0, 3.0, shape[1]), shape),
+             -rng.standard_normal(shape), rng.standard_normal(shape) * 1e-9)
+    header = ("a", "b", "c", "d")
+    flat = [grid.reshape(-1) for grid in grids]
+    for fmt, expected in (("csv", _expected_csv), ("json", _expected_json)):
+        out = tmp_path / f"t.{fmt}"
+        with open(out, "wb") as f:
+            write_table(f, header, grids, fmt)
+        assert out.read_bytes() == expected(header, flat), fmt
+
+
 def test_write_table_writes_bytes_to_any_binary_file(tmp_path):
     # the writer needs only a write of bytes: an io.BytesIO gets the bytes
     # a file gets

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,7 +89,53 @@ def test_powers_of_two_and_their_neighbours():
 
 
 def test_powers_of_ten_and_their_neighbours():
+    # from 1e-20 to 1e14 every digit of vr but the first, or all of them,
+    # drop, and the digits left round up: 1e-20's vr is 999999999999999945
     _assert_repr(_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+def test_digit_count_where_vr_reaches_a_power_of_ten():
+    # a normal double's vr has as many digits as the least vr of its
+    # binary exponent, or one more from the next power of ten on: within a
+    # binade that is where the double reaches a power of ten 10^k.  So for
+    # every biased exponent below 2^49: the doubles just below and at each
+    # 10^k in its binade, and the binade's last double, whose vr is its
+    # largest
+    below_and_at = []
+    for k in range(-307, 15):
+        ten = Fraction(10) ** k
+        at = float(ten)
+        if Fraction(at) < ten:
+            at = math.nextafter(at, math.inf)
+        below = math.nextafter(at, 0.0)
+        assert Fraction(below) < ten <= Fraction(at)
+        below_and_at += [below, at]
+    exponents = np.arange(1, _table._EXP_2_49)
+    last = np.nextafter(np.ldexp(1.0, exponents - 1022), 0.0)
+    values = np.concatenate([below_and_at, last])
+    assert set(np.frexp(values)[1] + 1022) >= set(exponents.tolist())
+    _assert_repr(values)
+
+
+def test_subnormals_take_repr(monkeypatch):
+    # a subnormal's vr spans many decades, so subnormals go to repr with
+    # zero, and the kernel reads 1.0 in their place
+    reached = []
+    digits = _table._digits
+
+    def recording(bits):
+        reached.append(bits.copy())
+        return digits(bits)
+
+    monkeypatch.setattr(_table, "_digits", recording)
+    rng = np.random.default_rng(1406)
+    subnormal = np.concatenate([
+        rng.integers(1, 2 ** 52, 2_000, dtype=np.uint64).view(np.float64),
+        _neighbours([_TINY, 2.2250738585072014e-308]), [0.0, 1e-300]])
+    _assert_repr(subnormal)
+    normal = subnormal >= 2.2250738585072014e-308
+    assert np.concatenate(reached).view(np.float64).tolist() \
+        == np.where(normal, subnormal, 1.0).tolist()
 
 
 @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16])
@@ -136,7 +183,11 @@ def test_zero_takes_repr():
     # value for each of the three floor columns
     (["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
       "--tau-points", "3000"], 3 * 3000, 3),
-], ids=["figure-2a", "stability-outlook"])
+    # 1,200 values, under 1,366 rows: the three columns take one kernel
+    # call together, where one call per column would go to repr
+    (["stability", "--preset", "outlook", "--tau", "1e-3..1e5",
+      "--tau-points", "400"], 3 * 400, 3),
+], ids=["figure-2a", "stability-outlook", "stability-400"])
 def test_table_magnitudes_take_the_vector_path(tmp_path, monkeypatch, argv,
                                                own, broadcast):
     # the speed-up must not turn off unseen: the kernel sees exactly the
@@ -195,5 +246,5 @@ def test_whole_numbers_take_the_general_case():
                             rng.integers(low, 2 * low).astype(np.float64),
                             np.ldexp(1.0, np.arange(49)), [2.0 ** 49 - 1.0]])
     assert np.array_equal(whole, np.floor(whole)) and whole.max() < 2.0 ** 49
-    _, _, general = _table._digits(whole.view(np.uint64))
+    *_, general = _table._digits(whole.view(np.uint64))
     assert general.all(), whole[~general][:5]
